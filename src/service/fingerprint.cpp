@@ -1,9 +1,7 @@
 #include "service/fingerprint.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <numeric>
 #include <stdexcept>
 #include <tuple>
 
@@ -47,44 +45,33 @@ class HashLane {
 };
 
 /// The canonical value tuple of a task: everything schedule-relevant,
-/// nothing label-like (id, name excluded).
+/// nothing label-like (name excluded). `id` only breaks ties between
+/// indistinguishable tasks when sorting; it is never hashed.
 struct TaskKey {
   ChannelId channel;
   std::uint64_t comm;
   std::uint64_t comp;
   std::uint64_t mem;
   std::uint64_t bytes;
+  TaskId id;
 
   explicit TaskKey(const Task& t)
       : channel(t.channel),
         comm(double_bits(t.comm)),
         comp(double_bits(t.comp)),
         mem(double_bits(t.mem)),
-        bytes(double_bits(t.comm_bytes)) {}
+        bytes(double_bits(t.comm_bytes)),
+        id(t.id) {}
 
-  [[nodiscard]] auto tie() const noexcept {
-    return std::tie(channel, comm, comp, mem, bytes);
-  }
   [[nodiscard]] bool operator<(const TaskKey& o) const noexcept {
-    return tie() < o.tie();
+    return std::tie(channel, comm, comp, mem, bytes, id) <
+           std::tie(o.channel, o.comm, o.comp, o.mem, o.bytes, o.id);
   }
 };
 
-Fingerprint hash_sorted_keys(const std::vector<TaskKey>& keys) {
-  HashLane hi(0x6474732d68690001ULL);  // "dts-hi"
-  HashLane lo(0x6474732d6c6f0002ULL);  // "dts-lo"
-  hi.absorb(keys.size());
-  lo.absorb(keys.size());
-  for (const TaskKey& k : keys) {
-    for (std::uint64_t v : std::array<std::uint64_t, 5>{
-             static_cast<std::uint64_t>(k.channel), k.comm, k.comp, k.mem,
-             k.bytes}) {
-      hi.absorb(v);
-      lo.absorb(v);
-    }
-  }
-  return Fingerprint{hi.digest(), lo.digest()};
-}
+/// Domain separator absorbed before the edge lists of a DAG, so no
+/// edge-free instance's key sequence can be mistaken for a DAG's.
+constexpr std::uint64_t kEdgesTag = 0x6474732d64616773ULL;  // "dts-dags"
 
 }  // namespace
 
@@ -100,31 +87,51 @@ std::string Fingerprint::to_hex() const {
 
 CanonicalInstance::CanonicalInstance(const Instance& inst) {
   const std::size_t n = inst.size();
+  // Sort the value tuples once; ties (indistinguishable tasks) break by
+  // submission position, so the mapping is deterministic for a given
+  // request while the hashed values stay permutation-invariant.
   std::vector<TaskKey> keys;
   keys.reserve(n);
   for (const Task& t : inst.tasks()) keys.emplace_back(t);
+  std::sort(keys.begin(), keys.end());
 
-  // Sort task indices by value tuple; ties (indistinguishable tasks)
-  // break by submission position, so the mapping is deterministic for a
-  // given request while the fingerprint — computed over the sorted keys
-  // alone — stays permutation-invariant.
   canonical_to_request_.resize(n);
-  std::iota(canonical_to_request_.begin(), canonical_to_request_.end(),
-            TaskId{0});
-  std::sort(canonical_to_request_.begin(), canonical_to_request_.end(),
-            [&keys](TaskId a, TaskId b) {
-              if (keys[a] < keys[b]) return true;
-              if (keys[b] < keys[a]) return false;
-              return a < b;
-            });
-
   request_to_canonical_.resize(n);
+  HashLane hi(0x6474732d68690001ULL);  // "dts-hi"
+  HashLane lo(0x6474732d6c6f0002ULL);  // "dts-lo"
+  const auto absorb = [&hi, &lo](std::uint64_t v) {
+    hi.absorb(v);
+    lo.absorb(v);
+  };
+  absorb(n);
   for (TaskId slot = 0; slot < n; ++slot) {
-    request_to_canonical_[canonical_to_request_[slot]] = slot;
+    const TaskKey& k = keys[slot];
+    canonical_to_request_[slot] = k.id;
+    request_to_canonical_[k.id] = slot;
+    for (std::uint64_t v : {static_cast<std::uint64_t>(k.channel), k.comm,
+                            k.comp, k.mem, k.bytes}) {
+      absorb(v);
+    }
   }
 
-  std::sort(keys.begin(), keys.end());
-  fingerprint_ = hash_sorted_keys(keys);
+  // Precedence joins the identity: each slot's predecessors, renamed to
+  // canonical slots and sorted. Two DAGs share a fingerprint only when
+  // the slot mapping is an isomorphism between them, so a cached order
+  // is always feasible for the request it answers.
+  if (inst.has_dependencies()) {
+    absorb(kEdgesTag);
+    std::vector<TaskId> preds;
+    for (TaskId slot = 0; slot < n; ++slot) {
+      preds.clear();
+      for (TaskId dep : inst[canonical_to_request_[slot]].deps) {
+        preds.push_back(request_to_canonical_[dep]);
+      }
+      std::sort(preds.begin(), preds.end());
+      absorb(preds.size());
+      for (TaskId pred : preds) absorb(pred);
+    }
+  }
+  fingerprint_ = Fingerprint{hi.digest(), lo.digest()};
 }
 
 std::vector<TaskId> CanonicalInstance::to_request_order(
@@ -170,11 +177,7 @@ std::vector<TaskId> CanonicalInstance::to_canonical_order(
 }
 
 Fingerprint fingerprint_of(const Instance& inst) {
-  std::vector<TaskKey> keys;
-  keys.reserve(inst.size());
-  for (const Task& t : inst.tasks()) keys.emplace_back(t);
-  std::sort(keys.begin(), keys.end());
-  return hash_sorted_keys(keys);
+  return CanonicalInstance(inst).fingerprint();
 }
 
 }  // namespace dts

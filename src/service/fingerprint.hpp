@@ -11,15 +11,19 @@
 /// (channel, comm, comp, mem, comm_bytes) tuples, independent of
 /// submission order and of task names — so a million users submitting the
 /// same HF/CCSD shape in a million different task orders all land on one
-/// cache entry and pay one solve.
+/// cache entry and pay one solve. A DAG additionally hashes its edges in
+/// canonical slot space, so it never shares an entry with its edge-free
+/// twin or with a DAG of different edges.
 ///
 /// Two pieces:
 ///  * Fingerprint — a 128-bit content hash of the canonical task multiset
-///    (plus the channel structure implied by the tasks). Equal instances
-///    up to permutation/relabeling hash equal; byte-level differences in
-///    any duration, footprint, byte annotation or channel produce a
-///    different fingerprint (pinned by tests/fingerprint_test.cpp over a
-///    seeded corpus).
+///    (plus the channel structure implied by the tasks, plus each slot's
+///    sorted predecessor slots when the instance has dependency edges).
+///    Equal edge-free instances up to permutation/relabeling hash equal;
+///    byte-level differences in any duration, footprint, byte annotation
+///    or channel, and adding or removing any edge, produce a different
+///    fingerprint (pinned by tests/fingerprint_test.cpp over a seeded
+///    corpus). Edge-free fingerprints do not depend on the edge rule.
 ///  * CanonicalInstance — the fingerprint plus the permutation that maps
 ///    canonical task slots back to this request's task ids. A cached
 ///    order lives in canonical slot space; `to_request_order` translates
@@ -59,14 +63,16 @@ struct Fingerprint {
 /// The canonical view of one request's instance: its fingerprint and the
 /// slot <-> task-id mapping. Canonical slot k is the k-th task under the
 /// canonical ordering (sorted by channel, comm, comp, mem, comm_bytes;
-/// ties between indistinguishable tasks resolved by submission position,
-/// which never affects the fingerprint — indistinguishable tasks are
-/// interchangeable in any schedule).
+/// ties between indistinguishable tasks resolved by submission position).
+/// On edge-free instances the tie-break never affects the fingerprint —
+/// indistinguishable tasks are interchangeable in any schedule. On a DAG
+/// it can: a relabeled resubmission may miss the cache, but equal
+/// fingerprints always mean the slot mapping preserves every edge.
 class CanonicalInstance {
  public:
   CanonicalInstance() = default;
 
-  /// Canonicalizes `inst`. O(n log n).
+  /// Canonicalizes `inst` with one sort. O(n log n + e log e).
   explicit CanonicalInstance(const Instance& inst);
 
   [[nodiscard]] const Fingerprint& fingerprint() const noexcept {

@@ -1,11 +1,11 @@
 #include "service/protocol.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <istream>
 #include <ostream>
+#include <string_view>
+
+#include "support/text.hpp"
 
 namespace dts {
 namespace {
@@ -32,46 +32,34 @@ bool read_line(std::istream& in, std::size_t max_bytes, std::string& out) {
 
 /// Splits on single spaces; empty tokens (doubled spaces, leading or
 /// trailing space) are malformed — the format is machine-generated, so
-/// strictness costs nothing and keeps the fuzz surface small.
-std::vector<std::string> split_tokens(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= line.size()) {
-    const std::size_t space = line.find(' ', start);
-    const std::size_t end = space == std::string::npos ? line.size() : space;
-    if (end == start) throw ProtocolError("empty token in: " + line);
-    out.push_back(line.substr(start, end - start));
-    if (space == std::string::npos) break;
-    start = space + 1;
+/// strictness costs nothing and keeps the fuzz surface small. The views
+/// alias `line`.
+void split_tokens(std::string_view line,
+                  std::vector<std::string_view>& tokens) {
+  split_on(line, ' ', tokens);
+  for (const std::string_view token : tokens) {
+    if (token.empty()) {
+      throw ProtocolError("empty token in: " + std::string(line));
+    }
   }
-  return out;
 }
 
-double parse_double(const std::string& token, const char* what) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || ptr != token.data() + token.size() ||
-      !std::isfinite(value)) {
-    throw ProtocolError(std::string(what) + ": bad number '" + token + "'");
+double wire_double(std::string_view token, const char* what) {
+  const std::optional<double> value = parse_double(token);
+  if (!value || !std::isfinite(*value)) {
+    throw ProtocolError(std::string(what) + ": bad number '" +
+                        std::string(token) + "'");
   }
-  return value;
+  return *value;
 }
 
-std::uint64_t parse_u64(const std::string& token, const char* what) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) {
-    throw ProtocolError(std::string(what) + ": bad count '" + token + "'");
+std::uint64_t wire_count(std::string_view token, const char* what) {
+  const std::optional<std::uint64_t> value = parse_uint(token);
+  if (!value) {
+    throw ProtocolError(std::string(what) + ": bad count '" +
+                        std::string(token) + "'");
   }
-  return value;
-}
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  return *value;
 }
 
 /// Consumes input until an `end` line or EOF so the next frame starts
@@ -103,7 +91,8 @@ void resync(std::istream& in) {
 WireRequest parse_request_headers(std::istream& in,
                                   const ProtocolLimits& limits,
                                   const std::string& first_line) {
-  const std::vector<std::string> head = split_tokens(first_line);
+  std::vector<std::string_view> head;
+  split_tokens(first_line, head);
   if (head.size() != 3 || head[0] != "dts1") {
     throw ProtocolError("bad frame header: " + first_line);
   }
@@ -117,12 +106,13 @@ WireRequest parse_request_headers(std::istream& in,
   } else if (head[1] == "quit") {
     req.verb = WireRequest::Verb::kQuit;
   } else {
-    throw ProtocolError("unknown verb: " + head[1]);
+    throw ProtocolError("unknown verb: " + std::string(head[1]));
   }
   req.id = head[2];
 
   bool have_trace = false;
   std::string line;
+  std::vector<std::string_view> tokens;
   for (std::size_t n_headers = 0;; ++n_headers) {
     if (n_headers > limits.max_header_lines) {
       throw ProtocolError("more than " +
@@ -133,30 +123,31 @@ WireRequest parse_request_headers(std::istream& in,
       throw ProtocolError("stream ended mid-frame (missing 'end')");
     }
     if (line == "end") break;
-    const std::vector<std::string> tokens = split_tokens(line);
-    const std::string& key = tokens[0];
+    split_tokens(line, tokens);
+    const std::string_view key = tokens[0];
     if (req.verb != WireRequest::Verb::kSolve) {
-      throw ProtocolError("unexpected header for '" + head[1] + "': " + line);
+      throw ProtocolError("unexpected header for '" + std::string(head[1]) +
+                          "': " + line);
     }
     if (key == "solver" && tokens.size() == 2) {
       req.solver = tokens[1];
     } else if (key == "capacity" && tokens.size() == 2) {
-      req.capacity = parse_double(tokens[1], "capacity");
+      req.capacity = wire_double(tokens[1], "capacity");
     } else if (key == "capacity-factor" && tokens.size() == 2) {
-      req.capacity_factor = parse_double(tokens[1], "capacity-factor");
+      req.capacity_factor = wire_double(tokens[1], "capacity-factor");
     } else if (key == "machine" && tokens.size() == 2) {
       req.machine = tokens[1];
     } else if (key == "seed" && tokens.size() == 2) {
-      req.seed = parse_u64(tokens[1], "seed");
+      req.seed = wire_count(tokens[1], "seed");
     } else if (key == "batch" && tokens.size() == 2) {
-      req.batch = parse_u64(tokens[1], "batch");
+      req.batch = wire_count(tokens[1], "batch");
     } else if (key == "no-cache" && tokens.size() == 1) {
       req.no_cache = true;
     } else if (key == "trace" && tokens.size() == 2) {
       if (have_trace) throw ProtocolError("duplicate trace payload");
-      const std::uint64_t n_bytes = parse_u64(tokens[1], "trace");
+      const std::uint64_t n_bytes = wire_count(tokens[1], "trace");
       if (n_bytes > limits.max_trace_bytes) {
-        throw ProtocolError("trace payload of " + tokens[1] +
+        throw ProtocolError("trace payload of " + std::string(tokens[1]) +
                             " bytes exceeds limit of " +
                             std::to_string(limits.max_trace_bytes));
       }
@@ -245,43 +236,81 @@ constexpr std::size_t kChunkBytes = 4000;
 /// wire so a `message` line never busts the reader's line limit.
 constexpr std::size_t kMaxErrorBytes = 1024;
 
+/// A rendered frame reaches the stream in writes of about this size: one
+/// write for an ordinary response, bounded memory for a huge one.
+constexpr std::size_t kWriteBytes = 64 * 1024;
+
 }  // namespace
 
 void write_response(std::ostream& out, const WireResponse& response) {
-  out << "dts1 response " << response.id << ' ' << to_string(response.status)
-      << '\n';
+  std::string frame;
+  const auto spill = [&frame, &out](std::size_t at_least) {
+    if (frame.size() < at_least) return;
+    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    frame.clear();
+  };
+  const auto text_line = [&frame](std::string_view key,
+                                  std::string_view value) {
+    frame += key;
+    frame += ' ';
+    frame += value;
+    frame += '\n';
+  };
+  const auto double_line = [&frame](std::string_view key, double value) {
+    frame += key;
+    frame += ' ';
+    append_double(frame, value);
+    frame += '\n';
+  };
+  const auto count_line = [&frame](std::string_view key,
+                                   std::uint64_t value) {
+    frame += key;
+    frame += ' ';
+    append_uint(frame, value);
+    frame += '\n';
+  };
+
+  text_line("dts1 response " + response.id, to_string(response.status));
   switch (response.status) {
     case WireResponse::Status::kOk:
       if (!response.winner.empty()) {
-        out << "cache " << to_string(response.cache) << '\n';
-        out << "winner " << response.winner << '\n';
-        out << "makespan " << format_double(response.makespan) << '\n';
-        out << "evaluations " << response.evaluations << '\n';
-        out << "proved-optimal " << (response.proved_optimal ? 1 : 0) << '\n';
-        out << "lower-bound " << format_double(response.lower_bound) << '\n';
+        text_line("cache", to_string(response.cache));
+        text_line("winner", response.winner);
+        double_line("makespan", response.makespan);
+        count_line("evaluations", response.evaluations);
+        count_line("proved-optimal", response.proved_optimal ? 1 : 0);
+        double_line("lower-bound", response.lower_bound);
         if (response.gap && std::isfinite(*response.gap)) {
-          out << "gap " << format_double(*response.gap) << '\n';
+          double_line("gap", *response.gap);
         }
-        out << "order " << response.order.size() << '\n';
-        std::string line;
+        count_line("order", response.order.size());
+        std::size_t line_start = frame.size();
         for (std::uint32_t id : response.order) {
-          if (!line.empty()) line.push_back(' ');
-          line += std::to_string(id);
-          if (line.size() >= kChunkBytes) {
-            out << line << '\n';
-            line.clear();
+          if (frame.size() > line_start) frame += ' ';
+          append_uint(frame, id);
+          if (frame.size() - line_start >= kChunkBytes) {
+            frame += '\n';
+            spill(kWriteBytes);
+            line_start = frame.size();
           }
         }
-        if (!line.empty()) out << line << '\n';
-        out << "schedule " << response.schedule.size() << '\n';
+        if (frame.size() > line_start) frame += '\n';
+        count_line("schedule", response.schedule.size());
         for (const auto& [comm, comp] : response.schedule) {
-          out << format_double(comm) << ' ' << format_double(comp) << '\n';
+          append_double(frame, comm);
+          frame += ' ';
+          append_double(frame, comp);
+          frame += '\n';
+          spill(kWriteBytes);
         }
       }
-      for (const std::string& extra : response.extra) out << extra << '\n';
+      for (const std::string& extra : response.extra) {
+        frame += extra;
+        frame += '\n';
+      }
       break;
     case WireResponse::Status::kShed:
-      out << "reason " << response.shed_reason << '\n';
+      text_line("reason", response.shed_reason);
       break;
     case WireResponse::Status::kDraining:
       break;
@@ -295,11 +324,12 @@ void write_response(std::ostream& out, const WireResponse& response) {
         message.resize(kMaxErrorBytes);
         message += " [truncated]";
       }
-      out << "message " << message << '\n';
+      text_line("message", message);
       break;
     }
   }
-  out << "end\n";
+  frame += "end\n";
+  spill(0);
 }
 
 std::optional<WireResponse> read_response(std::istream& in,
@@ -309,7 +339,8 @@ std::optional<WireResponse> read_response(std::istream& in,
     if (!read_line(in, limits.max_line_bytes, line)) return std::nullopt;
     if (!line.empty()) break;
   }
-  const std::vector<std::string> head = split_tokens(line);
+  std::vector<std::string_view> head;
+  split_tokens(line, head);
   if (head.size() != 4 || head[0] != "dts1" || head[1] != "response") {
     throw ProtocolError("bad response header: " + line);
   }
@@ -324,9 +355,10 @@ std::optional<WireResponse> read_response(std::istream& in,
   } else if (head[3] == "error") {
     res.status = WireResponse::Status::kError;
   } else {
-    throw ProtocolError("unknown response status: " + head[3]);
+    throw ProtocolError("unknown response status: " + std::string(head[3]));
   }
 
+  std::vector<std::string_view> tokens;
   for (std::size_t n_headers = 0;; ++n_headers) {
     if (n_headers > limits.max_header_lines) {
       throw ProtocolError("more than " +
@@ -343,8 +375,8 @@ std::optional<WireResponse> read_response(std::istream& in,
       res.error = line.substr(8);
       continue;
     }
-    const std::vector<std::string> tokens = split_tokens(line);
-    const std::string& key = tokens[0];
+    split_tokens(line, tokens);
+    const std::string_view key = tokens[0];
     if (key == "cache" && tokens.size() == 2) {
       if (tokens[1] == "hit") {
         res.cache = WireResponse::CacheOutcome::kHit;
@@ -355,24 +387,25 @@ std::optional<WireResponse> read_response(std::istream& in,
       } else if (tokens[1] == "bypass") {
         res.cache = WireResponse::CacheOutcome::kBypass;
       } else {
-        throw ProtocolError("unknown cache outcome: " + tokens[1]);
+        throw ProtocolError("unknown cache outcome: " +
+                            std::string(tokens[1]));
       }
     } else if (key == "winner" && tokens.size() == 2) {
       res.winner = tokens[1];
     } else if (key == "makespan" && tokens.size() == 2) {
-      res.makespan = parse_double(tokens[1], "makespan");
+      res.makespan = wire_double(tokens[1], "makespan");
     } else if (key == "evaluations" && tokens.size() == 2) {
-      res.evaluations = parse_u64(tokens[1], "evaluations");
+      res.evaluations = wire_count(tokens[1], "evaluations");
     } else if (key == "proved-optimal" && tokens.size() == 2) {
-      const std::uint64_t v = parse_u64(tokens[1], "proved-optimal");
+      const std::uint64_t v = wire_count(tokens[1], "proved-optimal");
       if (v > 1) throw ProtocolError("proved-optimal must be 0 or 1");
       res.proved_optimal = v == 1;
     } else if (key == "lower-bound" && tokens.size() == 2) {
-      res.lower_bound = parse_double(tokens[1], "lower-bound");
+      res.lower_bound = wire_double(tokens[1], "lower-bound");
     } else if (key == "gap" && tokens.size() == 2) {
-      res.gap = parse_double(tokens[1], "gap");
+      res.gap = wire_double(tokens[1], "gap");
     } else if (key == "order" && tokens.size() == 2) {
-      const std::uint64_t n = parse_u64(tokens[1], "order");
+      const std::uint64_t n = wire_count(tokens[1], "order");
       if (n > limits.max_trace_bytes) {
         throw ProtocolError("order length exceeds limits");
       }
@@ -382,17 +415,18 @@ std::optional<WireResponse> read_response(std::istream& in,
         if (!read_line(in, limits.max_line_bytes, line)) {
           throw ProtocolError("stream ended inside order block");
         }
-        for (const std::string& token : split_tokens(line)) {
+        split_tokens(line, tokens);
+        for (const std::string_view token : tokens) {
           if (res.order.size() >= n) {
             throw ProtocolError("order block carries more than " +
                                 std::to_string(n) + " ids");
           }
           res.order.push_back(
-              static_cast<std::uint32_t>(parse_u64(token, "order")));
+              static_cast<std::uint32_t>(wire_count(token, "order")));
         }
       }
     } else if (key == "schedule" && tokens.size() == 2) {
-      const std::uint64_t n = parse_u64(tokens[1], "schedule");
+      const std::uint64_t n = wire_count(tokens[1], "schedule");
       if (n > limits.max_trace_bytes) {
         throw ProtocolError("schedule length exceeds limits");
       }
@@ -402,12 +436,12 @@ std::optional<WireResponse> read_response(std::istream& in,
         if (!read_line(in, limits.max_line_bytes, line)) {
           throw ProtocolError("stream ended inside schedule block");
         }
-        const std::vector<std::string> pair = split_tokens(line);
-        if (pair.size() != 2) {
+        split_tokens(line, tokens);
+        if (tokens.size() != 2) {
           throw ProtocolError("bad schedule line: " + line);
         }
-        res.schedule.emplace_back(parse_double(pair[0], "schedule"),
-                                  parse_double(pair[1], "schedule"));
+        res.schedule.emplace_back(wire_double(tokens[0], "schedule"),
+                                  wire_double(tokens[1], "schedule"));
       }
     } else if (key == "reason" && tokens.size() == 2) {
       res.shed_reason = tokens[1];

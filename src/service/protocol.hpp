@@ -43,7 +43,10 @@
 ///
 /// Both the order block and the schedule block are length-delimited and
 /// written in short chunks, so a response of any instance size stays
-/// within the reader's per-line limit.
+/// within the reader's per-line limit. Every number on the wire goes
+/// through the number-text codec (support/text.hpp): doubles are
+/// byte-identical to printf("%.17g") and parse back bit for bit, with no
+/// dependence on any locale.
 ///
 /// or `dts1 response <id> shed` + `reason queue-full|admission` + `end`
 /// (back-pressure: retry later), `dts1 response <id> draining` + `end`

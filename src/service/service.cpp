@@ -1,7 +1,7 @@
 #include "service/service.hpp"
 
 #include <exception>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "core/simulate.hpp"
@@ -245,10 +245,23 @@ ServiceResponse SolverService::serve_admitted(const ServiceRequest& request) {
     }
   }
 
-  if (cached) {
-    return warm_response(request.id, *cached, canon, bound, capacity,
-                         WireResponse::CacheOutcome::kHit);
-  }
+  // Hit and coalesced answers re-cost a cached order. The cache counters
+  // have already recorded the outcome, so a failure to re-cost still
+  // reports that outcome rather than the default miss.
+  const auto replay = [&](const CachedResult& result,
+                          WireResponse::CacheOutcome outcome) {
+    try {
+      if (options_.on_cache_replay) options_.on_cache_replay();
+      return warm_response(request.id, result, canon, bound, capacity,
+                           outcome);
+    } catch (const std::exception& e) {
+      ServiceResponse failed = error_response(request.id, e.what());
+      failed.cache = outcome;
+      return failed;
+    }
+  };
+
+  if (cached) return replay(*cached, WireResponse::CacheOutcome::kHit);
 
   if (!leader) {
     cache_.note_coalesced();
@@ -256,8 +269,7 @@ ServiceResponse SolverService::serve_admitted(const ServiceRequest& request) {
     flight->cv.wait(fl, [&] { return flight->done; });
     switch (flight->status) {
       case WireResponse::Status::kOk:
-        return warm_response(request.id, flight->result, canon, bound,
-                             capacity, WireResponse::CacheOutcome::kCoalesced);
+        return replay(flight->result, WireResponse::CacheOutcome::kCoalesced);
       case WireResponse::Status::kShed:
         return shed_response(request.id, flight->shed_reason);
       case WireResponse::Status::kDraining:
@@ -384,21 +396,18 @@ WireResponse SolverService::handle_wire(const WireRequest& request) {
       return wire;
     case WireRequest::Verb::kStats: {
       const ServiceCounters c = counters();
-      std::ostringstream lines;
-      lines << "requests " << c.received << '\n'
-            << "ok " << c.ok << '\n'
-            << "shed " << c.shed << '\n'
-            << "draining " << c.draining << '\n'
-            << "errors " << c.errors << '\n'
-            << "hits " << c.cache.hits << '\n'
-            << "misses " << c.cache.misses << '\n'
-            << "coalesced " << c.cache.coalesced << '\n'
-            << "inserts " << c.cache.inserts << '\n'
-            << "evictions " << c.cache.evictions << '\n'
-            << "cache-size " << c.cache_size;
-      std::string line;
-      std::istringstream split(lines.str());
-      while (std::getline(split, line)) wire.extra.push_back(line);
+      wire.extra = {
+          "requests " + std::to_string(c.received),
+          "ok " + std::to_string(c.ok),
+          "shed " + std::to_string(c.shed),
+          "draining " + std::to_string(c.draining),
+          "errors " + std::to_string(c.errors),
+          "hits " + std::to_string(c.cache.hits),
+          "misses " + std::to_string(c.cache.misses),
+          "coalesced " + std::to_string(c.cache.coalesced),
+          "inserts " + std::to_string(c.cache.inserts),
+          "evictions " + std::to_string(c.cache.evictions),
+          "cache-size " + std::to_string(c.cache_size)};
       wire.status = WireResponse::Status::kOk;
       return wire;
     }
@@ -409,8 +418,7 @@ WireResponse SolverService::handle_wire(const WireRequest& request) {
   ServiceRequest typed;
   typed.id = request.id;
   try {
-    std::istringstream trace(request.trace_text);
-    typed.instance = read_trace(trace);
+    typed.instance = read_trace(request.trace_text);
   } catch (const std::exception& e) {
     wire.status = WireResponse::Status::kError;
     wire.error = e.what();

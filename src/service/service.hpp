@@ -68,6 +68,10 @@ struct ServiceOptions {
   /// flight, immediately before submitting the solve. Lets tests hold a
   /// leader in place while followers pile up. Must be thread-safe.
   std::function<void()> on_solve_start;
+  /// Test hook: invoked on the hit and coalesced paths immediately before
+  /// the cached order is re-costed onto the request; a throw stands in
+  /// for a failed re-cost. Must be thread-safe.
+  std::function<void()> on_cache_replay;
 };
 
 /// A parsed, typed request (the wire adapter builds one from a frame).

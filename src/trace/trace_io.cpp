@@ -1,10 +1,15 @@
 #include "trace/trace_io.hpp"
 
-#include <charconv>
+#include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <istream>
+#include <limits>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
+
+#include "support/text.hpp"
 
 namespace dts {
 
@@ -22,26 +27,24 @@ constexpr std::string_view kDepsPrefix = "deps=";
 /// empty elements; dangling references, self-edges and cycles are the
 /// Instance constructor's job (it has the exact diagnostics).
 std::vector<TaskId> parse_deps_field(std::size_t line_no,
-                                     const std::string& field,
+                                     std::string_view field,
                                      std::string_view list) {
   if (list.empty()) {
-    throw TraceIoError(line_no, "empty dependency list '" + field + "'");
+    throw TraceIoError(line_no,
+                       "empty dependency list '" + std::string(field) + "'");
   }
   std::vector<TaskId> deps;
   std::size_t begin = 0;
   while (begin <= list.size()) {
     const std::size_t comma = std::min(list.find(',', begin), list.size());
     const std::string_view element = list.substr(begin, comma - begin);
-    TaskId id = 0;
-    const auto [ptr, ec] =
-        std::from_chars(element.data(), element.data() + element.size(), id);
-    if (element.empty() || ec != std::errc{} ||
-        ptr != element.data() + element.size()) {
+    const std::optional<std::uint64_t> id = parse_uint(element);
+    if (!id || *id > std::numeric_limits<TaskId>::max()) {
       throw TraceIoError(line_no, "malformed dependency id '" +
-                                      std::string(element) + "' in '" + field +
-                                      "'");
+                                      std::string(element) + "' in '" +
+                                      std::string(field) + "'");
     }
-    deps.push_back(id);
+    deps.push_back(static_cast<TaskId>(*id));
     begin = comma + 1;
   }
   return deps;
@@ -54,18 +57,115 @@ std::vector<TaskId> parse_deps_field(std::size_t line_no,
 /// extraction the v1/v2 parser used (externally-written "+1.5" fields
 /// must keep loading).
 double parse_double_field(std::size_t line_no, const char* field,
-                          const std::string& text) {
+                          std::string_view text) {
   std::string_view digits = text;
   if (!digits.empty() && digits.front() == '+') digits.remove_prefix(1);
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), value);
-  if (ec != std::errc{} || ptr != digits.data() + digits.size() ||
-      digits.empty()) {
+  const std::optional<double> value = parse_double(digits);
+  if (!value) {
     throw TraceIoError(line_no, std::string("malformed ") + field + " '" +
-                                    text + "'");
+                                    std::string(text) + "'");
   }
-  return value;
+  return *value;
+}
+
+/// Parses one `task` record (already split into fields, at least five).
+Task parse_task(std::size_t line_no, int version,
+                const std::vector<std::string_view>& tokens) {
+  Task t;
+  t.name = tokens[1];
+  if (tokens[2] == "?") {
+    // A time-less task only makes sense when a byte annotation can
+    // eventually cost it — both are v3 features.
+    if (version < 3) {
+      throw TraceIoError(line_no,
+                         "time-less comm '?' needs the '" +
+                             std::string(kMagicV3) + "' header");
+    }
+    t.comm = kUnboundTime;
+  } else {
+    t.comm = parse_double_field(line_no, "comm", tokens[2]);
+    if (t.comm < 0.0) {
+      // Only '?' may mark a time-less task — a literal negative number
+      // must not silently alias the kUnboundTime sentinel.
+      throw TraceIoError(line_no,
+                         "negative comm '" + std::string(tokens[2]) + "'");
+    }
+  }
+  t.comp = parse_double_field(line_no, "comp", tokens[3]);
+  t.mem = parse_double_field(line_no, "mem", tokens[4]);
+
+  bool channel_seen = false;
+  bool bytes_seen = false;
+  bool deps_seen = false;
+  for (std::size_t i = 5; i < tokens.size(); ++i) {
+    const std::string_view field = tokens[i];
+    if (field.starts_with(kDepsPrefix)) {
+      if (version < 4) {
+        // A stray deps= column in an old trace must stay a loud error.
+        throw TraceIoError(line_no, "unexpected '" + std::string(field) +
+                                        "' (dependency edges need the '" +
+                                        std::string(kMagicV4) + "' header)");
+      }
+      if (deps_seen) {
+        throw TraceIoError(line_no, "duplicate dependency list '" +
+                                        std::string(field) + "'");
+      }
+      t.deps = parse_deps_field(line_no, field,
+                                field.substr(kDepsPrefix.size()));
+      deps_seen = true;
+    } else if (deps_seen) {
+      // deps= is defined as the last column of a record.
+      throw TraceIoError(line_no,
+                         "trailing content '" + std::string(field) + "'");
+    } else if (field.starts_with(kBytesPrefix)) {
+      if (version < 3) {
+        // A stray bytes= column in an old trace must stay a loud error.
+        throw TraceIoError(line_no, "unexpected '" + std::string(field) +
+                                        "' (byte annotations need the '" +
+                                        std::string(kMagicV3) + "' header)");
+      }
+      if (bytes_seen) {
+        throw TraceIoError(line_no, "duplicate byte annotation '" +
+                                        std::string(field) + "'");
+      }
+      t.comm_bytes = parse_double_field(line_no, "bytes",
+                                        field.substr(kBytesPrefix.size()));
+      if (!(t.comm_bytes >= 0.0)) {  // negated form also catches NaN
+        throw TraceIoError(line_no, "negative or non-finite byte "
+                                    "annotation '" + std::string(field) + "'");
+      }
+      bytes_seen = true;
+    } else if (!channel_seen && !bytes_seen) {
+      if (version < 2) {
+        // A stray extra numeric column in a v1 trace must stay a loud
+        // error, not silently become a copy-engine assignment.
+        throw TraceIoError(line_no,
+                           "unexpected 5th column '" + std::string(field) +
+                               "' in a v1 trace (channel columns need the '" +
+                               std::string(kMagicV2) + "' header)");
+      }
+      // Parsed from the raw token, so overflow ("4294967296") and
+      // negatives fail instead of wrapping.
+      const std::optional<std::uint64_t> channel = parse_uint(field);
+      if (!channel || *channel >= kMaxChannels) {
+        throw TraceIoError(line_no, "channel '" + std::string(field) +
+                                        "' out of range [0, " +
+                                        std::to_string(kMaxChannels) + ")");
+      }
+      t.channel = static_cast<ChannelId>(*channel);
+      channel_seen = true;
+    } else {
+      throw TraceIoError(line_no,
+                         "trailing content '" + std::string(field) + "'");
+    }
+  }
+  if (!t.time_bound() && !t.has_comm_bytes()) {
+    throw TraceIoError(line_no, "time-less task without a bytes= annotation");
+  }
+  if (!is_valid(t)) {
+    throw TraceIoError(line_no, "negative or non-finite task fields");
+  }
+  return t;
 }
 
 }  // namespace
@@ -87,27 +187,48 @@ void write_trace(std::ostream& out, const Instance& inst) {
       << " sum_comp=" << stats.sum_comp << " max_mem=" << stats.max_mem;
   if (multi) out << " channels=" << inst.num_channels();
   out << '\n';
-  out.precision(17);  // exact double round-trip
+
+  // Task records: exact (%.17g) number text, rendered into one buffer.
+  std::string body;
+  body.reserve(inst.size() * 80);
   for (const Task& t : inst) {
-    out << "task " << (t.name.empty() ? "T" + std::to_string(t.id) : t.name)
-        << ' ';
-    if (t.time_bound()) {
-      out << t.comm;
+    body += "task ";
+    if (t.name.empty()) {
+      body += 'T';
+      append_uint(body, t.id);
     } else {
-      out << '?';  // time-less: cost comes from the byte annotation
+      body += t.name;
     }
-    out << ' ' << t.comp << ' ' << t.mem;
-    if (multi) out << ' ' << t.channel;
-    if (t.has_comm_bytes()) out << ' ' << kBytesPrefix << t.comm_bytes;
+    body += ' ';
+    if (t.time_bound()) {
+      append_double(body, t.comm);
+    } else {
+      body += '?';  // time-less: cost comes from the byte annotation
+    }
+    body += ' ';
+    append_double(body, t.comp);
+    body += ' ';
+    append_double(body, t.mem);
+    if (multi) {
+      body += ' ';
+      append_uint(body, t.channel);
+    }
+    if (t.has_comm_bytes()) {
+      body += ' ';
+      body += kBytesPrefix;
+      append_double(body, t.comm_bytes);
+    }
     if (!t.deps.empty()) {
-      out << ' ' << kDepsPrefix;
+      body += ' ';
+      body += kDepsPrefix;
       for (std::size_t i = 0; i < t.deps.size(); ++i) {
-        if (i > 0) out << ',';
-        out << t.deps[i];
+        if (i > 0) body += ',';
+        append_uint(body, t.deps[i]);
       }
     }
-    out << '\n';
+    body += '\n';
   }
+  out.write(body.data(), static_cast<std::streamsize>(body.size()));
 }
 
 void write_trace_file(const std::filesystem::path& path, const Instance& inst) {
@@ -118,19 +239,25 @@ void write_trace_file(const std::filesystem::path& path, const Instance& inst) {
   write_trace(out, inst);
 }
 
-Instance read_trace(std::istream& in) {
+Instance read_trace(std::string_view text) {
   std::vector<Task> tasks;
-  std::string line;
+  tasks.reserve(static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n')));
+  std::vector<std::string_view> tokens;
   std::size_t line_no = 0;
-  bool magic_seen = false;
   int version = 1;
 
-  while (std::getline(in, line)) {
+  // Lines as std::getline yields them: '\n'-terminated, the last one
+  // possibly unterminated, no empty line after a final '\n'.
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t newline = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, newline - pos);
+    pos = newline + 1;
     ++line_no;
     if (!line.empty() && line.back() == '\r') {
-      // A silently stripped '\r' would *usually* work (stream extraction
-      // treats it as whitespace) but can leak into the last field of a
-      // record — reject CRLF input loudly instead of misparsing quietly.
+      // A silently stripped '\r' would *usually* work (it separates
+      // fields like any whitespace) but can leak into the last field of
+      // a record — reject CRLF input loudly instead of misparsing quietly.
       throw TraceIoError(line_no,
                          "CRLF line ending; dts traces use LF line endings");
     }
@@ -149,127 +276,39 @@ Instance read_trace(std::istream& in) {
                                         "', '" + std::string(kMagicV3) +
                                         "' or '" + std::string(kMagicV4) + "'");
       }
-      magic_seen = true;
       continue;
     }
     if (line.empty() || line[0] == '#') continue;
 
-    std::istringstream fields(line);
-    std::vector<std::string> tokens;
-    std::string token;
-    while (fields >> token) tokens.push_back(std::move(token));
+    split_fields(line, tokens);
     if (tokens.empty() || tokens[0] != "task") {
-      throw TraceIoError(line_no, "unknown record '" +
-                                      (tokens.empty() ? "" : tokens[0]) + "'");
+      throw TraceIoError(line_no,
+                         "unknown record '" +
+                             std::string(tokens.empty() ? "" : tokens[0]) +
+                             "'");
     }
     if (tokens.size() < 5) {
       throw TraceIoError(line_no,
                          "expected 'task <name> <comm> <comp> <mem> "
                          "[<channel>] [bytes=<B>]'");
     }
-    Task t;
-    t.name = tokens[1];
-    if (tokens[2] == "?") {
-      // A time-less task only makes sense when a byte annotation can
-      // eventually cost it — both are v3 features.
-      if (version < 3) {
-        throw TraceIoError(line_no,
-                           "time-less comm '?' needs the '" +
-                               std::string(kMagicV3) + "' header");
-      }
-      t.comm = kUnboundTime;
-    } else {
-      t.comm = parse_double_field(line_no, "comm", tokens[2]);
-      if (t.comm < 0.0) {
-        // Only '?' may mark a time-less task — a literal negative number
-        // must not silently alias the kUnboundTime sentinel.
-        throw TraceIoError(line_no, "negative comm '" + tokens[2] + "'");
-      }
-    }
-    t.comp = parse_double_field(line_no, "comp", tokens[3]);
-    t.mem = parse_double_field(line_no, "mem", tokens[4]);
-
-    bool channel_seen = false;
-    bool bytes_seen = false;
-    bool deps_seen = false;
-    for (std::size_t i = 5; i < tokens.size(); ++i) {
-      const std::string& field = tokens[i];
-      if (field.rfind(kDepsPrefix, 0) == 0) {
-        if (version < 4) {
-          // A stray deps= column in an old trace must stay a loud error.
-          throw TraceIoError(line_no,
-                             "unexpected '" + field +
-                                 "' (dependency edges need the '" +
-                                 std::string(kMagicV4) + "' header)");
-        }
-        if (deps_seen) {
-          throw TraceIoError(line_no,
-                             "duplicate dependency list '" + field + "'");
-        }
-        t.deps = parse_deps_field(
-            line_no, field,
-            std::string_view(field).substr(kDepsPrefix.size()));
-        deps_seen = true;
-      } else if (deps_seen) {
-        // deps= is defined as the last column of a record.
-        throw TraceIoError(line_no, "trailing content '" + field + "'");
-      } else if (field.rfind(kBytesPrefix, 0) == 0) {
-        if (version < 3) {
-          // A stray bytes= column in an old trace must stay a loud error.
-          throw TraceIoError(line_no,
-                             "unexpected '" + field +
-                                 "' (byte annotations need the '" +
-                                 std::string(kMagicV3) + "' header)");
-        }
-        if (bytes_seen) {
-          throw TraceIoError(line_no, "duplicate byte annotation '" + field +
-                                          "'");
-        }
-        const std::string value = field.substr(kBytesPrefix.size());
-        t.comm_bytes = parse_double_field(line_no, "bytes", value);
-        if (!(t.comm_bytes >= 0.0)) {  // negated form also catches NaN
-          throw TraceIoError(line_no, "negative or non-finite byte "
-                                      "annotation '" + field + "'");
-        }
-        bytes_seen = true;
-      } else if (!channel_seen && !bytes_seen) {
-        if (version < 2) {
-          // A stray extra numeric column in a v1 trace must stay a loud
-          // error, not silently become a copy-engine assignment.
-          throw TraceIoError(line_no,
-                             "unexpected 5th column '" + field +
-                                 "' in a v1 trace (channel columns need the '" +
-                                 std::string(kMagicV2) + "' header)");
-        }
-        // Parsed from the raw token: stream extraction into an unsigned
-        // would clobber the field on overflow ("4294967296") or wrap
-        // negatives instead of failing.
-        ChannelId channel = 0;
-        const auto [ptr, ec] = std::from_chars(
-            field.data(), field.data() + field.size(), channel);
-        if (ec != std::errc{} || ptr != field.data() + field.size() ||
-            channel >= kMaxChannels) {
-          throw TraceIoError(line_no, "channel '" + field +
-                                          "' out of range [0, " +
-                                          std::to_string(kMaxChannels) + ")");
-        }
-        t.channel = channel;
-        channel_seen = true;
-      } else {
-        throw TraceIoError(line_no, "trailing content '" + field + "'");
-      }
-    }
-    if (!t.time_bound() && !t.has_comm_bytes()) {
-      throw TraceIoError(line_no,
-                         "time-less task without a bytes= annotation");
-    }
-    if (!is_valid(t)) {
-      throw TraceIoError(line_no, "negative or non-finite task fields");
-    }
-    tasks.push_back(std::move(t));
+    tasks.push_back(parse_task(line_no, version, tokens));
   }
-  if (!magic_seen) throw TraceIoError(1, "empty trace");
+  if (line_no == 0) throw TraceIoError(1, "empty trace");
   return Instance(std::move(tasks));
+}
+
+Instance read_trace(std::istream& in) {
+  std::string text;
+  std::streambuf* const buffer = in.rdbuf();
+  if (buffer != nullptr && buffer->in_avail() > 0) {
+    text.reserve(static_cast<std::size_t>(buffer->in_avail()));
+  }
+  char chunk[1 << 14];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return read_trace(std::string_view(text));
 }
 
 Instance read_trace_file(const std::filesystem::path& path) {

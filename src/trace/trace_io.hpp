@@ -9,11 +9,16 @@
 ///         [bytes=<comm_bytes>] [deps=<i>,<j>,...]
 ///
 /// Durations are decimal seconds, memory decimal bytes; `<name>` contains
-/// no whitespace. The optional fifth field is the copy engine the
-/// transfer occupies (default 0, the single link of v1 traces); it is
-/// only legal under a "# dts-trace v2" (or later) header — a 5th column
-/// in a v1 trace is rejected rather than silently becoming a channel
-/// assignment.
+/// no whitespace; fields are separated by any run of spaces, tabs,
+/// vertical tabs or form feeds. Task-record numbers go through the
+/// number-text codec (support/text.hpp): byte-identical to
+/// printf("%.17g"), locale-free, and read back bit for bit (the summary
+/// comment after the header keeps the stream's default precision).
+///
+/// The optional fifth field is the copy engine the transfer occupies
+/// (default 0, the single link of v1 traces); it is only legal under a
+/// "# dts-trace v2" (or later) header — a 5th column in a v1 trace is
+/// rejected rather than silently becoming a channel assignment.
 ///
 /// Version 3 ("# dts-trace v3") adds the machine-independent transfer
 /// *size*: a trailing `bytes=<B>` annotation per task, gated on the v3
@@ -47,6 +52,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/instance.hpp"
 
@@ -69,9 +75,13 @@ class TraceIoError : public std::runtime_error {
 void write_trace(std::ostream& out, const Instance& inst);
 void write_trace_file(const std::filesystem::path& path, const Instance& inst);
 
-/// Parses a trace; throws TraceIoError on malformed input and
-/// std::runtime_error when the file cannot be opened.
+/// Parses trace text in place (no copy of the payload); throws
+/// TraceIoError on malformed input.
+[[nodiscard]] Instance read_trace(std::string_view text);
+/// Reads the rest of the stream and parses it with read_trace(text).
 [[nodiscard]] Instance read_trace(std::istream& in);
+/// As read_trace(std::istream&); throws std::runtime_error when the file
+/// cannot be opened.
 [[nodiscard]] Instance read_trace_file(const std::filesystem::path& path);
 
 }  // namespace dts

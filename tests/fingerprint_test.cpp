@@ -1,9 +1,10 @@
 /// Property tests for the canonical-instance fingerprint
 /// (service/fingerprint.hpp): permutation, relabeling and trace
 /// round-trips (v1/v2/v3) must preserve it; any value-level perturbation
-/// (durations, memory, channel, byte annotation) must change it across a
-/// large seeded corpus; and a cached order re-costed per machine must
-/// reproduce a fresh solve on the bound instance bit for bit.
+/// (durations, memory, channel, byte annotation) and adding or removing
+/// any dependency edge must change it; edge-free fingerprints are pinned;
+/// and a cached order re-costed per machine must reproduce a fresh solve
+/// on the bound instance bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "service/fingerprint.hpp"
 #include "service/service.hpp"
 #include "support/rng.hpp"
+#include "trace/generators.hpp"
 #include "test_util.hpp"
 #include "trace/trace_io.hpp"
 
@@ -165,6 +167,21 @@ TEST(Fingerprint, ZeroSignsAndTaskCountFoldCleanly) {
                fingerprint_of(Instance({Task{}})));
 }
 
+TEST(Fingerprint, PinnedHexOfFixedInstancesNeverMoves) {
+  // Edge-free fingerprints are a stable identity: refactors of the
+  // canonicalization must reproduce these digests bit for bit.
+  TraceConfig config;
+  config.seed = 11;
+  const Instance hf = generate_hf_trace(config);
+  const Instance ccsd = generate_ccsd_trace(config);
+  ASSERT_FALSE(hf.has_dependencies());
+  ASSERT_FALSE(ccsd.has_dependencies());
+  EXPECT_EQ(fingerprint_of(hf).to_hex(), "0bdb47d5decf9c218aba3906f2506da9");
+  EXPECT_EQ(fingerprint_of(ccsd).to_hex(), "45d2a515ffa4f50f689284a5d633a221");
+  EXPECT_EQ(CanonicalInstance(hf).fingerprint(), fingerprint_of(hf));
+  EXPECT_EQ(CanonicalInstance(ccsd).fingerprint(), fingerprint_of(ccsd));
+}
+
 TEST(CanonicalInstance, OrderTranslationRoundTrips) {
   Rng rng(1005);
   for (int round = 0; round < 30; ++round) {
@@ -304,6 +321,115 @@ TEST(Fingerprint, PermutedSubmissionHitsAndRecostsConsistently) {
     EXPECT_EQ(replay[id].comp_start, warm.schedule[id].comp_start);
   }
   EXPECT_TRUE(testing::feasible(bound, replay, capacity));
+}
+
+/// Copy of `inst` with the single edge `from -> to` toggled (added when
+/// absent, removed when present).
+Instance toggle_edge(const Instance& inst, TaskId from, TaskId to) {
+  std::vector<Task> tasks(inst.tasks());
+  std::vector<TaskId>& deps = tasks[to].deps;
+  const auto it = std::find(deps.begin(), deps.end(), from);
+  if (it == deps.end()) {
+    deps.push_back(from);
+  } else {
+    deps.erase(it);
+  }
+  return Instance(std::move(tasks));
+}
+
+TEST(Fingerprint, AddingOrRemovingAnyEdgeChangesIt) {
+  TraceConfig config;
+  config.seed = 5;
+  config.min_tasks = 16;
+  config.max_tasks = 16;
+  const Instance dag = generate_ccsd_dag_trace(config);
+  ASSERT_TRUE(dag.has_dependencies());
+  // Every forward pair (from < to keeps the graph acyclic), toggled on
+  // the DAG itself and on its edge-free twin.
+  for (const Instance& base : {dag, dag.without_dependencies()}) {
+    const Fingerprint fp = fingerprint_of(base);
+    std::size_t toggled = 0;
+    for (TaskId to = 0; to < base.size(); ++to) {
+      for (TaskId from = 0; from < to; ++from) {
+        EXPECT_NE(fingerprint_of(toggle_edge(base, from, to)), fp)
+            << from << " -> " << to;
+        ++toggled;
+      }
+    }
+    EXPECT_EQ(toggled, base.size() * (base.size() - 1) / 2);
+  }
+  EXPECT_NE(fingerprint_of(dag), fingerprint_of(dag.without_dependencies()));
+}
+
+TEST(Fingerprint, RelabeledDagKeepsItsFingerprint) {
+  // Distinct task values, so the canonical slots do not depend on the
+  // submission order and a relabeled DAG must share the cache entry.
+  Rng rng(1009);
+  const Instance values = random_annotated_instance(rng, 24, 2, true);
+  std::vector<Task> tasks(values.tasks());
+  for (TaskId to = 1; to < tasks.size(); ++to) {
+    for (TaskId from = 0; from < to; ++from) {
+      if (rng.index(6) == 0) tasks[to].deps.push_back(from);
+    }
+  }
+  const Instance dag(std::move(tasks));
+  ASSERT_TRUE(dag.has_dependencies());
+
+  std::vector<TaskId> perm(dag.size());  // new position -> old id
+  std::iota(perm.begin(), perm.end(), TaskId{0});
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.index(i)]);
+  }
+  std::vector<TaskId> position(dag.size());  // old id -> new position
+  for (TaskId p = 0; p < perm.size(); ++p) position[perm[p]] = p;
+  std::vector<Task> relabeled;
+  for (TaskId old_id : perm) {
+    Task t = dag[old_id];
+    for (TaskId& dep : t.deps) dep = position[dep];
+    relabeled.push_back(std::move(t));
+  }
+  EXPECT_EQ(fingerprint_of(Instance(std::move(relabeled))),
+            fingerprint_of(dag));
+}
+
+/// A DAG submitted after its edge-free twin was cached must be a cold
+/// miss: answering it from the twin's order would violate its edges.
+TEST(Fingerprint, DagIsAColdMissAfterItsEdgeFreeTwin) {
+  TraceConfig config;
+  config.seed = 7;
+  config.min_tasks = 41;
+  config.max_tasks = 41;
+  const Instance dag = generate_ccsd_dag_trace(config);
+  ASSERT_EQ(dag.size(), 41u);
+  ASSERT_TRUE(dag.has_dependencies());
+
+  SolverService service(ServiceOptions{.workers = 1});
+  ServiceRequest request;
+  request.solver = "SCMR";
+  request.capacity_factor = 1.5;
+  request.instance = dag.without_dependencies();
+  const ServiceResponse twin = service.handle(request);
+  ASSERT_EQ(twin.status, WireResponse::Status::kOk) << twin.error;
+  EXPECT_EQ(twin.cache, WireResponse::CacheOutcome::kMiss);
+
+  request.instance = dag;
+  const ServiceResponse response = service.handle(request);
+  ASSERT_EQ(response.status, WireResponse::Status::kOk) << response.error;
+  EXPECT_EQ(response.cache, WireResponse::CacheOutcome::kMiss);
+  EXPECT_NEAR(response.makespan, 15.64, 0.005);
+
+  SolveOptions options;
+  options.compute_bounds = false;
+  const SolveResult fresh = solve(
+      SolveRequest{.instance = dag, .capacity = 1.5 * dag.min_capacity()},
+      "SCMR", options);
+  EXPECT_EQ(response.makespan, fresh.makespan);
+  EXPECT_EQ(response.order, fresh.schedule.comm_order());
+
+  const ServiceCounters counters = service.counters();
+  EXPECT_EQ(counters.cache.hits, 0u);
+  EXPECT_EQ(counters.cache.misses, 2u);
+  EXPECT_EQ(counters.errors, 0u);
 }
 
 }  // namespace

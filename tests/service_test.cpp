@@ -567,6 +567,86 @@ TEST(Service, LeaderFailureReleasesFollowersAndRetiresFlight) {
   EXPECT_EQ(c.cache.inserts, 1u);
 }
 
+TEST(Service, FailedHitReplayReportsTheHitItCounted) {
+  std::atomic<bool> fail{false};
+  ServiceOptions options;
+  options.workers = 1;
+  options.on_cache_replay = [&] {
+    if (fail.load()) throw std::runtime_error("replay exploded");
+  };
+  SolverService service(options);
+
+  Rng rng(91);
+  const Instance inst = testing::random_instance(rng, 10);
+  const ServiceResponse cold = service.handle(basic_request(inst, "cold"));
+  ASSERT_EQ(cold.status, WireResponse::Status::kOk) << cold.error;
+  EXPECT_EQ(cold.cache, WireResponse::CacheOutcome::kMiss);
+
+  fail.store(true);
+  const ServiceResponse hit = service.handle(basic_request(inst, "hit"));
+  ASSERT_EQ(hit.status, WireResponse::Status::kError);
+  EXPECT_EQ(hit.error, "replay exploded");
+  EXPECT_EQ(hit.cache, WireResponse::CacheOutcome::kHit);
+
+  // The wire adapter carries the same outcome.
+  WireRequest wire;
+  wire.id = "wire";
+  wire.capacity = 1.5 * inst.min_capacity();
+  std::ostringstream trace;
+  write_trace(trace, inst);
+  wire.trace_text = trace.str();
+  const WireResponse wired = service.handle_wire(wire);
+  EXPECT_EQ(wired.status, WireResponse::Status::kError);
+  EXPECT_EQ(wired.cache, WireResponse::CacheOutcome::kHit);
+
+  const ServiceCounters c = service.counters();
+  EXPECT_EQ(c.cache.hits, 2u);
+  EXPECT_EQ(c.cache.misses, 1u);
+  EXPECT_EQ(c.errors, 2u);
+  EXPECT_EQ(c.ok, 1u);
+}
+
+TEST(Service, FailedCoalescedReplayReportsCoalesced) {
+  std::atomic<bool> leader_started{false};
+  SolverService* service_ptr = nullptr;
+
+  ServiceOptions options;
+  options.workers = 1;
+  options.on_solve_start = [&] {
+    leader_started.store(true);
+    // Hold the leader until the follower has parked on its flight.
+    while (service_ptr->counters().cache.coalesced == 0) {
+      std::this_thread::yield();
+    }
+  };
+  options.on_cache_replay = [] {
+    throw std::runtime_error("replay exploded");
+  };
+  SolverService service(options);
+  service_ptr = &service;
+
+  Rng rng(92);
+  const Instance inst = testing::random_instance(rng, 10);
+  ServiceResponse leader_response;
+  std::thread leader(
+      [&] { leader_response = service.handle(basic_request(inst, "lead")); });
+  while (!leader_started.load()) std::this_thread::yield();
+  ServiceResponse follower_response;
+  std::thread follower([&] {
+    follower_response = service.handle(basic_request(inst, "follow"));
+  });
+  leader.join();
+  follower.join();
+
+  ASSERT_EQ(leader_response.status, WireResponse::Status::kOk)
+      << leader_response.error;
+  EXPECT_EQ(leader_response.cache, WireResponse::CacheOutcome::kMiss);
+  ASSERT_EQ(follower_response.status, WireResponse::Status::kError);
+  EXPECT_EQ(follower_response.error, "replay exploded");
+  EXPECT_EQ(follower_response.cache, WireResponse::CacheOutcome::kCoalesced);
+  EXPECT_EQ(service.counters().cache.coalesced, 1u);
+}
+
 /// Connects to `path`, writes `session`, reads to EOF. Empty on failure.
 std::string socket_session(const std::string& path,
                            const std::string& session) {

@@ -1,0 +1,326 @@
+/// Tests for the number-text codec (support/text.hpp) and the trace
+/// writer/reader built on it: append_double is byte-identical to
+/// printf("%.17g") and round-trips every finite double bit for bit; the
+/// field splitter matches `>> std::string` extraction; write_trace emits
+/// exactly the bytes of the stream writer it replaced (kept below as the
+/// reference); and read_trace still separates fields on any whitespace.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <optional>
+#include <ostream>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "model/machine.hpp"
+#include "support/rng.hpp"
+#include "support/text.hpp"
+#include "trace/generators.hpp"
+#include "trace/trace_io.hpp"
+#include "trace/transforms.hpp"
+
+namespace dts {
+namespace {
+
+std::string printf_17g(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+
+std::string codec_text(double value) {
+  std::string out;
+  append_double(out, value);
+  return out;
+}
+
+void expect_exact_round_trip(double value) {
+  const std::string text = codec_text(value);
+  EXPECT_EQ(text, printf_17g(value));
+  const std::optional<double> back = parse_double(text);
+  ASSERT_TRUE(back.has_value()) << text;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*back),
+            std::bit_cast<std::uint64_t>(value))
+      << text;
+}
+
+TEST(TextCodec, AppendDoubleMatchesPrintfOnEdgeValues) {
+  for (const double value :
+       {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), DBL_MIN, -DBL_MIN,
+        DBL_MAX, -DBL_MAX, 0.1, 176000.0, 1.8e9, 1.0, 1e16, 1e17, 123456789.0,
+        1.0 / 3.0, 5e-324, 2.2250738585072009e-308, 0.30000000000000004}) {
+    expect_exact_round_trip(value);
+  }
+  for (const double value : {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(codec_text(value), printf_17g(value));
+  }
+}
+
+TEST(TextCodec, AppendDoubleMatchesPrintfOnRandomBitPatterns) {
+  Rng rng(20261017);
+  int checked = 0;
+  while (checked < 100000) {
+    const double value = std::bit_cast<double>(rng.next_u64());
+    if (!std::isfinite(value)) continue;
+    expect_exact_round_trip(value);
+    if (::testing::Test::HasFailure()) return;  // one report, not 100k
+    ++checked;
+  }
+}
+
+TEST(TextCodec, AppendAppendsWithoutClobbering) {
+  std::string out = "x=";
+  append_double(out, 0.5);
+  out += ' ';
+  append_uint(out, 0);
+  out += ' ';
+  append_uint(out, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(out, "x=0.5 0 18446744073709551615");
+}
+
+TEST(TextCodec, ParsersAcceptOnlyWholeTokens) {
+  EXPECT_EQ(parse_double("1.5"), 1.5);
+  EXPECT_EQ(parse_double("-2e3"), -2000.0);
+  EXPECT_TRUE(parse_double("inf").has_value());
+  for (const char* bad : {"", "+1", " 1", "1 ", "1.5x", "0x10", "1e400",
+                          "--1", "."}) {
+    EXPECT_FALSE(parse_double(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_uint("0"), 0u);
+  EXPECT_EQ(parse_uint("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad :
+       {"", "-1", "+1", "18446744073709551616", "1.0", "1e2", "0x1", "7 "}) {
+    EXPECT_FALSE(parse_uint(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(TextCodec, SplitFieldsMatchesStreamExtraction) {
+  const std::string alphabet = "ab1. \t\v\f\r";
+  Rng rng(77);
+  std::vector<std::string_view> fields;
+  for (int round = 0; round < 2000; ++round) {
+    std::string line;
+    const std::size_t length = rng.index(24);
+    for (std::size_t i = 0; i < length; ++i) {
+      line += alphabet[rng.index(alphabet.size())];
+    }
+    std::istringstream stream(line);
+    std::vector<std::string> expected;
+    for (std::string token; stream >> token;) expected.push_back(token);
+
+    split_fields(line, fields);
+    ASSERT_EQ(fields.size(), expected.size()) << "'" << line << "'";
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      EXPECT_EQ(fields[i], expected[i]);
+    }
+  }
+}
+
+TEST(TextCodec, SplitOnKeepsEmptyPieces) {
+  std::vector<std::string_view> tokens;
+  split_on("a  b", ' ', tokens);
+  EXPECT_EQ(tokens, (std::vector<std::string_view>{"a", "", "b"}));
+  split_on("", ' ', tokens);
+  EXPECT_EQ(tokens, (std::vector<std::string_view>{""}));
+  split_on(" x ", ' ', tokens);
+  EXPECT_EQ(tokens, (std::vector<std::string_view>{"", "x", ""}));
+}
+
+/// The stream-based writer write_trace replaced, verbatim: the reference
+/// the codec-based writer must reproduce byte for byte.
+void legacy_write_trace(std::ostream& out, const Instance& inst) {
+  const InstanceStats stats = inst.stats();
+  const bool multi = !inst.single_channel();
+  bool bytes = false;
+  for (const Task& t : inst) {
+    bytes = bytes || t.has_comm_bytes() || !t.time_bound();
+  }
+  const bool deps = inst.has_dependencies();
+  out << (deps    ? "# dts-trace v4"
+          : bytes ? "# dts-trace v3"
+          : multi ? "# dts-trace v2"
+                  : "# dts-trace v1")
+      << '\n';
+  out << "# tasks=" << stats.n_tasks << " sum_comm=" << stats.sum_comm
+      << " sum_comp=" << stats.sum_comp << " max_mem=" << stats.max_mem;
+  if (multi) out << " channels=" << inst.num_channels();
+  out << '\n';
+  out.precision(17);
+  for (const Task& t : inst) {
+    out << "task " << (t.name.empty() ? "T" + std::to_string(t.id) : t.name)
+        << ' ';
+    if (t.time_bound()) {
+      out << t.comm;
+    } else {
+      out << '?';
+    }
+    out << ' ' << t.comp << ' ' << t.mem;
+    if (multi) out << ' ' << t.channel;
+    if (t.has_comm_bytes()) out << ' ' << "bytes=" << t.comm_bytes;
+    if (!t.deps.empty()) {
+      out << ' ' << "deps=";
+      for (std::size_t i = 0; i < t.deps.size(); ++i) {
+        if (i > 0) out << ',';
+        out << t.deps[i];
+      }
+    }
+    out << '\n';
+  }
+}
+
+std::string written(const Instance& inst) {
+  std::ostringstream out;
+  write_trace(out, inst);
+  return out.str();
+}
+
+std::string legacy_written(const Instance& inst) {
+  std::ostringstream out;
+  legacy_write_trace(out, inst);
+  return out.str();
+}
+
+/// Spreads a byte-annotated trace over the 12 engines of
+/// summit-multi-gpu and costs it there (two-digit channel columns).
+Instance summit_multi_gpu_trace() {
+  TraceConfig config;
+  config.seed = 3;
+  std::vector<Task> tasks(
+      strip_comm_times(generate_ccsd_trace(config)).tasks());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].channel = static_cast<ChannelId>(i % 12);
+  }
+  return bind(Instance(std::move(tasks)),
+              machine_from_name("summit-multi-gpu"));
+}
+
+/// Random finite non-negative values from raw bit patterns: subnormals,
+/// huge exponents, integers and everything in between.
+Instance bit_pattern_trace() {
+  Rng rng(5);
+  const auto value = [&rng] {
+    for (;;) {
+      const double v = std::abs(std::bit_cast<double>(rng.next_u64()));
+      if (std::isfinite(v)) return v;
+    }
+  };
+  std::vector<Task> tasks;
+  for (int i = 0; i < 500; ++i) {
+    Task t;
+    t.comm = value();
+    t.comp = value();
+    t.mem = value();
+    t.channel = static_cast<ChannelId>(i % 3);
+    if (i % 2 == 0) t.comm_bytes = value();
+    if (i % 5 != 0) t.name = "task_" + std::to_string(i);
+    tasks.push_back(t);
+  }
+  return Instance(std::move(tasks));
+}
+
+TEST(TraceText, WriterIsByteIdenticalToTheLegacyStreamWriter) {
+  TraceConfig config;
+  config.seed = 9;
+  TraceConfig duplex = config;
+  duplex.machine = MachineModel::duplex_pcie();
+  duplex.writeback_fraction = 1.0;
+
+  std::vector<Task> mixed(generate_hf_trace(config).tasks());
+  mixed[1].comm = kUnboundTime;  // a time-less '?' task among timed ones
+  mixed[1].comm_bytes = 4096.0;
+
+  const std::vector<std::pair<const char*, Instance>> cases = {
+      {"HF", generate_hf_trace(config)},
+      {"CCSD", generate_ccsd_trace(config)},
+      {"duplex write-back", generate_trace(ChemistryKernel::kHartreeFock,
+                                           duplex)},
+      {"CCSD-DAG", generate_ccsd_dag_trace(duplex)},
+      {"summit-multi-gpu", summit_multi_gpu_trace()},
+      {"bytes-only v3", strip_comm_times(generate_ccsd_trace(duplex))},
+      {"time-less task", Instance(std::move(mixed))},
+      {"bit patterns", bit_pattern_trace()},
+      {"empty", Instance{}},
+  };
+  for (const auto& [name, inst] : cases) {
+    const std::string text = written(inst);
+    EXPECT_EQ(text, legacy_written(inst)) << name;
+    // And the reader takes every byte of it back exactly.
+    EXPECT_EQ(written(read_trace(text)), text) << name;
+  }
+}
+
+TEST(TraceText, ReaderSplitsFieldsOnAnyWhitespaceRun) {
+  TraceConfig config;
+  config.seed = 4;
+  config.min_tasks = 30;
+  config.max_tasks = 30;
+  config.machine = MachineModel::duplex_pcie();
+  const Instance inst = generate_ccsd_dag_trace(config);
+  const std::string text = written(inst);
+
+  // Re-separate every field with a random run of the whitespace the old
+  // stream parser skipped: tabs, vertical tabs, form feeds, doubled
+  // spaces, and a '\r' that is not at the end of its line.
+  const std::string separators[] = {"\t", "\v", "\f", "  ", " \t ", "\r "};
+  Rng rng(8);
+  const std::size_t body = text.find('\n') + 1;  // the magic line stays
+  std::string messy = text.substr(0, body);
+  for (const char c : text.substr(body)) {
+    messy += c == ' ' ? separators[rng.index(std::size(separators))]
+                      : std::string(1, c);
+  }
+  ASSERT_NE(messy, text);
+
+  const Instance back = read_trace(messy);
+  ASSERT_EQ(back.size(), inst.size());
+  EXPECT_EQ(written(back), text);
+
+  // Leading whitespace before `task` and trailing blanks are fine too.
+  const Instance padded = read_trace(
+      "# dts-trace v1\n \ttask a 1 2 3\t\n\vtask b 4 5 6  \n");
+  ASSERT_EQ(padded.size(), 2u);
+  EXPECT_EQ(padded[1].name, "b");
+  EXPECT_EQ(padded[1].mem, 6.0);
+}
+
+TEST(TraceText, StreamAndTextEntryPointsAgree) {
+  TraceConfig config;
+  config.seed = 12;
+  const std::string text = written(generate_hf_trace(config));
+  std::istringstream stream(text);
+  EXPECT_EQ(written(read_trace(stream)), written(read_trace(text)));
+
+  // Diagnostics (message and line) are the same through both.
+  const std::string bad = "# dts-trace v1\n# c\ntask a 1 2 3\ntask b 1 x 3\n";
+  std::istringstream bad_stream(bad);
+  std::string from_stream;
+  std::string from_text;
+  try {
+    (void)read_trace(bad_stream);
+  } catch (const TraceIoError& e) {
+    from_stream = e.what();
+    EXPECT_EQ(e.line(), 4u);
+  }
+  try {
+    (void)read_trace(bad);
+  } catch (const TraceIoError& e) {
+    from_text = e.what();
+  }
+  EXPECT_EQ(from_stream, "trace line 4: malformed comp 'x'");
+  EXPECT_EQ(from_text, from_stream);
+}
+
+}  // namespace
+}  // namespace dts

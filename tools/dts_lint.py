@@ -38,6 +38,12 @@ ones that otherwise live only in reviewers' heads:
                            std::cout/cerr or pay for their static init.
   no-naked-new             no naked new/delete in src/ — ownership goes
                            through containers and smart pointers.
+  number-text-one-home     src/trace/ and src/service/ format and parse
+                           numbers only through the number-text codec
+                           (src/support/text.*): no "%.17g" printf
+                           formats, no stream precision(17), no
+                           std::istringstream tokenizing — one exact,
+                           locale-free home for round-trip number text.
   hot-path-noalloc         functions marked `// dts-lint: hot-path` in
                            src/core/ (the candidate-scoring inner loops)
                            never allocate, build strings, declare
@@ -90,11 +96,13 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def strip_comments_and_strings(text: str) -> str:
+def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
     """Blanks comments and string/char literals, preserving line structure.
 
     Rules must not fire on prose or on tokens inside messages; replacing
-    them with spaces keeps every byte offset and line number stable.
+    them with spaces keeps every byte offset and line number stable. With
+    `keep_strings`, literals survive verbatim and only comments blank
+    (for rules about what a literal says, such as a format string).
     """
     out = []
     i, n = 0, len(text)
@@ -113,11 +121,11 @@ def strip_comments_and_strings(text: str) -> str:
                 i += 2
             elif c == '"':
                 state = "string"
-                out.append(" ")
+                out.append(c if keep_strings else " ")
                 i += 1
             elif c == "'":
                 state = "char"
-                out.append(" ")
+                out.append(c if keep_strings else " ")
                 i += 1
             else:
                 out.append(c)
@@ -140,14 +148,14 @@ def strip_comments_and_strings(text: str) -> str:
         else:  # string or char literal
             quote = '"' if state == "string" else "'"
             if c == "\\":
-                out.append("  ")
+                out.append(text[i:i + 2] if keep_strings else "  ")
                 i += 2
             elif c == quote:
                 state = "code"
-                out.append(" ")
+                out.append(c if keep_strings else " ")
                 i += 1
             else:
-                out.append("\n" if c == "\n" else " ")
+                out.append(c if keep_strings or c == "\n" else " ")
                 i += 1
     return "".join(out)
 
@@ -432,6 +440,32 @@ def check_executor_one_home(path: str, raw: str, code: str):
                    if logic else ""))
 
 
+NUMBER_TEXT_DIRS = ("src/trace/", "src/service/")
+NUMBER_TEXT_PATTERNS = (
+    # (pattern, what, scanned text: literals kept or blanked)
+    (re.compile(r"%\.17g"), 'a printf "%.17g" format', True),
+    (re.compile(r"\b(?:set)?precision\s*\(\s*17\s*\)"),
+     "stream precision(17)", False),
+    (re.compile(r"\bstd::istringstream\b"), "std::istringstream", False),
+)
+
+
+def check_number_text_one_home(path: str, raw: str, code: str):
+    """Round-trip number text in trace/service code goes through the codec."""
+    if not path.startswith(NUMBER_TEXT_DIRS):
+        return
+    literals = strip_comments_and_strings(raw, keep_strings=True)
+    for pattern, what, in_literals in NUMBER_TEXT_PATTERNS:
+        text = literals if in_literals else code
+        for m in pattern.finditer(text):
+            yield Finding(
+                "number-text-one-home", path, line_of(text, m.start()),
+                f"{what} — format and parse numbers through the "
+                "number-text codec (src/support/text.hpp: append_double, "
+                "parse_double, split_fields), the one exact, locale-free "
+                "home for round-trip number text")
+
+
 def check_whitespace(path: str, raw: str, code: str):
     lines = raw.split("\n")
     for idx, line in enumerate(lines, start=1):
@@ -462,6 +496,7 @@ RULES = {
     "no-naked-new": check_naked_new,
     "hot-path-noalloc": check_hot_path_noalloc,
     "executor-one-home": check_executor_one_home,
+    "number-text-one-home": check_number_text_one_home,
     "trailing-whitespace": check_whitespace,  # also emits tabs/crlf/newline
 }
 
