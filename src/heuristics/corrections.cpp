@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/johnson.hpp"
+#include "heuristics/candidate_index.hpp"
 
 namespace dts {
 
@@ -27,50 +28,63 @@ void execute_corrected(const Instance& inst,
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,
                        DynamicCriterion criterion, ExecutionState& state,
-                       Schedule& out) {
+                       Schedule& out, SelectionStats* stats) {
+  if (!ci.has_dependencies()) {
+    CandidateIndex index(ci, base_order, criterion);
+    while (!index.empty()) {
+      std::size_t pos = index.head();
+      if (!state.fits(ci.mem(base_order[pos]))) {
+        // The head is blocked by memory: dynamic correction over the
+        // fitting tasks.
+        pos = index.pick(state);
+        if (pos == CandidateIndex::npos) {
+          if (!state.advance_to_next_release()) {
+            throw std::invalid_argument(
+                "execute_corrected: a pending task exceeds the memory "
+                "capacity");
+          }
+          continue;
+        }
+      }
+      const TaskTimes tt = state.start(detail::soa_task(ci, base_order[pos]));
+      out.set(base_order[pos], tt.comm_start, tt.comp_start);
+      index.remove(pos);
+    }
+    if (stats != nullptr) *stats += index.stats();
+    return;
+  }
+
+  // DAG: ready floors vary per task, so every correction scans the
+  // pending tasks whose predecessors are all scheduled.
   std::vector<TaskId> pending(base_order.begin(), base_order.end());
   std::vector<TaskId> fitting;
+  std::vector<Time> floors;  // aligned with `fitting`
   fitting.reserve(pending.size());
-
-  // Timing-relevant fields only; the engine's start() never reads names.
-  const auto task_of = [&ci](TaskId id) {
-    return Task{.id = id,
-                .comm = ci.comm(id),
-                .comp = ci.comp(id),
-                .mem = ci.mem(id),
-                .channel = ci.channel(id),
-                .name = {}};
-  };
-
-  const bool dag = ci.has_dependencies();
-  std::vector<Time> floors;  // aligned with `fitting`, DAG instances only
+  floors.reserve(pending.size());
 
   while (!pending.empty()) {
     const TaskId head = pending.front();
     Time head_ready = 0.0;
-    const bool head_runnable =
-        !dag || detail::deps_ready(ci, out, head, head_ready);
-    if (head_runnable && state.fits(ci.mem(head))) {
+    if (detail::deps_ready(ci, out, head, head_ready) &&
+        state.fits(ci.mem(head))) {
       // The static plan remains viable: follow it.
-      const TaskTimes tt = state.start(task_of(head), head_ready);
+      const TaskTimes tt = state.start(detail::soa_task(ci, head), head_ready);
       out.set(head, tt.comm_start, tt.comp_start);
       pending.erase(pending.begin());
       continue;
     }
-    // The head is blocked by memory (or, on a DAG, by an unscheduled
-    // predecessor): dynamic correction over the runnable fitting tasks.
+    // The head is blocked by memory or by an unscheduled predecessor:
+    // dynamic correction over the runnable fitting tasks.
     fitting.clear();
     floors.clear();
-    bool any_ready = !dag;
+    bool any_ready = false;
     for (TaskId id : pending) {
       Time ready = 0.0;
-      if (dag) {
-        if (!detail::deps_ready(ci, out, id, ready)) continue;
-        any_ready = true;
-      }
+      if (!detail::deps_ready(ci, out, id, ready)) continue;
+      any_ready = true;
       if (state.fits(ci.mem(id))) {
         fitting.push_back(id);
-        if (dag) floors.push_back(ready);
+        floors.push_back(ready);
       }
     }
     if (fitting.empty()) {
@@ -84,12 +98,9 @@ void execute_corrected(const CompiledInstance& ci,
       continue;
     }
     const TaskId chosen = pick_candidate(ci, state, fitting, criterion, floors);
-    const Time floor =
-        dag ? floors[static_cast<std::size_t>(
-                  std::find(fitting.begin(), fitting.end(), chosen) -
-                  fitting.begin())]
-            : 0.0;
-    const TaskTimes tt = state.start(task_of(chosen), floor);
+    const std::size_t k = static_cast<std::size_t>(
+        std::find(fitting.begin(), fitting.end(), chosen) - fitting.begin());
+    const TaskTimes tt = state.start(detail::soa_task(ci, chosen), floors[k]);
     out.set(chosen, tt.comm_start, tt.comp_start);
     pending.erase(std::find(pending.begin(), pending.end(), chosen));
   }

@@ -40,15 +40,23 @@ void execute_corrected(const Instance& inst,
                        DynamicCriterion criterion, ExecutionState& state,
                        Schedule& out);
 
-/// The compiled-first entry point (and the only defining body): fit-scans
-/// and correction scoring read the SoA arrays (core/compiled.hpp),
-/// dependency gating is implemented here and nowhere else. Identical
-/// schedules to the Instance delegator; repeated callers compile once and
-/// reuse.
+/// The compiled-first entry point (and the only defining body): correction
+/// scoring reads the SoA arrays (core/compiled.hpp), dependency gating is
+/// implemented here and nowhere else. Identical schedules to the Instance
+/// delegator; repeated callers compile once and reuse.
+///
+/// Cost. On a dependency-free instance one CandidateIndex
+/// (heuristics/candidate_index.hpp) over `base_order` answers the head of
+/// the order in amortized O(1) and every correction in O(log n) — O(n log n)
+/// per run — returning exactly the task the linear pick_candidate scan
+/// would; its exactness guard sends a correction whose minimum idle is
+/// tolerance-tied with a different idle to that scan, run over the tied
+/// tasks only. DAG instances keep the O(n) scan per correction. `stats`
+/// (optional) accumulates the index's work counters.
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,
                        DynamicCriterion criterion, ExecutionState& state,
-                       Schedule& out);
+                       Schedule& out, SelectionStats* stats = nullptr);
 
 /// Corrected policy on a fresh engine with an explicit base order (the
 /// paper's Fig. 6 examples feed a specific OMIM order).

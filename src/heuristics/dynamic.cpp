@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "heuristics/candidate_index.hpp"
+
 namespace dts {
 
 std::string_view to_acronym(DynamicCriterion c) noexcept {
@@ -17,19 +19,8 @@ std::string_view to_acronym(DynamicCriterion c) noexcept {
 
 namespace {
 
-/// Strictly better under the criterion (used after the idle filter).
-bool criterion_better(const Task& a, const Task& b, DynamicCriterion c) {
-  switch (c) {
-    case DynamicCriterion::kLargestComm: return a.comm > b.comm;
-    case DynamicCriterion::kSmallestComm: return a.comm < b.comm;
-    case DynamicCriterion::kMaxAcceleration:
-      return a.acceleration() > b.acceleration();
-  }
-  return false;
-}
-
-/// SoA twin of criterion_better — same comparisons over the compiled
-/// arrays (CompiledInstance::acceleration replicates Task::acceleration).
+/// Strictly better under the criterion (used after the idle filter);
+/// CompiledInstance::acceleration replicates Task::acceleration.
 bool criterion_better(const CompiledInstance& ci, TaskId a, TaskId b,
                       DynamicCriterion c) {
   switch (c) {
@@ -41,39 +32,7 @@ bool criterion_better(const CompiledInstance& ci, TaskId a, TaskId b,
   return false;
 }
 
-/// Rebuilds the timing-relevant fields of a task from the SoA arrays (the
-/// engine's start() only reads these; the name stays empty).
-Task soa_task(const CompiledInstance& ci, TaskId id) {
-  return Task{.id = id,
-              .comm = ci.comm(id),
-              .comp = ci.comp(id),
-              .mem = ci.mem(id),
-              .channel = ci.channel(id),
-              .name = {}};
-}
-
 }  // namespace
-
-TaskId pick_candidate(const Instance& inst, const ExecutionState& state,
-                      std::span<const TaskId> candidates,
-                      DynamicCriterion criterion) {
-  TaskId best = kInvalidTask;
-  Time best_idle = kInfiniteTime;
-  for (TaskId id : candidates) {
-    const Task& t = inst[id];
-    const Time idle = state.induced_comp_idle(t);
-    const bool strictly_less_idle = best != kInvalidTask && definitely_less(idle, best_idle);
-    const bool tied_idle = best != kInvalidTask &&
-                           !definitely_less(idle, best_idle) &&
-                           !definitely_less(best_idle, idle);
-    if (best == kInvalidTask || strictly_less_idle ||
-        (tied_idle && criterion_better(t, inst[best], criterion))) {
-      best = id;
-      best_idle = idle;
-    }
-  }
-  return best;
-}
 
 TaskId pick_candidate(const CompiledInstance& ci, const ExecutionState& state,
                       std::span<const TaskId> candidates,
@@ -112,6 +71,15 @@ void execute_dynamic(const Instance& inst, std::span<const TaskId> ids,
 
 namespace detail {
 
+Task soa_task(const CompiledInstance& ci, TaskId id) {
+  return Task{.id = id,
+              .comm = ci.comm(id),
+              .comp = ci.comp(id),
+              .mem = ci.mem(id),
+              .channel = ci.channel(id),
+              .name = {}};
+}
+
 bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
                 Time& ready) {
   for (const TaskId dep : ci.deps(id)) {
@@ -143,26 +111,45 @@ bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
 
 void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
                      DynamicCriterion criterion, ExecutionState& state,
-                     Schedule& out) {
-  const bool dag = ci.has_dependencies();
+                     Schedule& out, SelectionStats* stats) {
+  if (!ci.has_dependencies()) {
+    CandidateIndex index(ci, ids, criterion);
+    while (!index.empty()) {
+      const std::size_t pos = index.pick(state);
+      if (pos == CandidateIndex::npos) {
+        if (!state.advance_to_next_release()) {
+          throw std::invalid_argument(
+              "execute_dynamic: a pending task exceeds the memory capacity");
+        }
+        continue;
+      }
+      const TaskTimes tt = state.start(detail::soa_task(ci, ids[pos]));
+      out.set(ids[pos], tt.comm_start, tt.comp_start);
+      index.remove(pos);
+    }
+    if (stats != nullptr) *stats += index.stats();
+    return;
+  }
+
+  // DAG: ready floors vary per task, so every pick scans the pending
+  // tasks whose predecessors are all scheduled.
   std::vector<TaskId> pending(ids.begin(), ids.end());
   std::vector<TaskId> fitting;
-  std::vector<Time> floors;  // aligned with `fitting`, DAG instances only
+  std::vector<Time> floors;  // aligned with `fitting`
   fitting.reserve(pending.size());
+  floors.reserve(pending.size());
 
   while (!pending.empty()) {
     fitting.clear();
     floors.clear();
-    bool any_ready = !dag;
+    bool any_ready = false;
     for (TaskId id : pending) {
       Time ready = 0.0;
-      if (dag) {
-        if (!detail::deps_ready(ci, out, id, ready)) continue;
-        any_ready = true;
-      }
+      if (!detail::deps_ready(ci, out, id, ready)) continue;
+      any_ready = true;
       if (state.fits(ci.mem(id))) {
         fitting.push_back(id);
-        if (dag) floors.push_back(ready);
+        floors.push_back(ready);
       }
     }
     if (fitting.empty()) {
@@ -176,12 +163,9 @@ void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
       continue;
     }
     const TaskId chosen = pick_candidate(ci, state, fitting, criterion, floors);
-    const Time floor =
-        dag ? floors[static_cast<std::size_t>(
-                  std::find(fitting.begin(), fitting.end(), chosen) -
-                  fitting.begin())]
-            : 0.0;
-    const TaskTimes tt = state.start(soa_task(ci, chosen), floor);
+    const std::size_t k = static_cast<std::size_t>(
+        std::find(fitting.begin(), fitting.end(), chosen) - fitting.begin());
+    const TaskTimes tt = state.start(detail::soa_task(ci, chosen), floors[k]);
     out.set(chosen, tt.comm_start, tt.comp_start);
     pending.erase(std::find(pending.begin(), pending.end(), chosen));
   }

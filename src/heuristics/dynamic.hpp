@@ -13,6 +13,7 @@
 /// If nothing fits, the link stays idle until the next computation finishes
 /// and releases memory. Communication and computation keep a common order.
 
+#include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -33,27 +34,55 @@ enum class DynamicCriterion {
 /// Paper acronym of the pure dynamic heuristic ("LCMR", ...).
 [[nodiscard]] std::string_view to_acronym(DynamicCriterion c) noexcept;
 
-/// Among `candidates` (ids into `inst`, all assumed to fit in memory at the
-/// engine's current instant), returns the id preferred by the paper's rule:
-/// minimum induced processor idle first, then the criterion, ties by the
-/// earliest position in `candidates`. Returns kInvalidTask when empty.
-[[nodiscard]] TaskId pick_candidate(const Instance& inst,
-                                    const ExecutionState& state,
-                                    std::span<const TaskId> candidates,
-                                    DynamicCriterion criterion);
-
-/// Batch-scored variant over the SoA arrays of a compiled instance —
-/// identical selection (same induced-idle arithmetic and tie-breaks),
-/// without pulling whole `Task` records through the cache per candidate.
+/// Among `candidates` (ids into `ci`, all assumed to fit in memory at the
+/// engine's current instant), returns the id the paper's rule prefers —
+/// minimum induced processor idle first, then the criterion — as one
+/// sequential scan: the first candidate is the running best, and a later
+/// candidate replaces it when its idle is definitely_less than the running
+/// best idle, or when the two idles are tolerance-tied (neither
+/// definitely less) and it is strictly better under the criterion; the
+/// running best idle then becomes the replacing candidate's idle. Without
+/// near-ties (every pair of idles either equal or definitely apart) this is
+/// "minimum idle, then the criterion, then the earliest position"; with
+/// tolerance chaining the winner can depend on the scan order. Returns
+/// kInvalidTask when `candidates` is empty.
+///
 /// `ready` (optional, aligned with `candidates`) floors each candidate's
 /// hypothetical transfer start at its predecessors' completion instant,
 /// so the induced-idle score matches what issuing it would actually do on
 /// a DAG instance; empty means no floors (the paper's model).
+///
+/// This linear scan is the DAG executors' selection, the indexed
+/// selection's near-tie fallback and its test reference.
 [[nodiscard]] TaskId pick_candidate(const CompiledInstance& ci,
                                     const ExecutionState& state,
                                     std::span<const TaskId> candidates,
                                     DynamicCriterion criterion,
                                     std::span<const Time> ready = {});
+
+/// Work counters of the indexed candidate selection
+/// (heuristics/candidate_index.hpp), accumulated across executor calls:
+/// the deterministic cost signal the complexity guard fits its scaling
+/// exponent to.
+struct SelectionStats {
+  std::uint64_t picks = 0;           ///< dynamic picks answered
+  std::uint64_t fallback_picks = 0;  ///< picks the near-tie guard rescanned
+  /// Segment-tree nodes touched plus binary-search steps.
+  std::uint64_t nodes_visited = 0;
+  /// Tasks the near-tie fallback scans visited (their tie clusters).
+  std::uint64_t fallback_scanned = 0;
+
+  [[nodiscard]] std::uint64_t work() const noexcept {
+    return nodes_visited + fallback_scanned;
+  }
+  SelectionStats& operator+=(const SelectionStats& o) noexcept {
+    picks += o.picks;
+    fallback_picks += o.fallback_picks;
+    nodes_visited += o.nodes_visited;
+    fallback_scanned += o.fallback_scanned;
+    return *this;
+  }
+};
 
 /// Schedules every id in `ids` on `state` using dynamic selection, writing
 /// start times into `out`. `ids` supplies the tie-breaking priority (its
@@ -74,11 +103,20 @@ void execute_dynamic(const Instance& inst, std::span<const TaskId> ids,
                      Schedule& out);
 
 /// The compiled-first entry point (and the only defining body): candidate
-/// fit-scans and idle scoring read the SoA arrays, dependency gating is
-/// implemented here and nowhere else.
+/// scoring reads the SoA arrays, dependency gating is implemented here and
+/// nowhere else.
+///
+/// Cost. On a dependency-free instance every pick is answered by one
+/// CandidateIndex (heuristics/candidate_index.hpp) in O(log n) — O(n log n)
+/// per run — and returns exactly the task the linear pick_candidate scan
+/// would: an exactness guard sends a pick whose minimum idle is
+/// tolerance-tied with a different idle to that scan, run over the tied
+/// tasks only. DAG instances (ready floors vary per task) keep the O(n)
+/// scan per pick. `stats` (optional) accumulates the index's work
+/// counters.
 void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
                      DynamicCriterion criterion, ExecutionState& state,
-                     Schedule& out);
+                     Schedule& out, SelectionStats* stats = nullptr);
 
 /// Convenience: run on a fresh engine over all tasks.
 [[nodiscard]] Schedule schedule_dynamic(const Instance& inst,
@@ -86,6 +124,10 @@ void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
                                         Mem capacity);
 
 namespace detail {
+
+/// Rebuilds the timing-relevant fields of a task from the SoA arrays (the
+/// engine's start() only reads these; the name stays empty).
+[[nodiscard]] Task soa_task(const CompiledInstance& ci, TaskId id);
 
 /// Predecessor readiness of `id` against the starts recorded in `out`:
 /// false when a predecessor is unscheduled, otherwise raises `ready` to

@@ -22,6 +22,13 @@ std::uint64_t chain_string(std::uint64_t state, const std::string& s) noexcept {
   return state;
 }
 
+/// Bytes an entry's order and stored schedule hold (what kMaxBytes bounds).
+std::size_t payload_bytes(const CachedResult& r) noexcept {
+  return r.canonical_order.size() * sizeof(TaskId) +
+         (r.canonical_schedule ? r.canonical_schedule->size() : 0) *
+             sizeof(TaskTimes);
+}
+
 }  // namespace
 
 std::uint64_t request_digest(const RequestDigestInputs& in) {
@@ -53,16 +60,19 @@ std::optional<CachedResult> ResultCache::lookup(const CacheKey& key) {
 void ResultCache::insert(const CacheKey& key, CachedResult result) {
   if (capacity_ == 0) return;
   const std::lock_guard<std::mutex> lock(mutex_);
+  bytes_ += payload_bytes(result);
   const auto it = index_.find(key);
   if (it != index_.end()) {
+    bytes_ -= payload_bytes(it->second->result);
     it->second->result = std::move(result);
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+  } else {
+    lru_.push_front(Entry{key, std::move(result)});
+    index_.emplace(key, lru_.begin());
+    ++counters_.inserts;
   }
-  lru_.push_front(Entry{key, std::move(result)});
-  index_.emplace(key, lru_.begin());
-  ++counters_.inserts;
-  if (index_.size() > capacity_) {
+  while (lru_.size() > 1 && (lru_.size() > capacity_ || bytes_ > kMaxBytes)) {
+    bytes_ -= payload_bytes(lru_.back().result);
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++counters_.evictions;

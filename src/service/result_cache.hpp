@@ -82,12 +82,19 @@ struct CachedResult {
   std::optional<std::vector<TaskTimes>> canonical_schedule;
 };
 
-/// Thread-safe LRU map CacheKey -> CachedResult, bounded by entry count.
+/// Thread-safe LRU map CacheKey -> CachedResult, bounded by entry count
+/// and by the bytes its orders and schedules hold (kMaxBytes).
 /// All counters are cumulative since construction; `coalesced` is owned
 /// by the service's single-flight layer but lives here so one stats call
 /// reports the full hits + misses + coalesced reconciliation.
 class ResultCache {
  public:
+  /// Bound on the bytes of canonical orders and stored schedules held at
+  /// once (4 MiB: a million order slots). The entry count alone does not
+  /// bound memory — a stream of distinct 8000-task instances holds 32 KB
+  /// per entry — and a faster solver fills the cache faster.
+  static constexpr std::size_t kMaxBytes = std::size_t{4} << 20;
+
   struct Counters {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -103,8 +110,9 @@ class ResultCache {
   /// Probe; counts a hit or a miss and refreshes LRU recency on hit.
   [[nodiscard]] std::optional<CachedResult> lookup(const CacheKey& key);
 
-  /// Inserts (or refreshes) an entry, evicting the least-recently-used
-  /// entry when full.
+  /// Inserts (or refreshes) an entry, evicting least-recently-used
+  /// entries while either bound is exceeded (the newest entry always
+  /// stays).
   void insert(const CacheKey& key, CachedResult result);
 
   /// Single-flight followers report here (see class comment).
@@ -124,6 +132,7 @@ class ResultCache {
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  ///< Front = most recently used.
   std::map<CacheKey, std::list<Entry>::iterator> index_;
+  std::size_t bytes_ = 0;  ///< order and schedule bytes of resident entries
   Counters counters_;
 };
 

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "test_util.hpp"
+#include "trace/generators.hpp"
 
 namespace dts {
 namespace {
@@ -55,6 +56,61 @@ TEST(FirstFit, ExactFitAllowed) {
   const Instance inst = Instance::from_comm_comp({{6, 1}, {6, 1}});
   const auto bins = first_fit_bins(inst, 6.0);
   EXPECT_EQ(bins.size(), 2u);
+}
+
+/// The linear First-Fit the segment-tree version replaced: scan the bins
+/// in opening order, place in the first whose residual holds the task.
+std::vector<std::vector<TaskId>> linear_first_fit(const Instance& inst,
+                                                  Mem capacity) {
+  std::vector<std::vector<TaskId>> bins;
+  std::vector<Mem> residual;
+  for (const Task& t : inst) {
+    std::size_t b = 0;
+    while (b < bins.size() && !approx_leq(t.mem, residual[b])) ++b;
+    if (b == bins.size()) {
+      bins.emplace_back();
+      residual.push_back(capacity);
+    }
+    bins[b].push_back(t.id);
+    residual[b] -= t.mem;
+  }
+  return bins;
+}
+
+TEST(FirstFit, MatchesTheLinearScan) {
+  // Random footprints, integer footprints that fill bins exactly (the
+  // approx_leq tie band), the same with ~1e-12 jitter, and chemistry
+  // traces across the capacity sweep.
+  Rng rng(47);
+  for (int iter = 0; iter < 200; ++iter) {
+    std::vector<Task> tasks(1 + rng.index(120));
+    for (Task& t : tasks) {
+      t.comm = 1.0;
+      t.comp = 1.0;
+      t.mem = iter % 3 == 0 ? rng.uniform(0.1, 10.0)
+                            : static_cast<Mem>(1 + rng.index(10));
+      if (iter % 3 == 2 && rng.chance(0.5)) {
+        t.mem *= 1.0 + 1e-12 * rng.uniform(-5.0, 5.0);
+      }
+    }
+    const Instance inst(std::move(tasks));
+    const Mem capacity = iter % 3 == 0 ? testing::random_capacity(rng, inst)
+                                       : static_cast<Mem>(10 + rng.index(10));
+    EXPECT_EQ(first_fit_bins(inst, capacity), linear_first_fit(inst, capacity))
+        << "iteration " << iter;
+  }
+  for (const std::uint64_t seed : {1, 2}) {
+    const TraceConfig config{.seed = seed, .min_tasks = 300, .max_tasks = 600};
+    for (const Instance& inst :
+         {generate_hf_trace(config), generate_ccsd_trace(config)}) {
+      for (const double f : {1.0, 1.125, 1.25, 1.5, 2.0, 3.0}) {
+        const Mem capacity = f * inst.min_capacity();
+        EXPECT_EQ(first_fit_bins(inst, capacity),
+                  linear_first_fit(inst, capacity))
+            << "seed " << seed << " x" << f << " mc";
+      }
+    }
+  }
 }
 
 TEST(BinPackingOrder, ConcatenatesBins) {

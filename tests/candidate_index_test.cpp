@@ -1,0 +1,395 @@
+/// Differential suite for the indexed candidate selection
+/// (heuristics/candidate_index.hpp): the dynamic and corrected executors
+/// must emit bit-for-bit the schedules of the linear reference kept below
+/// — the pre-index loop that rescans every pending task per pick with the
+/// SoA pick_candidate — on chemistry traces at three time scales, the
+/// duplex CCSD trace, a capacity sweep, integer-tie instances and the same
+/// instances with ~1e-12 comm jitter (which drives the near-tie
+/// fallback), plus the auto-selecting batch runtime (subset ids, carried
+/// state). A second suite guards the work counters' scaling exponent.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/batch.hpp"
+#include "core/compiled.hpp"
+#include "core/johnson.hpp"
+#include "core/registry.hpp"
+#include "heuristics/bin_packing.hpp"
+#include "heuristics/corrections.hpp"
+#include "heuristics/dynamic.hpp"
+#include "heuristics/gilmore_gomory.hpp"
+#include "heuristics/static_orders.hpp"
+#include "support/contract.hpp"
+#include "support/rng.hpp"
+#include "trace/generators.hpp"
+#include "trace/transforms.hpp"
+
+namespace dts {
+namespace {
+
+constexpr DynamicCriterion kCriteria[] = {DynamicCriterion::kLargestComm,
+                                          DynamicCriterion::kSmallestComm,
+                                          DynamicCriterion::kMaxAcceleration};
+
+/// The linear reference: every pick rescans the pending tasks that fit
+/// and runs pick_candidate over them in pending order. `corrected` follows
+/// the head of `order` while it fits (paper §4.3); otherwise it is the
+/// dynamic policy (§4.2) with `order` as the tie-breaking priority.
+void reference_execute(const CompiledInstance& ci,
+                       std::span<const TaskId> order, DynamicCriterion c,
+                       bool corrected, ExecutionState& state, Schedule& out) {
+  std::vector<TaskId> pending(order.begin(), order.end());
+  std::vector<TaskId> fitting;
+  while (!pending.empty()) {
+    TaskId chosen = pending.front();
+    if (!corrected || !state.fits(ci.mem(chosen))) {
+      fitting.clear();
+      for (const TaskId id : pending) {
+        if (state.fits(ci.mem(id))) fitting.push_back(id);
+      }
+      if (fitting.empty()) {
+        if (!state.advance_to_next_release()) {
+          throw std::invalid_argument("reference: task exceeds capacity");
+        }
+        continue;
+      }
+      chosen = pick_candidate(ci, state, fitting, c);
+    }
+    const TaskTimes tt = state.start(detail::soa_task(ci, chosen));
+    out.set(chosen, tt.comm_start, tt.comp_start);
+    pending.erase(std::find(pending.begin(), pending.end(), chosen));
+  }
+}
+
+void indexed_execute(const CompiledInstance& ci, std::span<const TaskId> order,
+                     DynamicCriterion c, bool corrected, ExecutionState& state,
+                     Schedule& out, SelectionStats* stats = nullptr) {
+  if (corrected) {
+    execute_corrected(ci, order, c, state, out, stats);
+  } else {
+    execute_dynamic(ci, order, c, state, out, stats);
+  }
+}
+
+bool bit_equal(Time a, Time b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+::testing::AssertionResult identical(const Schedule& a, const Schedule& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "schedule sizes differ";
+  }
+  for (TaskId id = 0; id < a.size(); ++id) {
+    if (!bit_equal(a[id].comm_start, b[id].comm_start) ||
+        !bit_equal(a[id].comp_start, b[id].comp_start)) {
+      return ::testing::AssertionFailure()
+             << "task " << id << ": comm " << a[id].comm_start << " vs "
+             << b[id].comm_start << ", comp " << a[id].comp_start << " vs "
+             << b[id].comp_start;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Runs the six dynamic/corrected heuristics both ways on a fresh engine
+/// and expects identical schedules; accumulates the index's counters.
+void expect_six_identical(const Instance& inst, Mem capacity,
+                          const std::string& label, SelectionStats& stats) {
+  const CompiledInstance ci(inst);
+  const std::vector<TaskId> submission = inst.submission_order();
+  const std::vector<TaskId> johnson = johnson_order(inst);
+  for (const bool corrected : {false, true}) {
+    const std::vector<TaskId>& order = corrected ? johnson : submission;
+    for (const DynamicCriterion c : kCriteria) {
+      ExecutionState ref_state(capacity, inst.num_channels());
+      ExecutionState idx_state(capacity, inst.num_channels());
+      Schedule ref(inst.size());
+      Schedule idx(inst.size());
+      reference_execute(ci, order, c, corrected, ref_state, ref);
+      indexed_execute(ci, order, c, corrected, idx_state, idx, &stats);
+      EXPECT_TRUE(identical(ref, idx))
+          << label << " "
+          << (corrected ? to_corrected_acronym(c) : to_acronym(c));
+    }
+  }
+}
+
+constexpr double kCapacityFactors[] = {1.0, 1.125, 1.25, 1.5, 2.0, 3.0};
+
+void sweep_capacities(const Instance& inst, const std::string& label,
+                      SelectionStats& stats) {
+  for (const double f : kCapacityFactors) {
+    expect_six_identical(inst, f * inst.min_capacity(),
+                         label + " x" + std::to_string(f) + " mc", stats);
+  }
+}
+
+TraceConfig trace_config(std::uint64_t seed, MachineModel machine) {
+  return TraceConfig{.seed = seed,
+                     .min_tasks = 100,
+                     .max_tasks = 160,
+                     .machine = machine};
+}
+
+TEST(CandidateIndex, HartreeFockAtThreeTimeScales) {
+  SelectionStats stats;
+  for (const std::uint64_t seed : {1}) {
+    const Instance hf =
+        generate_hf_trace(trace_config(seed, MachineModel::cascade()));
+    sweep_capacities(hf, "HF", stats);
+    sweep_capacities(scale_times(hf, 1e3, 1e3), "HF x1e3", stats);
+    sweep_capacities(scale_times(hf, 1e-3, 1e-3), "HF x1e-3", stats);
+  }
+  EXPECT_GT(stats.picks, 0u);
+}
+
+TEST(CandidateIndex, CcsdSingleAndDuplex) {
+  SelectionStats stats;
+  for (const std::uint64_t seed : {1}) {
+    sweep_capacities(
+        generate_ccsd_trace(trace_config(seed, MachineModel::cascade())),
+        "CCSD", stats);
+    const Instance duplex =
+        generate_trace(ChemistryKernel::kCoupledClusterSD,
+                       trace_config(seed, MachineModel::duplex_pcie()));
+    ASSERT_EQ(duplex.num_channels(), 2u);
+    sweep_capacities(duplex, "CCSD-duplex", stats);
+  }
+  EXPECT_GT(stats.picks, 0u);
+}
+
+/// Integer durations and footprints over 1-3 channels: exact idle ties
+/// everywhere. `jitter` perturbs each comm by a relative ~1e-12, turning
+/// exact ties into tolerance ties the index must hand to the scan.
+Instance integer_tie_instance(Rng& rng, std::size_t channels, bool jitter) {
+  std::vector<Task> tasks(30 + rng.index(30));
+  for (Task& t : tasks) {
+    t.comm = static_cast<Time>(rng.index(6));
+    t.comp = static_cast<Time>(rng.index(6));
+    t.mem = static_cast<Mem>(1 + rng.index(5));
+    t.channel = static_cast<ChannelId>(rng.index(channels));
+    if (jitter && rng.chance(0.5)) {
+      t.comm *= 1.0 + 1e-12 * static_cast<double>(1 + rng.index(9));
+    }
+  }
+  return Instance(std::move(tasks));
+}
+
+TEST(CandidateIndex, IntegerTiesAndJitteredNearTies) {
+  SelectionStats exact;
+  SelectionStats jittered;
+  for (const bool jitter : {false, true}) {
+    Rng rng(91);
+    for (int iter = 0; iter < 10; ++iter) {
+      const Instance inst =
+          integer_tie_instance(rng, 1 + static_cast<std::size_t>(iter % 3),
+                               jitter);
+      sweep_capacities(inst,
+                       std::string(jitter ? "jittered" : "integer") + " #" +
+                           std::to_string(iter),
+                       jitter ? jittered : exact);
+    }
+  }
+  EXPECT_GT(exact.picks, 0u);
+  EXPECT_GT(jittered.fallback_picks, 0u)
+      << "the jittered instances must exercise the near-tie fallback";
+}
+
+/// Per-batch order of a static heuristic, restricted to `ids` (the batch
+/// runtime's rule: the policy on the subset instance, mapped back).
+std::vector<TaskId> static_batch_order(HeuristicId id, const Instance& inst,
+                                       std::span<const TaskId> ids,
+                                       Mem capacity) {
+  const Instance sub = inst.subset(ids);
+  std::vector<TaskId> local;
+  switch (id) {
+    case HeuristicId::kOS: local = sub.submission_order(); break;
+    case HeuristicId::kGG: local = gilmore_gomory_order(sub); break;
+    case HeuristicId::kBP: local = bin_packing_order(sub, capacity); break;
+    case HeuristicId::kOOSIM:
+      local = static_order(sub, StaticOrderPolicy::kJohnson);
+      break;
+    case HeuristicId::kIOCMS:
+      local = static_order(sub, StaticOrderPolicy::kIncreasingComm);
+      break;
+    case HeuristicId::kDOCPS:
+      local = static_order(sub, StaticOrderPolicy::kDecreasingComp);
+      break;
+    case HeuristicId::kIOCCS:
+      local = static_order(sub, StaticOrderPolicy::kIncreasingCommPlusComp);
+      break;
+    case HeuristicId::kDOCCS:
+      local = static_order(sub, StaticOrderPolicy::kDecreasingCommPlusComp);
+      break;
+    default: throw std::logic_error("not a static heuristic");
+  }
+  std::vector<TaskId> global;
+  for (const TaskId k : local) global.push_back(ids[k]);
+  return global;
+}
+
+/// The auto-selecting batch runtime with the linear reference in place of
+/// the indexed executors: per batch of 16, every heuristic runs from the
+/// carried state and the earliest finisher (then the earliest link) wins.
+Schedule reference_auto_batch(const Instance& inst, Mem capacity) {
+  const CompiledInstance ci(inst);
+  const std::vector<TaskId> submission = inst.submission_order();
+  ExecutionState::Snapshot carried;
+  carried.comm_available.assign(inst.num_channels(), 0.0);
+  Schedule committed(inst.size());
+  for (std::size_t lo = 0; lo < submission.size(); lo += 16) {
+    const std::span<const TaskId> ids(
+        &submission[lo], std::min<std::size_t>(16, submission.size() - lo));
+    ExecutionState best_state(capacity, carried);
+    Schedule best(inst.size());
+    bool have_best = false;
+    for (const HeuristicId h : all_heuristic_ids()) {
+      ExecutionState state(capacity, carried);
+      Schedule trial(inst.size());
+      const HeuristicCategory cat = info(h).category;
+      if (cat == HeuristicCategory::kDynamic ||
+          cat == HeuristicCategory::kCorrected) {
+        const bool corrected = cat == HeuristicCategory::kCorrected;
+        const DynamicCriterion c =
+            h == HeuristicId::kLCMR || h == HeuristicId::kOOLCMR
+                ? DynamicCriterion::kLargestComm
+            : h == HeuristicId::kSCMR || h == HeuristicId::kOOSCMR
+                ? DynamicCriterion::kSmallestComm
+                : DynamicCriterion::kMaxAcceleration;
+        const std::vector<TaskId> order =
+            corrected
+                ? static_batch_order(HeuristicId::kOOSIM, inst, ids, capacity)
+                : std::vector<TaskId>(ids.begin(), ids.end());
+        reference_execute(ci, order, c, corrected, state, trial);
+      } else {
+        execute_order(inst, static_batch_order(h, inst, ids, capacity), state,
+                      trial);
+      }
+      const Time end = state.comp_available();
+      const Time best_end = best_state.comp_available();
+      const bool better =
+          !have_best || definitely_less(end, best_end) ||
+          (!definitely_less(best_end, end) &&
+           definitely_less(state.comm_available(),
+                           best_state.comm_available()));
+      if (better) {
+        best_state = state;
+        best = trial;
+        have_best = true;
+      }
+    }
+    for (const TaskId id : ids) committed[id] = best[id];
+    carried = best_state.snapshot();
+  }
+  return committed;
+}
+
+TEST(CandidateIndex, AutoBatchMatchesTheLinearReference) {
+  const std::vector<HeuristicId> all = all_heuristic_ids();
+  for (const std::uint64_t seed : {3}) {
+    const Instance hf = scale_times(
+        generate_hf_trace(trace_config(seed, MachineModel::cascade())), 1e3,
+        1e3);
+    const Instance ccsd =
+        generate_trace(ChemistryKernel::kCoupledClusterSD,
+                       trace_config(seed, MachineModel::duplex_pcie()));
+    for (const Instance* inst : {&hf, &ccsd}) {
+      for (const double f : {1.125, 1.5, 3.0}) {
+        const Mem capacity = f * inst->min_capacity();
+        EXPECT_TRUE(identical(
+            reference_auto_batch(*inst, capacity),
+            schedule_in_batches_auto(*inst, capacity, 16, all).schedule))
+            << "seed " << seed << " x" << f << " mc, "
+            << inst->num_channels() << " channel(s)";
+      }
+    }
+  }
+}
+
+// --------------------------------------------------- complexity guard
+
+/// Least-squares slope of log(work) over log(n).
+double loglog_slope(const std::vector<double>& n,
+                    const std::vector<double>& work) {
+  double sx = 0, sy = 0, sxx = 0, sxy = 0;
+  const double k = static_cast<double>(n.size());
+  for (std::size_t i = 0; i < n.size(); ++i) {
+    const double x = std::log(n[i]);
+    const double y = std::log(work[i]);
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+  }
+  return (k * sxy - sx * sy) / (k * sxx - sx * sx);
+}
+
+/// Deterministic complexity guard: the index's work counter (tree nodes
+/// visited plus fallback candidates scanned) over all six heuristics at
+/// 1.5 mc must scale no worse than n^1.2 from n = 1k to 16k tasks. The
+/// linear scan it replaces scales as n^2.
+void expect_subquadratic(ChemistryKernel kernel, MachineModel machine) {
+  if (kAuditsEnabled) {
+    GTEST_SKIP() << "audit builds cross-check every pick against the O(n) "
+                    "scan; the counters are build-independent and guarded "
+                    "by the other builds";
+  }
+  // A duplex trace adds one write-back per fetched task.
+  const std::size_t per_task = machine.duplex() ? 2 : 1;
+  std::vector<double> sizes;
+  std::vector<double> work;
+  for (std::size_t n = 1000; n <= 16000; n *= 2) {
+    TraceConfig config{.seed = 5, .min_tasks = n / per_task,
+                       .max_tasks = n / per_task, .machine = machine};
+    const Instance inst = generate_trace(kernel, config);
+    const CompiledInstance ci(inst);
+    const Mem capacity = 1.5 * inst.min_capacity();
+    const std::vector<TaskId> submission = inst.submission_order();
+    const std::vector<TaskId> johnson = johnson_order(inst);
+    SelectionStats stats;
+    for (const DynamicCriterion c : kCriteria) {
+      for (const bool corrected : {false, true}) {
+        ExecutionState state(capacity, inst.num_channels());
+        Schedule out(inst.size());
+        indexed_execute(ci, corrected ? johnson : submission, c, corrected,
+                        state, out, &stats);
+      }
+    }
+    sizes.push_back(static_cast<double>(inst.size()));
+    work.push_back(static_cast<double>(stats.work()));
+  }
+  const double slope = loglog_slope(sizes, work);
+  EXPECT_LE(slope, 1.2) << "selection work grows as n^" << slope;
+  EXPECT_GE(slope, 0.9) << "the work counter stopped counting";
+}
+
+TEST(SelectionScaling, HartreeFockSingleChannel) {
+  expect_subquadratic(ChemistryKernel::kHartreeFock, MachineModel::cascade());
+}
+
+TEST(SelectionScaling, HartreeFockDuplex) {
+  expect_subquadratic(ChemistryKernel::kHartreeFock,
+                      MachineModel::duplex_pcie());
+}
+
+TEST(SelectionScaling, CcsdSingleChannel) {
+  expect_subquadratic(ChemistryKernel::kCoupledClusterSD,
+                      MachineModel::cascade());
+}
+
+TEST(SelectionScaling, CcsdDuplex) {
+  expect_subquadratic(ChemistryKernel::kCoupledClusterSD,
+                      MachineModel::duplex_pcie());
+}
+
+}  // namespace
+}  // namespace dts

@@ -11,9 +11,10 @@ namespace {
 
 TEST(PickCandidate, EmptyReturnsInvalid) {
   const Instance inst = testing::table4_instance();
+  const CompiledInstance ci(inst);
   ExecutionState state(kInfiniteMem);
   const std::vector<TaskId> none;
-  EXPECT_EQ(pick_candidate(inst, state, none, DynamicCriterion::kLargestComm),
+  EXPECT_EQ(pick_candidate(ci, state, none, DynamicCriterion::kLargestComm),
             kInvalidTask);
 }
 
@@ -22,47 +23,51 @@ TEST(PickCandidate, MinimumIdleDominatesCriterion) {
   // to its communication time, so the smallest comm wins regardless of the
   // criterion (the paper's Fig. 5 schedules all start with task B).
   const Instance inst = testing::table4_instance();
+  const CompiledInstance ci(inst);
   ExecutionState state(kInfiniteMem);
   const std::vector<TaskId> all{0, 1, 2, 3};
   for (DynamicCriterion c :
        {DynamicCriterion::kLargestComm, DynamicCriterion::kSmallestComm,
         DynamicCriterion::kMaxAcceleration}) {
-    EXPECT_EQ(pick_candidate(inst, state, all, c), 1u);  // B has comm 1
+    EXPECT_EQ(pick_candidate(ci, state, all, c), 1u);  // B has comm 1
   }
 }
 
 TEST(PickCandidate, CriterionBreaksIdleTies) {
   // Busy processor: nobody induces idle, criterion decides.
   const Instance inst = testing::table4_instance();
+  const CompiledInstance ci(inst);
   ExecutionState state(kInfiniteMem);
   state.start(inst[1]);  // B: processor busy until t=7
   const std::vector<TaskId> rest{0, 2, 3};  // A(3,2) C(4,6) D(5,1)
-  EXPECT_EQ(pick_candidate(inst, state, rest, DynamicCriterion::kLargestComm),
+  EXPECT_EQ(pick_candidate(ci, state, rest, DynamicCriterion::kLargestComm),
             3u);
-  EXPECT_EQ(pick_candidate(inst, state, rest, DynamicCriterion::kSmallestComm),
+  EXPECT_EQ(pick_candidate(ci, state, rest, DynamicCriterion::kSmallestComm),
             0u);
   EXPECT_EQ(
-      pick_candidate(inst, state, rest, DynamicCriterion::kMaxAcceleration),
+      pick_candidate(ci, state, rest, DynamicCriterion::kMaxAcceleration),
       2u);  // C: 6/4 beats A: 2/3 and D: 1/5
 }
 
 TEST(PickCandidate, ZeroCommTaskIsInfinitelyAccelerated) {
   const Instance inst = Instance::from_comm_comp({{0, 4}, {2, 10}});
+  const CompiledInstance ci(inst);
   ExecutionState state(kInfiniteMem);
   state.start(inst[1]);  // keep processor busy so idle ties
   const std::vector<TaskId> both{0, 1};
   EXPECT_EQ(
-      pick_candidate(inst, state, both, DynamicCriterion::kMaxAcceleration),
+      pick_candidate(ci, state, both, DynamicCriterion::kMaxAcceleration),
       0u);
 }
 
 TEST(PickCandidate, TieOnCriterionPrefersEarlierCandidate) {
   const Instance inst = Instance::from_comm_comp({{2, 2}, {2, 2}});
+  const CompiledInstance ci(inst);
   ExecutionState state(kInfiniteMem);
   state.start(inst[0]);
   // Re-pick among identical tasks (pretend both still pending).
   const std::vector<TaskId> both{1, 0};
-  EXPECT_EQ(pick_candidate(inst, state, both, DynamicCriterion::kLargestComm),
+  EXPECT_EQ(pick_candidate(ci, state, both, DynamicCriterion::kLargestComm),
             1u)
       << "first listed candidate wins ties";
 }

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "service/protocol.hpp"
+#include "service/result_cache.hpp"
 #include "service/serve.hpp"
 #include "service/service.hpp"
 #include "support/rng.hpp"
@@ -84,6 +85,37 @@ TEST(Service, ColdMissThenWarmHitAreByteIdentical) {
   EXPECT_EQ(c.cache.misses, 1u);
   EXPECT_EQ(c.cache.inserts, 1u);
   EXPECT_EQ(c.cache_size, 1u);
+}
+
+TEST(ResultCache, EvictsLeastRecentlyUsedPastTheByteBound) {
+  ResultCache cache(4096);
+  const std::size_t slots = ResultCache::kMaxBytes / sizeof(TaskId) / 3;
+  const auto entry = [](std::size_t n) {
+    CachedResult r;
+    r.canonical_order.assign(n, 0);
+    return r;
+  };
+  const auto key = [](std::uint64_t digest) {
+    CacheKey k;
+    k.request_digest = digest;
+    return k;
+  };
+  for (std::uint64_t d = 1; d <= 3; ++d) cache.insert(key(d), entry(slots));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_TRUE(cache.lookup(key(1)).has_value());  // 2 is now the LRU entry
+  cache.insert(key(4), entry(slots));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.counters().evictions, 1u);
+  EXPECT_FALSE(cache.lookup(key(2)).has_value());
+  EXPECT_TRUE(cache.lookup(key(1)).has_value());
+  // Refreshing an entry with a larger order re-counts its bytes.
+  cache.insert(key(1), entry(2 * slots));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.lookup(key(3)).has_value());
+  // An entry larger than the whole bound is still cached, alone.
+  cache.insert(key(5), entry(ResultCache::kMaxBytes / sizeof(TaskId) + 1));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.lookup(key(5)).has_value());
 }
 
 TEST(Service, NoCacheBypassesCacheEntirely) {

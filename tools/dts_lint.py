@@ -45,7 +45,8 @@ ones that otherwise live only in reviewers' heads:
                            std::istringstream tokenizing — one exact,
                            locale-free home for round-trip number text.
   hot-path-noalloc         functions marked `// dts-lint: hot-path` in
-                           src/core/ (the candidate-scoring inner loops)
+                           src/core/ and src/heuristics/ (the
+                           candidate-scoring and -selection inner loops)
                            never allocate, build strings, declare
                            containers, grow buffers (.reserve/.resize/
                            .shrink_to_fit) or throw inline — error paths
@@ -371,9 +372,13 @@ HOT_PATH_BANNED = (
 )
 
 
+HOT_PATH_DIRS = ("src/core/", "src/heuristics/")
+
+
 def check_hot_path_noalloc(path: str, raw: str, code: str):
-    """`// dts-lint: hot-path` functions in src/core/ stay allocation-free."""
-    if not path.startswith("src/core/"):
+    """`// dts-lint: hot-path` functions in src/core/ and src/heuristics/
+    stay allocation-free."""
+    if not path.startswith(HOT_PATH_DIRS):
         return
     for marker in HOT_PATH_MARKER_RE.finditer(raw):
         start = code.find("{", marker.end())
