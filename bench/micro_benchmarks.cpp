@@ -1,10 +1,18 @@
 /// Runtime micro-benchmarks (google-benchmark): scheduling cost of each
 /// heuristic family versus task count, plus the building blocks (Johnson
-/// sort, simulator, GG sequencing, validator). Not a paper figure — this
-/// documents that every heuristic is cheap enough to run inside a runtime
-/// system's scheduling loop, the paper's intended deployment.
+/// sort, simulator, GG sequencing, validator) and the trace text codec
+/// (number formatting, trace write and read, in MB/s). Not a paper
+/// figure — this documents that every heuristic is cheap enough to run
+/// inside a runtime system's scheduling loop, the paper's intended
+/// deployment.
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/johnson.hpp"
 #include "core/registry.hpp"
@@ -13,7 +21,9 @@
 #include "exact/window_solver.hpp"
 #include "heuristics/gilmore_gomory.hpp"
 #include "support/rng.hpp"
+#include "support/text.hpp"
 #include "trace/generators.hpp"
+#include "trace/trace_io.hpp"
 
 namespace {
 
@@ -117,5 +127,65 @@ void BM_CcsdTraceGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CcsdTraceGeneration);
+
+/// A byte-annotated HF trace of `n` tasks, the shape dts1 requests carry.
+Instance io_trace(std::size_t n) {
+  TraceConfig config;
+  config.seed = 5;
+  config.min_tasks = n;
+  config.max_tasks = n;
+  return generate_hf_trace(config);
+}
+
+std::string trace_text(const Instance& inst) {
+  std::ostringstream out;
+  write_trace(out, inst);
+  return out.str();
+}
+
+void BM_AppendDouble(benchmark::State& state) {
+  // Every number a trace record formats: comm, comp, mem and bytes.
+  std::vector<double> values;
+  for (const Task& t : io_trace(4096)) {
+    for (const double v : {t.comm, t.comp, t.mem, t.comm_bytes}) {
+      if (std::isfinite(v)) values.push_back(v);
+    }
+  }
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    for (const double v : values) append_double(out, v);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_AppendDouble);
+
+void BM_WriteTrace(benchmark::State& state) {
+  const Instance inst = io_trace(static_cast<std::size_t>(state.range(0)));
+  const auto bytes = static_cast<std::int64_t>(trace_text(inst).size());
+  for (auto _ : state) {
+    std::ostringstream out;
+    write_trace(out, inst);
+    benchmark::DoNotOptimize(out.tellp());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_WriteTrace)->Range(512, 8192);
+
+void BM_ReadTrace(benchmark::State& state) {
+  const std::string text =
+      trace_text(io_trace(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(read_trace(std::string_view(text)));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadTrace)->Range(512, 8192);
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstddef>
 #include <istream>
 #include <ostream>
+#include <streambuf>
 #include <string_view>
 
 #include "support/text.hpp"
@@ -10,21 +14,69 @@
 namespace dts {
 namespace {
 
+/// Read access to a streambuf's get area, which std::streambuf opens
+/// only to derived classes: naming the members through this subclass
+/// yields pointers to them that apply to any std::streambuf.
+struct GetArea : std::streambuf {
+  /// The buffered characters not yet consumed (empty for an unbuffered
+  /// streambuf or when the buffer is exhausted).
+  static std::string_view of(std::streambuf& buffer) {
+    const char* const begin = (buffer.*&GetArea::gptr)();
+    const char* const end = (buffer.*&GetArea::egptr)();
+    return {begin, static_cast<std::size_t>(
+                       std::min<std::ptrdiff_t>(end - begin, INT_MAX))};
+  }
+  /// Consumes `count` characters of of(buffer).
+  static void consume(std::streambuf& buffer, std::size_t count) {
+    (buffer.*&GetArea::gbump)(static_cast<int>(count));
+  }
+};
+
+constexpr std::size_t kNoLine = std::string::npos;
+
+/// Consumes one line of `in` through its '\n' (or to EOF), keeping at
+/// most `keep` of its characters in `out`; the rest are skipped, never
+/// buffered. Returns the line's full length without the '\n', or kNoLine
+/// when no character was left. Scans the streambuf's get area a chunk at
+/// a time; like istream::get(), reaching EOF sets eofbit and failbit.
+std::size_t take_line(std::istream& in, std::size_t keep, std::string& out) {
+  out.clear();
+  const std::istream::sentry ok(in, /*noskipws=*/true);
+  if (!ok) return kNoLine;
+  std::streambuf& buffer = *in.rdbuf();
+  std::size_t length = 0;
+  for (;;) {
+    if (std::char_traits<char>::eq_int_type(buffer.sgetc(),
+                                            std::char_traits<char>::eof())) {
+      in.setstate(std::ios::eofbit | std::ios::failbit);
+      return length == 0 ? kNoLine : length;
+    }
+    const std::string_view chunk = GetArea::of(buffer);
+    if (chunk.empty()) {  // unbuffered: one character at a time
+      const char c = std::char_traits<char>::to_char_type(buffer.sbumpc());
+      if (c == '\n') return length;
+      if (length < keep) out.push_back(c);
+      ++length;
+      continue;
+    }
+    const std::size_t n = std::min(chunk.find('\n'), chunk.size());
+    if (length < keep) out.append(chunk.substr(0, std::min(n, keep - length)));
+    length += n;
+    const bool newline = n < chunk.size();
+    GetArea::consume(buffer, n + (newline ? 1 : 0));
+    if (newline) return length;
+  }
+}
+
 /// Reads one line bounded by `max_bytes`. Returns false on EOF with no
 /// characters read. An overlong line drains to its newline (bounded
 /// memory against hostile input) and throws.
 bool read_line(std::istream& in, std::size_t max_bytes, std::string& out) {
-  out.clear();
-  int c = in.get();
-  if (c == std::char_traits<char>::eof()) return false;
-  while (c != std::char_traits<char>::eof() && c != '\n') {
-    if (out.size() >= max_bytes) {
-      while (c != std::char_traits<char>::eof() && c != '\n') c = in.get();
-      throw ProtocolError("line exceeds " + std::to_string(max_bytes) +
-                          " bytes");
-    }
-    out.push_back(static_cast<char>(c));
-    c = in.get();
+  const std::size_t length = take_line(in, max_bytes, out);
+  if (length == kNoLine) return false;
+  if (length > max_bytes) {
+    throw ProtocolError("line exceeds " + std::to_string(max_bytes) +
+                        " bytes");
   }
   if (!out.empty() && out.back() == '\r') out.pop_back();
   return true;
@@ -63,23 +115,16 @@ std::uint64_t wire_count(std::string_view token, const char* what) {
 }
 
 /// Consumes input until an `end` line or EOF so the next frame starts
-/// clean. Line contents are discarded unbuffered (hostile lines never
-/// accumulate).
+/// clean. Only a line's first few characters are kept (hostile lines
+/// never accumulate), and a last line cut off by EOF never counts.
 void resync(std::istream& in) {
-  std::string line;
-  int c = in.get();
-  while (c != std::char_traits<char>::eof()) {
-    if (c == '\n') {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line == "end") return;
-      line.clear();
-    } else if (line.size() < 8) {
-      line.push_back(static_cast<char>(c));
-    } else {
-      line.push_back('#');  // poisons the comparison; size stays bounded
-      line.erase(4, line.size() - 8);
+  std::string head;
+  for (;;) {
+    const std::size_t length = take_line(in, 4, head);
+    if (length == kNoLine || in.eof()) return;
+    if ((length == 3 && head == "end") || (length == 4 && head == "end\r")) {
+      return;
     }
-    c = in.get();
   }
 }
 

@@ -4,12 +4,21 @@
 /// Round-trip number text: the one home for how numbers are written to and
 /// read from dts text formats (dts-trace files, the dts1 wire protocol).
 ///
-/// Writing goes through std::to_chars and reading through std::from_chars,
-/// so neither depends on the global or a stream's locale, neither touches
-/// an iostream, and both are exact: append_double emits the text
-/// printf("%.17g") would, byte for byte, and parse_double reads it back
-/// to the identical bit pattern. The `%.17g` goldens and every
-/// trace or response ever written stay valid inputs.
+/// Neither direction depends on the global or a stream's locale or
+/// touches an iostream, and both are exact: append_double emits the text
+/// printf("%.17g") would, byte for byte, and parse_double (std::from_chars)
+/// reads it back to the identical bit pattern. The `%.17g` goldens and
+/// every trace or response ever written stay valid inputs.
+///
+/// append_double has two paths. The fast path computes the 17 digits with
+/// integer arithmetic: integers below 1e17 print directly, and any other
+/// finite normal magnitude in about [1e-16, 1.7e38] is scaled to
+/// floor(|value|·10^k) plus its exact remainder in 128 bits (times 5^k and
+/// a shift for k >= 0, a division by 10^-k above 1e17), the exponent
+/// chosen from the unrounded digits, then rounded half to even. Every
+/// other value (zero, subnormals, inf, nan, magnitudes outside that
+/// range) takes the fallback, std::to_chars(general, 17). Builds with
+/// DTS_AUDIT check every fast-path string against the fallback.
 ///
 /// Parsing is full-token: a token parses only when every character is
 /// consumed, so trailing garbage ("1.5x"), hex soup ("0x10") and empty

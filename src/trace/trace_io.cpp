@@ -21,6 +21,11 @@ constexpr std::string_view kMagicV3 = "# dts-trace v3";
 constexpr std::string_view kMagicV4 = "# dts-trace v4";
 constexpr std::string_view kBytesPrefix = "bytes=";
 constexpr std::string_view kDepsPrefix = "deps=";
+/// The longest number text a record holds: "-2.2250738585072014e-308",
+/// or a 20-digit id.
+constexpr std::size_t kMaxNumberText = 24;
+/// Task records reach the stream in writes of about this size.
+constexpr std::size_t kWriteBytes = 64 * 1024;
 
 /// Parses one comma-separated predecessor list ("0,3,17"). Only the
 /// lexical shape is checked here — ids must be in-range numbers with no
@@ -177,8 +182,17 @@ void write_trace(std::ostream& out, const Instance& inst) {
   // edges need v4, bytes and time-less tasks v3, extra channels v2;
   // everything else stays v1 so legacy readers keep working.
   bool bytes = false;
+  // An upper bound on one rendered record: a number field is at most
+  // kMaxNumberText characters plus a separator.
+  std::size_t record_bound = 0;
   for (const Task& t : inst) {
     bytes = bytes || t.has_comm_bytes() || !t.time_bound();
+    const std::size_t numbers = 4 + (multi ? 1 : 0) +
+                                (t.has_comm_bytes() ? 1 : 0) + t.deps.size();
+    record_bound = std::max(record_bound,
+                            std::string_view("task ").size() + t.name.size() +
+                                kBytesPrefix.size() + kDepsPrefix.size() +
+                                numbers * (kMaxNumberText + 1));
   }
   const bool deps = inst.has_dependencies();
   out << (deps ? kMagicV4 : bytes ? kMagicV3 : multi ? kMagicV2 : kMagicV1)
@@ -188,10 +202,16 @@ void write_trace(std::ostream& out, const Instance& inst) {
   if (multi) out << " channels=" << inst.num_channels();
   out << '\n';
 
-  // Task records: exact (%.17g) number text, rendered into one buffer.
+  // Task records: exact (%.17g) number text, rendered into a buffer that
+  // reaches the stream in writes of about kWriteBytes. It has room for
+  // one more record past that, so it never reallocates.
   std::string body;
-  body.reserve(inst.size() * 80);
+  body.reserve(kWriteBytes + record_bound);
   for (const Task& t : inst) {
+    if (body.size() >= kWriteBytes) {
+      out.write(body.data(), static_cast<std::streamsize>(body.size()));
+      body.clear();
+    }
     body += "task ";
     if (t.name.empty()) {
       body += 'T';

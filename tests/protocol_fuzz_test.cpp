@@ -11,10 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
 
 #include "service/protocol.hpp"
 #include "service/serve.hpp"
@@ -302,6 +305,90 @@ TEST(ServiceProtocolFuzz, RandomByteSoupSessionsAlwaysAnswerWellFormed) {
       if (!response.has_value()) break;
     }
   }
+}
+
+/// A streambuf over `text` that refills its get area `chunk` characters
+/// at a time, so lines straddle refills; chunk 0 is unbuffered (the get
+/// area stays empty and uflow() hands out one character per call).
+class PiecewiseBuf final : public std::streambuf {
+ public:
+  PiecewiseBuf(std::string text, std::size_t chunk)
+      : text_(std::move(text)), chunk_(chunk) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (next_ == text_.size()) return traits_type::eof();
+    if (chunk_ == 0) return traits_type::to_int_type(text_[next_]);
+    const std::size_t n = std::min(chunk_, text_.size() - next_);
+    char* const begin = text_.data() + next_;
+    setg(begin, begin, begin + n);
+    next_ += n;
+    return traits_type::to_int_type(*gptr());
+  }
+
+  int_type uflow() override {
+    if (chunk_ != 0) return std::streambuf::uflow();
+    if (next_ == text_.size()) return traits_type::eof();
+    return traits_type::to_int_type(text_[next_++]);
+  }
+
+ private:
+  std::string text_;
+  std::size_t chunk_;
+  std::size_t next_ = 0;
+};
+
+/// Every frame, error and the final EOF read_request reports on `in`.
+std::string request_transcript(std::istream& in,
+                               const ProtocolLimits& limits) {
+  std::string log;
+  for (;;) {
+    try {
+      const std::optional<WireRequest> frame = read_request(in, limits);
+      if (!frame.has_value()) break;
+      log += "frame " + frame->id + " trace=" + frame->trace_text + "\n";
+    } catch (const ProtocolError& e) {
+      log += std::string("error ") + e.what() + "\n";
+    }
+  }
+  return log + "eof state=" + std::to_string(in.rdstate());
+}
+
+TEST(ServiceProtocolFuzz, ReaderIsIndependentOfStreamBuffering) {
+  ProtocolLimits tight;
+  tight.max_line_bytes = 12;
+  tight.max_header_lines = 4;
+  // Lines at the byte bound pass and one past it fail, '\r' included.
+  const std::string pieces[] = {
+      "dts1 ping ab\nend\n", "dts1 ping abc\nend\n", "dts1 ping a\r\nend\r\n",
+      "dts1 ping ab\r\nend\n",
+      "dts1 solve s\ncapacity 1\ntrace 5\nab\ncd\nend\n", "\n\n", "end\n",
+      "garbage\n", std::string(40, 'x') + "\n", "dts1 ping", "\r"};
+  Rng rng(20261017);
+  for (int round = 0; round < 200; ++round) {
+    std::string text;
+    const std::size_t count = 1 + rng.index(12);
+    for (std::size_t i = 0; i < count; ++i) {
+      text += pieces[rng.index(std::size(pieces))];
+    }
+    std::istringstream whole(text);
+    const std::string expected = request_transcript(whole, tight);
+    for (const std::size_t chunk : {0, 1, 2, 3, 7, 64}) {
+      PiecewiseBuf buffer(text, chunk);
+      std::istream in(&buffer);
+      EXPECT_EQ(request_transcript(in, tight), expected)
+          << "chunk " << chunk << " on:\n" << text;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+
+  std::istringstream bounds("dts1 ping ab\nend\ndts1 ping a\r\nend\n"
+                            "dts1 ping abc\nend\ndts1 ping ab\r\nend\n");
+  EXPECT_EQ(request_transcript(bounds, tight),
+            "frame ab trace=\nframe a trace=\n"
+            "error line exceeds 12 bytes\nerror line exceeds 12 bytes\n"
+            "eof state=6");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
@@ -23,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/registry.hpp"
+#include "core/solver.hpp"
 #include "service/protocol.hpp"
 #include "service/result_cache.hpp"
 #include "service/serve.hpp"
@@ -277,47 +280,115 @@ TEST(Service, ShedsWithAdmissionReasonWhenPipelineFull) {
   EXPECT_EQ(c.shed, 1u);
 }
 
-TEST(Service, ShedsWithQueueFullReasonWhenPoolSaturated) {
-  // Three distinct slow solves released simultaneously into a pool with
-  // one worker and a one-slot queue: one runs, one queues, the rest must
-  // be shed with reason "queue-full" (never an exception or a hang).
-  constexpr std::size_t kClients = 3;
+/// Holds pool workers for the queue-full test: the "test-held" solver
+/// reports that a worker is running it, then waits for the gate to open
+/// before answering with the submission order. The gate is open unless a
+/// test closes it, so the solver is an ordinary one to every other
+/// caller (the registry's listing includes it).
+struct WorkerGate {
   std::mutex m;
   std::condition_variable cv;
-  std::size_t arrived = 0;
-  bool go = false;
+  bool open = true;
+  std::size_t running = 0;
+};
+
+WorkerGate& worker_gate() {
+  static WorkerGate gate;
+  return gate;
+}
+
+class HeldSolver final : public Solver {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "test-held";
+  }
+  [[nodiscard]] SolveResult run(const SolveRequest& request,
+                                const SolveOptions&) const override {
+    WorkerGate& gate = worker_gate();
+    {
+      std::unique_lock<std::mutex> lock(gate.m);
+      ++gate.running;
+      gate.cv.notify_all();
+      gate.cv.wait(lock, [&] { return gate.open; });
+    }
+    SolveResult result;
+    result.schedule = run_heuristic(HeuristicId::kOS, request.instance,
+                                    request.capacity);
+    result.makespan = request.instance.empty()
+                          ? 0.0
+                          : result.schedule.makespan(request.instance);
+    result.winner = "test-held";
+    return result;
+  }
+};
+
+const RegisterSolver kRegisterHeldSolver{
+    "test-held", "", "test-only: OS once the worker gate opens",
+    SolverChannels::kAny, SolverDeps::kAny,
+    [](const SolverSpec&) { return std::make_unique<HeldSolver>(); }};
+
+TEST(Service, ShedsWithQueueFullReasonWhenPoolSaturated) {
+  // One worker and a one-slot queue. The first solve occupies the worker
+  // and stays there; only then do two more leaders submit, so exactly one
+  // of them queues and the other is shed with reason "queue-full" (never
+  // an exception or a hang). The worker is released once that shed
+  // response is back, and the queued solve then completes.
+  constexpr std::size_t kClients = 3;
+  WorkerGate& gate = worker_gate();
+  {
+    const std::lock_guard<std::mutex> lock(gate.m);
+    gate.open = false;
+    gate.running = 0;
+  }
+  std::mutex m;
+  std::condition_variable cv;
+  std::size_t leaders = 0;
+  bool shed_seen = false;
 
   ServiceOptions options;
   options.workers = 1;
   options.queue_capacity = 1;
+  options.default_solver = "test-held";
   options.on_solve_start = [&] {
-    std::unique_lock<std::mutex> lock(m);
-    ++arrived;
-    cv.notify_all();
-    cv.wait(lock, [&] { return go; });
+    {
+      const std::lock_guard<std::mutex> lock(m);
+      if (leaders++ == 0) return;  // the first leader goes straight on
+    }
+    std::unique_lock<std::mutex> lock(gate.m);
+    gate.cv.wait(lock, [&] { return gate.running > 0; });
   };
   SolverService service(options);
 
   Rng rng(86);
   std::vector<ServiceRequest> requests;
   for (std::size_t i = 0; i < kClients; ++i) {
-    ServiceRequest request =
-        basic_request(testing::random_instance(rng, 60), std::to_string(i));
-    request.solver = "local-search";  // slow enough to hold the worker
-    requests.push_back(std::move(request));
+    requests.push_back(
+        basic_request(testing::random_instance(rng, 60), std::to_string(i)));
   }
 
   std::vector<ServiceResponse> responses(kClients);
   std::vector<std::thread> clients;
   for (std::size_t i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] { responses[i] = service.handle(requests[i]); });
+    clients.emplace_back([&, i] {
+      responses[i] = service.handle(requests[i]);
+      if (responses[i].status == WireResponse::Status::kShed) {
+        const std::lock_guard<std::mutex> lock(m);
+        shed_seen = true;
+        cv.notify_all();
+      }
+    });
   }
   {
+    // Bounded, so a service that never sheds fails here instead of hanging.
     std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return arrived == kClients; });
-    go = true;
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
+                            [&] { return shed_seen; }));
   }
-  cv.notify_all();
+  {
+    const std::lock_guard<std::mutex> lock(gate.m);
+    gate.open = true;
+  }
+  gate.cv.notify_all();
   for (std::thread& t : clients) t.join();
 
   std::size_t ok = 0;
@@ -331,8 +402,8 @@ TEST(Service, ShedsWithQueueFullReasonWhenPoolSaturated) {
       ++shed;
     }
   }
-  EXPECT_EQ(ok + shed, kClients);
-  EXPECT_GE(shed, 1u);  // the queue cannot hold everyone
+  EXPECT_EQ(ok, 2u);
+  EXPECT_EQ(shed, 1u);
   const ServiceCounters c = service.counters();
   EXPECT_EQ(c.ok, ok);
   EXPECT_EQ(c.shed, shed);

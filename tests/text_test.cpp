@@ -79,6 +79,106 @@ TEST(TextCodec, AppendDoubleMatchesPrintfOnRandomBitPatterns) {
   }
 }
 
+// The fast path covers finite magnitudes of about 1e-16 to 1.7e38; the
+// cases below aim at it and at its edges (random bit patterns mostly
+// land in the std::to_chars fallback).
+
+TEST(TextCodec, AppendDoubleMatchesPrintfOnLogUniformMagnitudes) {
+  Rng rng(15);
+  for (int i = 0; i < 100000; ++i) {
+    const double magnitude = std::pow(10.0, rng.uniform(-20.0, 40.0));
+    expect_exact_round_trip(i % 2 == 0 ? magnitude : -magnitude);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(TextCodec, AppendDoubleMatchesPrintfNextToPowersOfTen) {
+  for (int k = -20; k <= 40; ++k) {
+    const std::optional<double> power =
+        parse_double("1e" + std::to_string(k));
+    ASSERT_TRUE(power.has_value());
+    for (const double toward : {0.0, std::numeric_limits<double>::infinity()}) {
+      double value = *power;
+      for (int ulp = 0; ulp <= 2; ++ulp) {
+        expect_exact_round_trip(value);
+        expect_exact_round_trip(-value);
+        value = std::nextafter(value, toward);
+      }
+    }
+  }
+  // The unrounded digits pick the exponent: the double nearest 1e-6 lies
+  // just below it, so its text keeps the exponent -7.
+  EXPECT_EQ(codec_text(1e-6), "9.9999999999999995e-07");
+}
+
+TEST(TextCodec, AppendDoubleRoundsExactTiesToEven) {
+  // Odd integers below 2^53 over 4 and 8 end in ...25/...75 and
+  // ...125/...875; where that is the 18th significant digit the 17-digit
+  // text sits exactly half-way and printf rounds to even.
+  constexpr std::uint64_t kMax = (std::uint64_t{1} << 53) - 1;
+  Rng rng(16);
+  for (int i = 0; i < 50000; ++i) {
+    const std::uint64_t odd = rng.uniform_u64(1'000'000'000'000'000, kMax) | 1;
+    for (const double divisor : {2.0, 4.0, 8.0, 16.0}) {
+      expect_exact_round_trip(static_cast<double>(odd) / divisor);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(codec_text(625000000000000.125), "625000000000000.12");
+  EXPECT_EQ(codec_text(625000000000000.375), "625000000000000.38");
+}
+
+TEST(TextCodec, AppendDoubleMatchesPrintfOnIntegersNear2To53And1e17) {
+  const double two_53 = 9007199254740992.0;
+  for (int d = -2000; d <= 2000; ++d) {
+    expect_exact_round_trip(two_53 + d);
+    expect_exact_round_trip(1e17 + 16.0 * d);  // 16 is the spacing there
+    expect_exact_round_trip(-(1e16 + d));
+  }
+  EXPECT_EQ(codec_text(99999999999999999.0), "1e+17");  // rounds to 1e17
+  EXPECT_EQ(codec_text(99999999999999984.0), "99999999999999984");
+  EXPECT_EQ(codec_text(1e17 + 16.0), "1.0000000000000002e+17");
+  EXPECT_EQ(codec_text(-123456.0), "-123456");
+}
+
+TEST(TextCodec, AppendDoubleMatchesPrintfOnEveryGeneratedNumber) {
+  const MachineModel machines[] = {MachineModel::cascade(),
+                                   MachineModel::pcie_gpu(),
+                                   MachineModel::duplex_pcie()};
+  std::size_t checked = 0;
+  const auto check = [&checked](const Instance& inst) {
+    const InstanceStats stats = inst.stats();
+    for (const double value : {stats.sum_comm, stats.sum_comp, stats.max_mem}) {
+      expect_exact_round_trip(value);
+    }
+    for (const Task& t : inst) {
+      for (const double value : {t.comm, t.comp, t.mem, t.comm_bytes}) {
+        if (std::isfinite(value)) expect_exact_round_trip(value);
+      }
+      checked += 4;
+    }
+  };
+  for (const MachineModel& machine : machines) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      TraceConfig config;
+      config.seed = seed;
+      config.machine = machine;
+      check(generate_trace(ChemistryKernel::kHartreeFock, config));
+      check(generate_trace(ChemistryKernel::kCoupledClusterSD, config));
+      check(generate_ccsd_dag_trace(config));
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // Byte-annotated traces re-costed on every registered machine.
+  TraceConfig config;
+  config.seed = 4;
+  const Instance bytes_only = strip_comm_times(generate_ccsd_trace(config));
+  for (const MachineListing& listing : list_machines()) {
+    check(bind(bytes_only, machine_from_name(listing.name)));
+  }
+  EXPECT_GT(checked, 50000u);
+}
+
 TEST(TextCodec, AppendAppendsWithoutClobbering) {
   std::string out = "x=";
   append_double(out, 0.5);
@@ -240,6 +340,9 @@ TEST(TraceText, WriterIsByteIdenticalToTheLegacyStreamWriter) {
   std::vector<Task> mixed(generate_hf_trace(config).tasks());
   mixed[1].comm = kUnboundTime;  // a time-less '?' task among timed ones
   mixed[1].comm_bytes = 4096.0;
+  TraceConfig large = config;  // several of the writer's 64 KiB writes
+  large.min_tasks = 3000;
+  large.max_tasks = 3000;
 
   const std::vector<std::pair<const char*, Instance>> cases = {
       {"HF", generate_hf_trace(config)},
@@ -251,6 +354,7 @@ TEST(TraceText, WriterIsByteIdenticalToTheLegacyStreamWriter) {
       {"bytes-only v3", strip_comm_times(generate_ccsd_trace(duplex))},
       {"time-less task", Instance(std::move(mixed))},
       {"bit patterns", bit_pattern_trace()},
+      {"large CCSD", generate_ccsd_trace(large)},
       {"empty", Instance{}},
   };
   for (const auto& [name, inst] : cases) {
