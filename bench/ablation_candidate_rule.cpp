@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/compiled.hpp"
 #include "core/johnson.hpp"
-#include "core/simulate.hpp"
 #include "heuristics/dynamic.hpp"
 #include "support/parallel_for.hpp"
 
@@ -24,33 +24,32 @@ using namespace dts;
 /// pick purely by criterion.
 Schedule schedule_criterion_only(const Instance& inst,
                                  DynamicCriterion criterion, Mem capacity) {
-  ExecutionState state(capacity);
+  const CompiledInstance ci(inst);
+  Engine engine(ci, capacity);
   Schedule out(inst.size());
   std::vector<TaskId> pending = inst.submission_order();
   std::vector<TaskId> fitting;
   while (!pending.empty()) {
     fitting.clear();
     for (TaskId id : pending) {
-      if (state.fits(inst[id])) fitting.push_back(id);
+      if (engine.fits(ci.mem(id))) fitting.push_back(id);
     }
     if (fitting.empty()) {
-      if (!state.advance_to_next_release()) {
+      if (!engine.advance_to_next_release()) {
         throw std::invalid_argument("task exceeds capacity");
       }
       continue;
     }
     TaskId best = fitting.front();
     for (TaskId id : fitting) {
-      const Task& t = inst[id];
-      const Task& b = inst[best];
       const bool better = criterion == DynamicCriterion::kLargestComm
-                              ? t.comm > b.comm
+                              ? ci.comm(id) > ci.comm(best)
                           : criterion == DynamicCriterion::kSmallestComm
-                              ? t.comm < b.comm
-                              : t.acceleration() > b.acceleration();
+                              ? ci.comm(id) < ci.comm(best)
+                              : ci.acceleration(id) > ci.acceleration(best);
       if (better) best = id;
     }
-    const TaskTimes tt = state.start(inst[best]);
+    const TaskTimes tt = engine.start(best);
     out.set(best, tt.comm_start, tt.comp_start);
     pending.erase(std::find(pending.begin(), pending.end(), best));
   }

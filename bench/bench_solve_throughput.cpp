@@ -4,8 +4,9 @@
 ///
 ///  * candidate evaluations/second over a local-search-style neighborhood
 ///    (every adjacent swap of the Johnson order), on BOTH engines:
-///      - legacy: the pre-fast-path scoring loop — a fresh ExecutionState
-///        plus Schedule per candidate, execute_order, Schedule::makespan;
+///      - legacy: the pre-fast-path scoring loop — a fresh Engine plus
+///        Schedule per candidate, the recording evaluate_order, no prefix
+///        resume, Schedule::makespan;
 ///      - fast path: one CompiledInstance + PrefixResumeEvaluator, the
 ///        loop every solver now runs.
 ///    The two passes evaluate the identical candidate stream and their
@@ -32,7 +33,6 @@
 #include "bench_common.hpp"
 #include "core/compiled.hpp"
 #include "core/johnson.hpp"
-#include "core/simulate.hpp"
 #include "core/solver.hpp"
 #include "report/stats.hpp"
 #include "trace/generators.hpp"
@@ -74,13 +74,13 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The pre-fast-path candidate scoring step, verbatim: fresh engine and
-/// schedule per candidate, full simulation, makespan scan.
-Time legacy_candidate_eval(const Instance& inst,
+/// The pre-fast-path candidate scoring step: fresh engine and schedule
+/// per candidate, full recorded simulation, makespan scan.
+Time legacy_candidate_eval(const Instance& inst, const CompiledInstance& ci,
                            std::span<const TaskId> order, Mem capacity) {
-  ExecutionState state(capacity, inst.num_channels());
+  Engine engine;
   Schedule sched(inst.size());
-  execute_order(inst, order, state, sched);
+  (void)evaluate_order(ci, order, capacity, engine, sched);
   return sched.makespan(inst);
 }
 
@@ -119,10 +119,11 @@ bool measure(const std::vector<Instance>& corpus, ThroughputRow& row,
   const auto legacy_start = std::chrono::steady_clock::now();
   for (std::uint64_t rep = 0; rep < repeats; ++rep) {
     for (std::size_t t = 0; t < sweep_traces; ++t) {
+      const CompiledInstance compiled(corpus[t]);
       std::vector<TaskId>& order = bases[t];
       for (std::size_t i = 0; i + 1 < order.size(); ++i) {
         std::swap(order[i], order[i + 1]);
-        const Time ms = legacy_candidate_eval(corpus[t], order,
+        const Time ms = legacy_candidate_eval(corpus[t], compiled, order,
                                               capacities[t]);
         std::swap(order[i], order[i + 1]);
         if (rep == 0) legacy_ms.push_back(ms);

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/compiled.hpp"
 #include "core/job.hpp"
 #include "core/johnson.hpp"
-#include "core/simulate.hpp"
 #include "heuristics/bin_packing.hpp"
 #include "heuristics/corrections.hpp"
 #include "heuristics/dynamic.hpp"
@@ -73,18 +73,54 @@ std::vector<TaskId> batch_sequence(const Instance& inst) {
 
 namespace {
 
-/// Schedules one batch with `id`, continuing from `state`. `ci` is the
-/// compiled form of `inst`, built once per solve so the dynamic and
-/// corrected branches score candidates over the SoA arrays instead of
-/// recompiling (or chasing Task records) per batch.
+[[noreturn]] void throw_unissued_pred(TaskId id, TaskId dep) {
+  throw std::invalid_argument("schedule_in_batches: task " +
+                              std::to_string(id) +
+                              " issued before its predecessor " +
+                              std::to_string(dep));
+}
+
+[[noreturn]] void throw_never_fits(const CompiledInstance& ci, TaskId id,
+                                   Mem capacity) {
+  throw std::invalid_argument(
+      "schedule_in_batches: task " + std::to_string(id) + " requires " +
+      std::to_string(ci.mem(id)) + " bytes but capacity is " +
+      std::to_string(capacity));
+}
+
+/// Issues `order` verbatim on `engine`: each task waits for memory and
+/// for its predecessors' computation ends, read from `sched` (so edges
+/// into earlier batches sharing it are honored).
+void issue_in_order(const CompiledInstance& ci, std::span<const TaskId> order,
+                    Engine& engine, Schedule& sched) {
+  for (const TaskId id : order) {
+    Time ready = 0.0;
+    for (const TaskId dep : ci.deps(id)) {
+      if (!sched[dep].scheduled()) throw_unissued_pred(id, dep);
+      ready = std::max(ready, sched[dep].comp_start + ci.comp(dep));
+    }
+    while (!engine.fits(ci.mem(id))) {
+      if (!engine.advance_to_next_release()) {
+        throw_never_fits(ci, id, engine.capacity());
+      }
+    }
+    const TaskTimes tt = engine.start(id, ready);
+    sched.set(id, tt.comm_start, tt.comp_start);
+  }
+}
+
+/// Schedules one batch with `id`, continuing from `engine`. `ci` is the
+/// compiled form of `inst`, built once per solve so every branch steps
+/// the engine over the SoA arrays instead of recompiling (or chasing Task
+/// records) per batch.
 void run_batch(HeuristicId id, const Instance& inst,
                const CompiledInstance& ci, std::span<const TaskId> ids,
-               Mem capacity, ExecutionState& state, Schedule& sched) {
+               Mem capacity, Engine& engine, Schedule& sched) {
   switch (info(id).category) {
     case HeuristicCategory::kBaseline:
     case HeuristicCategory::kStatic: {
       const std::vector<TaskId> order = order_for_batch(id, inst, ids, capacity);
-      execute_order(inst, order, state, sched);
+      issue_in_order(ci, order, engine, sched);
       break;
     }
     case HeuristicCategory::kDynamic: {
@@ -92,7 +128,7 @@ void run_batch(HeuristicId id, const Instance& inst,
           id == HeuristicId::kLCMR   ? DynamicCriterion::kLargestComm
           : id == HeuristicId::kSCMR ? DynamicCriterion::kSmallestComm
                                      : DynamicCriterion::kMaxAcceleration;
-      execute_dynamic(ci, ids, crit, state, sched);
+      execute_dynamic(ci, ids, crit, engine, sched);
       break;
     }
     case HeuristicCategory::kCorrected: {
@@ -103,7 +139,7 @@ void run_batch(HeuristicId id, const Instance& inst,
       // Base order: Johnson restricted to this batch.
       const std::vector<TaskId> base =
           order_for_batch(HeuristicId::kOOSIM, inst, ids, capacity);
-      execute_corrected(ci, base, crit, state, sched);
+      execute_corrected(ci, base, crit, engine, sched);
       break;
     }
   }
@@ -118,13 +154,13 @@ Schedule schedule_in_batches(HeuristicId id, const Instance& inst, Mem capacity,
   }
   const std::vector<TaskId> submission = batch_sequence(inst);
   const CompiledInstance compiled(inst);
-  ExecutionState state(capacity, inst.num_channels());
+  Engine engine(compiled, capacity);
   Schedule sched(inst.size());
 
   for (std::size_t lo = 0; lo < submission.size(); lo += batch_size) {
     const std::size_t hi = std::min(lo + batch_size, submission.size());
     const std::span<const TaskId> ids(&submission[lo], hi - lo);
-    run_batch(id, inst, compiled, ids, capacity, state, sched);
+    run_batch(id, inst, compiled, ids, capacity, engine, sched);
   }
   return sched;
 }
@@ -144,7 +180,7 @@ BatchAutoResult schedule_in_batches_auto(
   const CompiledInstance compiled(inst);
   BatchAutoResult result;
   result.schedule = Schedule(inst.size());
-  ExecutionState::Snapshot carried;
+  Engine::Snapshot carried;
   carried.comm_available.assign(inst.num_channels(), 0.0);
 
   /// One candidate's simulation of the current batch from the carried
@@ -152,12 +188,12 @@ BatchAutoResult schedule_in_batches_auto(
   /// concurrently on an executor. Each trial's schedule is sized once and
   /// reused across batches: a batch only writes its own ids, and only
   /// those ids are folded into the committed schedule, so the stale
-  /// entries from losing trials of earlier batches are never read.
+  /// entries from losing trials of earlier batches are never read. The
+  /// trial's engine persists too, so restoring the carried state costs
+  /// O(in-flight tasks) and no allocation per batch.
   struct Trial {
     Schedule schedule;
-    Time end = kInfiniteTime;
-    Time link = kInfiniteTime;
-    ExecutionState::Snapshot state;
+    Engine engine;
   };
   std::vector<Trial> trials(candidates.size());
   for (Trial& trial : trials) trial.schedule = Schedule(inst.size());
@@ -167,13 +203,10 @@ BatchAutoResult schedule_in_batches_auto(
     const std::span<const TaskId> ids(&submission[lo], hi - lo);
 
     const auto evaluate = [&](std::size_t k) {
-      ExecutionState state(capacity, carried);
       Trial& trial = trials[k];
-      run_batch(candidates[k], inst, compiled, ids, capacity, state,
+      trial.engine.reset(compiled, capacity, &carried);
+      run_batch(candidates[k], inst, compiled, ids, capacity, trial.engine,
                 trial.schedule);
-      trial.end = state.comp_available();
-      trial.link = state.comm_available();
-      trial.state = state.snapshot();
     };
     if (executor && candidates.size() > 1) {
       executor->for_each(candidates.size(), evaluate);
@@ -185,15 +218,17 @@ BatchAutoResult schedule_in_batches_auto(
     // winner to evaluating and comparing one candidate at a time.
     std::size_t best = 0;
     for (std::size_t k = 1; k < candidates.size(); ++k) {
+      const Engine& e = trials[k].engine;
+      const Engine& b = trials[best].engine;
       const bool better =
-          definitely_less(trials[k].end, trials[best].end) ||
-          (!definitely_less(trials[best].end, trials[k].end) &&
-           definitely_less(trials[k].link, trials[best].link));
+          definitely_less(e.comp_available(), b.comp_available()) ||
+          (!definitely_less(b.comp_available(), e.comp_available()) &&
+           definitely_less(e.comm_available(), b.comm_available()));
       if (better) best = k;
     }
     for (TaskId id : ids) result.schedule[id] = trials[best].schedule[id];
     result.winners.push_back(candidates[best]);
-    carried = std::move(trials[best].state);
+    carried = trials[best].engine.snapshot();
     if (inst.has_dependencies()) {
       // Later batches read predecessor completion times from their trial
       // schedule; overwrite every trial's entries for this batch with the

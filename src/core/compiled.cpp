@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "support/contract.hpp"
+
 namespace dts {
 
 namespace {
@@ -38,18 +40,30 @@ namespace {
 }
 
 [[noreturn]] void throw_never_fits(TaskId id, Mem mem, Mem capacity) {
-  // Same message shape as execute_order so callers and logs stay familiar.
   throw std::invalid_argument(
-      "execute_order: task " + std::to_string(id) + " requires " +
+      "evaluate_order: task " + std::to_string(id) + " requires " +
       std::to_string(mem) + " bytes but capacity is " +
       std::to_string(capacity));
 }
 
 [[noreturn]] void throw_unissued_pred(TaskId id, TaskId dep) {
-  // Same message shape as execute_order's dependency check.
-  throw std::invalid_argument("execute_order: task " + std::to_string(id) +
+  throw std::invalid_argument("evaluate_order: task " + std::to_string(id) +
                               " issued before its predecessor " +
                               std::to_string(dep));
+}
+
+[[noreturn]] void throw_does_not_fit(TaskId id, Mem used, Mem mem,
+                                     Mem capacity) {
+  throw std::logic_error("Engine::start: task " + std::to_string(id) +
+                         " does not fit (used " + std::to_string(used) +
+                         " + " + std::to_string(mem) + " > capacity " +
+                         std::to_string(capacity) + ")");
+}
+
+[[noreturn]] void throw_unknown_engine_channel(ChannelId ch, std::size_t nch) {
+  throw std::out_of_range("Engine::comm_available: channel " +
+                          std::to_string(ch) + " but the engine tracks " +
+                          std::to_string(nch));
 }
 
 }  // namespace
@@ -107,9 +121,16 @@ std::span<const TaskId> CompiledInstance::tasks_on_channel(ChannelId ch) const {
 }
 
 // ----------------------------------------------------------------------
-// EvalScratch
+// Engine
 
-Time EvalScratch::comm_available() const noexcept {
+Time Engine::comm_available(ChannelId ch) const {
+  if (ch >= comm_avail_.size()) {
+    throw_unknown_engine_channel(ch, comm_avail_.size());
+  }
+  return comm_avail_[ch];
+}
+
+Time Engine::comm_available() const noexcept {
   Time latest = comm_avail_[0];
   for (std::size_t c = 1; c < comm_avail_.size(); ++c) {
     latest = std::max(latest, comm_avail_[c]);
@@ -117,55 +138,91 @@ Time EvalScratch::comm_available() const noexcept {
   return latest;
 }
 
-void EvalScratch::reset(const CompiledInstance& ci, Mem capacity,
-                        const ExecutionState::Snapshot* initial,
-                        std::span<const Time> ready) {
+void Engine::reset(const CompiledInstance& ci, Mem capacity,
+                   const Snapshot* initial, std::span<const Time> ready) {
   if (!(capacity >= 0.0)) throw_negative_capacity();  // also rejects NaN
+  ci_ = &ci;
   capacity_ = capacity;
   makespan_ = 0.0;
-  used_ = 0.0;
-  active_.clear();
   track_deps_ = ci.has_dependencies();
-  if (track_deps_) {
-    comp_end_.assign(ci.size(), -1.0);  // -1 = not issued yet
-  }
+  deps_stale_ = track_deps_;
   external_ready_.assign(ready.begin(), ready.end());
   if (initial == nullptr) {
     comm_avail_.assign(ci.num_channels(), 0.0);
     now_ = 0.0;
     comp_avail_ = 0.0;
+    used_ = 0.0;
+    active_.clear();
   } else {
-    // Mirrors ExecutionState(Mem, Snapshot) exactly: the engine's channel
-    // count is the snapshot's clock count, the decision instant resumes
-    // at max(captured instant, earliest free channel), and entries whose
-    // computation already finished carry no memory.
-    const ExecutionState::Snapshot& snap = *initial;
-    if (snap.comm_available.empty()) throw_no_channels();
-    for (Time avail : snap.comm_available) {
-      if (avail < 0.0) throw_negative_availability();
-    }
-    if (snap.comp_available < 0.0 || snap.now < 0.0) {
-      throw_negative_availability();
-    }
-    comm_avail_.assign(snap.comm_available.begin(), snap.comm_available.end());
-    comp_avail_ = snap.comp_available;
-    now_ = std::max(snap.now, *std::min_element(comm_avail_.begin(),
-                                                comm_avail_.end()));
-    active_.reserve(snap.active.size() + ci.size());
-    for (const auto& [comp_end, mem] : snap.active) {
-      if (approx_leq(comp_end, now_)) continue;
-      used_ += mem;
-      active_.push_back(Active{comp_end, mem});
-    }
-    std::make_heap(active_.begin(), active_.end(), std::greater<>{});
+    load(*initial);
   }
-  // After warm-up these reserves are no-ops: issuing can add at most one
-  // active entry per task, so the hot loop's push_back never reallocates.
+  // After warm-up this reserve is a no-op: starting can add at most one
+  // active entry per task, so start()'s push_back never reallocates.
   active_.reserve(active_.size() + ci.size());
 }
 
+void Engine::load(const Snapshot& snap) {
+  if (snap.comm_available.empty()) throw_no_channels();
+  for (Time avail : snap.comm_available) {
+    if (avail < 0.0) throw_negative_availability();
+  }
+  if (snap.comp_available < 0.0 || snap.now < 0.0) {
+    throw_negative_availability();
+  }
+  comm_avail_.assign(snap.comm_available.begin(), snap.comm_available.end());
+  comp_avail_ = snap.comp_available;
+  // The decision instant resumes at the earliest instant a new transfer
+  // could be issued: the captured instant, or the first free channel if
+  // that is later (hand-built snapshots leave `now` at 0 and carry only
+  // clocks). Time never runs backwards — a decision instant earlier than
+  // the capture would re-admit memory the snapshot no longer tracks.
+  now_ = std::max(snap.now,
+                  *std::min_element(comm_avail_.begin(), comm_avail_.end()));
+  used_ = 0.0;
+  active_.clear();
+  for (const auto& [comp_end, mem] : snap.active) {
+    // Entries already finished relative to the restored clock carry no
+    // memory; keep the rest in flight.
+    if (approx_leq(comp_end, now_)) continue;
+    used_ += mem;
+    active_.push_back(Active{comp_end, mem});
+  }
+  std::make_heap(active_.begin(), active_.end(), std::greater<>{});
+}
+
+Engine::Snapshot Engine::snapshot() const {
+  Snapshot snap;
+  snap.comm_available = comm_avail_;
+  snap.comp_available = comp_avail_;
+  snap.now = now_;
+  snap.active.reserve(active_.size());
+  for (const Active& a : active_) snap.active.emplace_back(a.comp_end, a.mem);
+  // Save -> restore must be the identity: batch runtimes, the window
+  // solver and the pair-order branch & bound resume engines from
+  // snapshots, and a lossy capture silently corrupts time or memory
+  // accounting downstream (the bug class tests/differential_test.cpp
+  // caught when `now` was not recorded, so multi-channel restores
+  // regressed the decision instant).
+  DTS_AUDIT_ONLY({
+    Engine restored;
+    restored.capacity_ = capacity_;
+    restored.load(snap);
+    DTS_AUDIT(restored.now_ == now_,
+              "snapshot restore must resume at the captured instant");
+    DTS_AUDIT(restored.comm_avail_ == comm_avail_,
+              "snapshot restore must keep every channel clock");
+    DTS_AUDIT(restored.comp_avail_ == comp_avail_,
+              "snapshot restore must keep the processor clock");
+    DTS_AUDIT(restored.active_.size() == active_.size(),
+              "snapshot restore must keep every in-flight task");
+    DTS_AUDIT(approx_equal(restored.used_, used_),
+              "snapshot restore must keep the memory footprint");
+  });
+  return snap;
+}
+
 // dts-lint: hot-path
-void EvalScratch::release_until(Time t) {
+void Engine::release_until(Time t) {
   while (!active_.empty() && approx_leq(active_.front().comp_end, t)) {
     used_ -= active_.front().mem;
     std::pop_heap(active_.begin(), active_.end(), std::greater<>{});
@@ -174,108 +231,133 @@ void EvalScratch::release_until(Time t) {
   if (active_.empty()) used_ = 0.0;  // snap away accumulated rounding
 }
 
-// The inner kernel: one iteration replicates execute_order's
-// fits/advance loop plus ExecutionState::start operation for operation
-// (same std::max chains, same approx_leq checks, same heap ops), so every
-// intermediate double is bit-identical to the reference engine's.
 // dts-lint: hot-path
-void EvalScratch::issue(const CompiledInstance& ci,
-                        std::span<const TaskId> order, std::size_t first,
-                        std::size_t last, Schedule* record) {
-  const Time* const comm = ci.comms().data();
-  const Time* const comp = ci.comps().data();
-  const Mem* const mem = ci.mems().data();
-  const ChannelId* const channel = ci.channels().data();
-  const std::size_t n_tasks = ci.size();
+bool Engine::advance_to_next_release() {
+  // Every entry with comp_end <= now_ was already released, so the heap
+  // top (if any) is a strictly future event.
+  if (active_.empty()) return false;
+  now_ = std::max(now_, active_.front().comp_end);
+  release_until(now_);
+  return true;
+}
+
+// The one step every scheduler takes; evaluate_order's admission loop
+// below runs the same operation sequence.
+// dts-lint: hot-path
+TaskTimes Engine::start(TaskId id, Time ready) {
+  const CompiledInstance& ci = *ci_;
+  if (id >= ci.size()) throw_unknown_task(id, ci.size());
+  const ChannelId ch = ci.channel(id);
   const std::size_t nch = comm_avail_.size();
+  if (ch >= nch) throw_unknown_channel(id, ch, nch);
   Time* const clocks = comm_avail_.data();
-  // DAG support is fully gated: edge-free instances with no external
-  // floors run the original operation sequence (bit-parity with the
-  // precedence-free engine is pinned by the golden suites).
-  const bool gated = track_deps_ || !external_ready_.empty();
+  DTS_AUDIT_ONLY(const Time audit_now = now_;
+                 const Time audit_channel = clocks[ch];
+                 const Time audit_comp = comp_avail_;)
+  // ready == 0 (no predecessors) leaves the precedence-free timing
+  // bit-identical: every clock is >= 0, and std::max keeps its first
+  // argument on ties.
+  const Time comm_start = std::max(std::max(now_, clocks[ch]), ready);
+  if (comm_start > now_) {
+    // The task's engine is busy past the decision instant (only possible
+    // with several channels), or a predecessor finishes later; memory
+    // finishing in the gap is released before the footprint check.
+    now_ = comm_start;
+    release_until(now_);
+  }
+  const Mem m = ci.mem(id);
+  if (!fits(m)) throw_does_not_fit(id, used_, m, capacity_);
+  const Time comm_end = comm_start + ci.comm(id);
+  const Time comp_start = std::max(comm_end, comp_avail_);
+  const Time comp_end = comp_start + ci.comp(id);
+
+  used_ += m;
+  active_.push_back(Active{comp_end, m});
+  std::push_heap(active_.begin(), active_.end(), std::greater<>{});
+
+  clocks[ch] = comm_end;
+  comp_avail_ = comp_end;
+  makespan_ = comp_end;
+
+  // The decision instant moves to the earliest free channel.
+  Time min_clock = clocks[0];
+  for (std::size_t c = 1; c < nch; ++c) {
+    min_clock = std::min(min_clock, clocks[c]);
+  }
+  now_ = std::max(now_, min_clock);
+  release_until(now_);
+
+  // Clocks only move forward (per-channel monotonicity along the issue
+  // order) and the admission check above keeps the footprint bounded;
+  // the decision instant never trails the earliest free channel, the
+  // invariant the snapshot round-trip relies on.
+  DTS_ENSURE(now_ >= audit_now, "decision instant must never decrease");
+  DTS_ENSURE(clocks[ch] >= audit_channel,
+             "channel clock must be monotone along the issue order");
+  DTS_ENSURE(comp_avail_ >= audit_comp, "processor clock must be monotone");
+  DTS_ENSURE(now_ >= min_clock,
+             "decision instant must cover the earliest free channel");
+  DTS_AUDIT(approx_leq(used_, capacity_), "memory bound exceeded mid-simulate");
+  return TaskTimes{comm_start, comp_start};
+}
+
+void Engine::prepare_deps() {
+  if (!deps_stale_) return;
+  comp_end_.assign(ci_->size(), -1.0);  // -1 = not issued yet
+  deps_stale_ = false;
+}
+
+// dts-lint: hot-path
+void Engine::issue(std::span<const TaskId> order, std::size_t first,
+                   std::size_t last, Schedule* record) {
+  const CompiledInstance& ci = *ci_;
+  const std::size_t n_tasks = ci.size();
+  prepare_deps();
   const Time* const floors =
       external_ready_.empty() ? nullptr : external_ready_.data();
-  const Time* const ends = track_deps_ ? comp_end_.data() : nullptr;
+  Time* const ends = track_deps_ ? comp_end_.data() : nullptr;
 
   for (std::size_t k = first; k < last; ++k) {
     const TaskId id = order[k];
     if (id >= n_tasks) throw_unknown_task(id, n_tasks);
-    const Mem m = mem[id];
-    // execute_order's admission loop: wait for computation-finish events
-    // until the task fits (memory is only released at those instants).
-    while (!approx_leq(used_ + m, capacity_)) {
-      if (active_.empty()) throw_never_fits(id, m, capacity_);
-      now_ = std::max(now_, active_.front().comp_end);
-      release_until(now_);
+    // Wait for computation-finish events until the task fits (memory is
+    // only released at those instants).
+    const Mem m = ci.mem(id);
+    while (!fits(m)) {
+      if (!advance_to_next_release()) throw_never_fits(id, m, capacity_);
     }
-    const ChannelId ch = channel[id];
-    if (ch >= nch) throw_unknown_channel(id, ch, nch);
-    Time comm_start = std::max(now_, clocks[ch]);
-    if (gated) {
-      // Release-when-predecessors-complete: the transfer waits for every
-      // predecessor's computation end (and any external cross-window
-      // floor), exactly as ExecutionState::start(t, ready).
-      Time ready = floors != nullptr ? floors[id] : 0.0;
-      if (ends != nullptr) {
-        for (const TaskId dep : ci.deps(id)) {
-          const Time pred_end = ends[dep];
-          if (pred_end < 0.0) throw_unissued_pred(id, dep);
-          ready = std::max(ready, pred_end);
-        }
+    // Release-when-predecessors-complete: the transfer waits for every
+    // predecessor's computation end and any external cross-window floor.
+    Time ready = floors != nullptr ? floors[id] : 0.0;
+    if (ends != nullptr) {
+      for (const TaskId dep : ci.deps(id)) {
+        const Time pred_end = ends[dep];
+        if (pred_end < 0.0) throw_unissued_pred(id, dep);
+        ready = std::max(ready, pred_end);
       }
-      comm_start = std::max(comm_start, ready);
     }
-    if (comm_start > now_) {
-      // The task's engine is busy past the decision instant (or a
-      // predecessor finishes later); memory finishing in the gap is
-      // released (it only shrinks the footprint, so the admission check
-      // above still holds).
-      now_ = comm_start;
-      release_until(now_);
-    }
-    const Time comm_end = comm_start + comm[id];
-    const Time comp_start = std::max(comm_end, comp_avail_);
-    const Time comp_end = comp_start + comp[id];
-    if (ends != nullptr) comp_end_[id] = comp_end;
-
-    used_ += m;
-    active_.push_back(Active{comp_end, m});
-    std::push_heap(active_.begin(), active_.end(), std::greater<>{});
-
-    clocks[ch] = comm_end;
-    comp_avail_ = comp_end;
-    // Computation ends are monotone along the issue order, so the last
-    // one is the running makespan.
-    makespan_ = comp_end;
-
-    // advance_decision_instant: now := max(now, earliest free channel).
-    Time min_clock = clocks[0];
-    for (std::size_t c = 1; c < nch; ++c) {
-      min_clock = std::min(min_clock, clocks[c]);
-    }
-    now_ = std::max(now_, min_clock);
-    release_until(now_);
-
-    if (record != nullptr) record->set(id, comm_start, comp_start);
+    const TaskTimes tt = start(id, ready);
+    if (ends != nullptr) ends[id] = makespan_;  // this task's comp end
+    if (record != nullptr) record->set(id, tt.comm_start, tt.comp_start);
   }
 }
 
 Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
-                    Mem capacity, EvalScratch& scratch,
-                    const ExecutionState::Snapshot* initial,
+                    Mem capacity, Engine& engine,
+                    const Engine::Snapshot* initial,
                     std::span<const Time> ready) {
-  scratch.reset(ci, capacity, initial, ready);
-  scratch.issue(ci, order, 0, order.size(), nullptr);
-  return scratch.makespan_;
+  engine.reset(ci, capacity, initial, ready);
+  engine.issue(order, 0, order.size(), nullptr);
+  return engine.makespan_;
 }
 
 Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
-                    Mem capacity, EvalScratch& scratch, Schedule& out,
-                    const ExecutionState::Snapshot* initial,
+                    Mem capacity, Engine& engine, Schedule& out,
+                    const Engine::Snapshot* initial,
                     std::span<const Time> ready) {
-  scratch.reset(ci, capacity, initial, ready);
-  scratch.issue(ci, order, 0, order.size(), &out);
-  return scratch.makespan_;
+  engine.reset(ci, capacity, initial, ready);
+  engine.issue(order, 0, order.size(), &out);
+  return engine.makespan_;
 }
 
 // ----------------------------------------------------------------------
@@ -284,55 +366,35 @@ Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
 PrefixResumeEvaluator::PrefixResumeEvaluator(const CompiledInstance& ci,
                                              Mem capacity)
     : ci_(&ci), capacity_(capacity) {
-  scratch_.reset(ci, capacity, nullptr);
+  engine_.reset(ci, capacity, nullptr);
   checkpoints_.resize(1);
   save_checkpoint(0);
 }
 
 PrefixResumeEvaluator::PrefixResumeEvaluator(
     const CompiledInstance& ci, Mem capacity,
-    const ExecutionState::Snapshot& initial)
+    const Engine::Snapshot& initial)
     : ci_(&ci), capacity_(capacity), has_initial_(true), initial_(initial) {
-  scratch_.reset(ci, capacity, &initial_);
+  engine_.reset(ci, capacity, &initial_);
   checkpoints_.resize(1);
   save_checkpoint(0);
 }
 
 void PrefixResumeEvaluator::set_external_ready(std::span<const Time> ready) {
   ready_.assign(ready.begin(), ready.end());
-  scratch_.reset(*ci_, capacity_, has_initial_ ? &initial_ : nullptr, ready_);
+  engine_.reset(*ci_, capacity_, has_initial_ ? &initial_ : nullptr, ready_);
   reference_.clear();  // checkpoints past 0 are stale under the new floors
   save_checkpoint(0);
 }
 
 void PrefixResumeEvaluator::save_checkpoint(std::size_t k) {
-  Checkpoint& cp = checkpoints_[k];
-  cp.now = scratch_.now_;
-  cp.comp_avail = scratch_.comp_avail_;
-  cp.makespan = scratch_.makespan_;
-  cp.used = scratch_.used_;
-  cp.comm_avail.assign(scratch_.comm_avail_.begin(),
-                       scratch_.comm_avail_.end());
-  cp.active.assign(scratch_.active_.begin(), scratch_.active_.end());
-  if (scratch_.track_deps_) {
-    // Successor transfers read issued tasks' computation ends, so on a
-    // DAG the per-task ends are part of the engine state.
-    cp.comp_end.assign(scratch_.comp_end_.begin(), scratch_.comp_end_.end());
-  }
+  engine_.prepare_deps();
+  checkpoints_[k] = engine_;
 }
 
 // dts-lint: hot-path
 void PrefixResumeEvaluator::load_checkpoint(std::size_t k) {
-  const Checkpoint& cp = checkpoints_[k];
-  scratch_.now_ = cp.now;
-  scratch_.comp_avail_ = cp.comp_avail;
-  scratch_.makespan_ = cp.makespan;
-  scratch_.used_ = cp.used;
-  scratch_.comm_avail_.assign(cp.comm_avail.begin(), cp.comm_avail.end());
-  scratch_.active_.assign(cp.active.begin(), cp.active.end());
-  if (scratch_.track_deps_) {
-    scratch_.comp_end_.assign(cp.comp_end.begin(), cp.comp_end.end());
-  }
+  engine_ = checkpoints_[k];
 }
 
 std::size_t PrefixResumeEvaluator::common_prefix(
@@ -352,7 +414,7 @@ Time PrefixResumeEvaluator::set_reference(std::span<const TaskId> order) {
   reference_.assign(order.begin(), order.end());
   try {
     for (std::size_t k = keep; k < order.size(); ++k) {
-      scratch_.issue(*ci_, order, k, k + 1, nullptr);
+      engine_.issue(order, k, k + 1, nullptr);
       save_checkpoint(k + 1);
     }
   } catch (...) {
@@ -364,43 +426,22 @@ Time PrefixResumeEvaluator::set_reference(std::span<const TaskId> order) {
   ++evaluations_;
   tasks_simulated_ += order.size() - keep;
   tasks_resumed_ += keep;
-  return scratch_.makespan_;
+  return engine_.makespan_;
 }
 
 // dts-lint: hot-path
-bool PrefixResumeEvaluator::state_matches(const Checkpoint& cp) const noexcept {
+bool PrefixResumeEvaluator::state_matches(const Engine& cp) const noexcept {
   // comp_avail_ carries a swap's perturbation the longest on comp-bound
   // workloads, so it is the most discriminating scalar — check it first.
-  if (scratch_.comp_avail_ != cp.comp_avail || scratch_.now_ != cp.now ||
-      scratch_.makespan_ != cp.makespan || scratch_.used_ != cp.used) {
-    return false;
-  }
-  if (scratch_.comm_avail_.size() != cp.comm_avail.size() ||
-      scratch_.active_.size() != cp.active.size()) {
-    return false;
-  }
-  for (std::size_t c = 0; c < cp.comm_avail.size(); ++c) {
-    if (scratch_.comm_avail_[c] != cp.comm_avail[c]) return false;
-  }
   // Element order matters (heap layout drives release tie-breaks), so the
-  // comparison is over the raw arrays, not the multisets.
-  for (std::size_t a = 0; a < cp.active.size(); ++a) {
-    if (scratch_.active_[a].comp_end != cp.active[a].comp_end ||
-        scratch_.active_[a].mem != cp.active[a].mem) {
-      return false;
-    }
-  }
-  if (scratch_.track_deps_) {
-    // On a DAG, suffix tasks read predecessors' recorded ends — states
-    // only merge when those agree too (the candidate has issued the same
-    // task set as the reference prefix, so a plain array compare works:
-    // unissued entries are -1 on both sides).
-    if (scratch_.comp_end_.size() != cp.comp_end.size()) return false;
-    for (std::size_t i = 0; i < cp.comp_end.size(); ++i) {
-      if (scratch_.comp_end_[i] != cp.comp_end[i]) return false;
-    }
-  }
-  return true;
+  // active sets compare as raw arrays, not as multisets. On a DAG, suffix
+  // tasks read predecessors' recorded ends, so states only merge when
+  // those agree too (both sides issued the same task set, so unissued
+  // entries are -1 on both; off a DAG both tables are empty).
+  return engine_.comp_avail_ == cp.comp_avail_ && engine_.now_ == cp.now_ &&
+         engine_.makespan_ == cp.makespan_ && engine_.used_ == cp.used_ &&
+         engine_.comm_avail_ == cp.comm_avail_ &&
+         engine_.active_ == cp.active_ && engine_.comp_end_ == cp.comp_end_;
 }
 
 // dts-lint: hot-path
@@ -429,7 +470,7 @@ Time PrefixResumeEvaluator::evaluate(std::span<const TaskId> order) {
   }
   const std::size_t merge_from = order.size() - tail;
 
-  scratch_.issue(*ci_, order, keep, merge_from, nullptr);
+  engine_.issue(order, keep, merge_from, nullptr);
   // Once the states match at some position they match at every later one
   // (identical state + identical next task → identical next state), so a
   // strided probe still catches the merge — it just overshoots by at most
@@ -440,15 +481,15 @@ Time PrefixResumeEvaluator::evaluate(std::span<const TaskId> order) {
     if (state_matches(checkpoints_[k])) {
       tasks_simulated_ += k - keep;
       tasks_resumed_ += keep + (order.size() - k);
-      return checkpoints_[reference_.size()].makespan;
+      return checkpoints_[reference_.size()].makespan_;
     }
     const std::size_t next = std::min(k + kProbeStride, order.size());
-    scratch_.issue(*ci_, order, k, next, nullptr);
+    engine_.issue(order, k, next, nullptr);
     k = next;
   }
   tasks_simulated_ += order.size() - keep;
   tasks_resumed_ += keep;
-  return scratch_.makespan_;
+  return engine_.makespan_;
 }
 
 }  // namespace dts

@@ -1,46 +1,61 @@
 #pragma once
 
 /// \file compiled.hpp
-/// Data-oriented evaluation core: the allocation-free fast path every
-/// candidate-scoring loop in the library runs on.
+/// The library's timing engine for problem DT and its multi-channel
+/// generalization, plus the data-oriented structures every scheduler
+/// drives it through.
 ///
-/// The `ExecutionState` engine (simulate.hpp) is the semantic reference:
-/// one availability clock per copy engine, one processor clock, memory
-/// held from transfer start to computation end. It is also the inner
-/// kernel of local search, batch-auto trials, the exhaustive and
-/// pair-order exact searches and the differential suite — paths that
-/// evaluate thousands to millions of candidate orders and only need the
-/// makespan, not a `Schedule`. This header provides that hot path:
+/// The engine models the machine's copy engines (one availability clock
+/// per channel — the paper's system is the one-channel case), one
+/// processing unit, and the bounded memory of the target node. Every
+/// scheduler in the library — static orders, LCMR/SCMR/MAMR and their
+/// corrections, batch runtimes, local search and the exact searches —
+/// drives this one engine, so they share identical timing semantics:
+///
+///  * a transfer may start at time t only if the memory still held by
+///    tasks whose transfer started and whose computation has not finished
+///    (half-open intervals) leaves room for the new task;
+///  * a transfer starts at the earliest instant >= the current decision
+///    instant at which its own channel is free; transfers on distinct
+///    channels overlap, transfers sharing a channel serialize;
+///  * SCOMP(i) = max(SCOMM(i) + CM_i, processor-free time) — computations
+///    are served in the order they are issued to the engine;
+///  * when nothing fits, time advances to the next computation-finish
+///    event (the only instants at which memory is released).
+///
+/// With a single channel these rules reproduce the paper's worked
+/// schedules (Figs. 4-6) exactly; see tests/paper_examples_test.cpp. An
+/// independent per-task oracle written from these rules
+/// (tests/test_util.hpp) pins the engine in tests/fast_path_parity_test.cpp.
+///
+/// This header provides:
 ///
 ///  * `CompiledInstance` — a structure-of-arrays compilation of an
 ///    `Instance`: contiguous `comm[]`, `comp[]`, `mem[]`, `channel[]`
 ///    arrays (no per-task `std::string` name pulling cold bytes through
 ///    the cache) plus per-channel task index lists. Built once, shared by
 ///    every candidate evaluation.
-///  * `EvalScratch` + `evaluate_order()` — computes the makespan of an
-///    order with *bit-identical* arithmetic to
-///    `simulate_order(...).makespan(...)` (same operation sequence, same
-///    epsilon comparisons, same heap discipline) but with zero heap
-///    allocation per call after warm-up, no `Schedule` construction and
-///    no string-building error paths in the loop. A recording overload
-///    fills a `Schedule`; `simulate_order`/`makespan_of_order` are
-///    re-expressed on top of these.
+///  * `Engine` — the engine state with a step API (`fits`, `start`,
+///    `advance_to_next_release`, `snapshot`) that the list schedulers
+///    drive one decision at a time. Buffers persist across resets, so a
+///    warm engine runs with zero heap allocation.
+///  * `evaluate_order()` — the admission loop around the same `start`
+///    step for a fixed order: the makespan without building a `Schedule`
+///    (the inner kernel of local search, batch-auto trials and the exact
+///    searches), or, in its recording overload, the full schedule.
+///    `simulate_order`/`makespan_of_order` (simulate.hpp) wrap it.
 ///  * `PrefixResumeEvaluator` — caches the engine state after every
 ///    prefix of a reference order so that candidates sharing a prefix
 ///    (local-search adjacent swaps, `next_permutation` scans in the
 ///    exact searches) resimulate only the suffix.
-///
-/// Parity with the reference engine is pinned bit-for-bit by
-/// tests/fast_path_parity_test.cpp across channel counts, memory
-/// regimes and carried snapshots.
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
-#include "core/simulate.hpp"
 
 namespace dts {
 
@@ -117,111 +132,195 @@ class CompiledInstance {
 
 class PrefixResumeEvaluator;
 
-/// Reusable engine state for `evaluate_order`. All buffers persist across
-/// calls, so a warm scratch evaluates orders with zero heap allocation.
-/// The arithmetic replicates `ExecutionState` operation for operation —
-/// same `std::max` chains, same epsilon comparisons, same binary-heap
-/// discipline on the active set — so makespans are bit-identical to the
-/// reference engine.
-class EvalScratch {
+/// The timing engine: clocks, the in-flight memory and the decision
+/// instant, over the arrays of one `CompiledInstance`. Decision instants
+/// only move forward. A list scheduler steps it one task at a time:
+///
+///   Engine engine(ci, capacity);
+///   while (!engine.fits(ci.mem(id))) engine.advance_to_next_release();
+///   const TaskTimes tt = engine.start(id, ready);
+///
+/// The engine keeps a pointer to the instance it was reset on, which must
+/// outlive it. Batch schedulers carry one engine (or its snapshot) across
+/// rounds to model a runtime that keeps issuing work.
+class Engine {
  public:
-  EvalScratch() = default;
+  /// Value snapshot of the engine: per-channel availability plus the
+  /// (comp-end, memory) pairs of in-flight tasks. Batch runtimes and the
+  /// window solver carry it from round to round; the pair-order branch &
+  /// bound starts mid-stream from one.
+  struct Snapshot {
+    /// One clock per channel; a default snapshot is a fresh single link.
+    std::vector<Time> comm_available = {0.0};
+    Time comp_available = 0.0;
+    std::vector<std::pair<Time, Mem>> active;  ///< comp end, held memory
+    /// Decision instant at capture. Restoring resumes from
+    /// max(now, earliest channel clock): with one channel the last
+    /// transfer's end always equals the decision instant, but with
+    /// several channels an idle engine's clock can trail it — resuming
+    /// from the trailing clock alone would issue transfers in the past,
+    /// where memory this snapshot no longer tracks was still held
+    /// (found by tests/differential_test.cpp).
+    Time now = 0.0;
+  };
 
-  /// Results of the last evaluation run on this scratch.
-  [[nodiscard]] Time makespan() const noexcept { return makespan_; }
+  Engine() = default;
+  /// Fresh or restored engine; see reset().
+  Engine(const CompiledInstance& ci, Mem capacity,
+         const Snapshot* initial = nullptr) {
+    reset(ci, capacity, initial);
+  }
+  /// The engine keeps a pointer to its instance: a temporary would dangle.
+  Engine(CompiledInstance&&, Mem, const Snapshot* = nullptr) = delete;
+
+  /// Rebuilds the engine over `ci`: fresh clocks (one per channel of
+  /// `ci`, all idle at time 0), or a carried snapshot. A restored engine
+  /// has the snapshot's channel count, resumes at max(captured instant,
+  /// earliest free channel), and drops entries whose computation already
+  /// finished; restoring costs O(in-flight tasks), not O(n). `ready`
+  /// (optional, per task id of `ci`) floors each transfer evaluate_order
+  /// issues at an externally known instant — the window solver passes
+  /// predecessor completion times from earlier windows. Capacity may be
+  /// kInfiniteMem. Throws std::invalid_argument for a negative capacity,
+  /// a snapshot without clocks or with a negative clock.
+  void reset(const CompiledInstance& ci, Mem capacity,
+             const Snapshot* initial = nullptr,
+             std::span<const Time> ready = {});
+  void reset(CompiledInstance&&, Mem, const Snapshot* = nullptr,
+             std::span<const Time> = {}) = delete;
+
+  /// The current decision instant (never decreases): the earliest instant
+  /// at which a new transfer could still be issued.
   [[nodiscard]] Time now() const noexcept { return now_; }
-  [[nodiscard]] Time comp_available() const noexcept { return comp_avail_; }
-  /// Instant at which *every* channel is free (max clock) — the value
-  /// `ExecutionState::comm_available()` reports, used by exact-search
-  /// tie-breaks.
+  [[nodiscard]] std::size_t num_channels() const noexcept {
+    return comm_avail_.size();
+  }
+  /// Instant at which channel `ch` is free for the next transfer; throws
+  /// std::out_of_range for a channel the engine does not track.
+  [[nodiscard]] Time comm_available(ChannelId ch) const;
+  /// Instant at which *every* channel is free (the max clock) — for a
+  /// single channel the link clock of the original model, the value batch
+  /// runtimes and exact searches tie-break on.
   [[nodiscard]] Time comm_available() const noexcept;
+  [[nodiscard]] Time comp_available() const noexcept { return comp_avail_; }
+  [[nodiscard]] Mem capacity() const noexcept { return capacity_; }
+  /// Memory held at the current instant by tasks still owning their input.
   [[nodiscard]] Mem used_memory() const noexcept { return used_; }
+  /// Tasks whose transfer started but whose computation has not finished
+  /// at the current instant.
   [[nodiscard]] std::size_t active_tasks() const noexcept {
     return active_.size();
   }
+  /// End of the last computation started since reset (0 before any).
+  /// Computation ends are monotone along the issue order, so this is the
+  /// makespan of the issued tasks.
+  [[nodiscard]] Time makespan() const noexcept { return makespan_; }
+
+  /// Would a task of footprint `mem` fit if its transfer started now?
+  // dts-lint: hot-path
+  [[nodiscard]] bool fits(Mem mem) const noexcept {
+    return approx_leq(used_ + mem, capacity_);
+  }
+
+  /// Starts the transfer of task `id` (of the instance the engine was
+  /// reset on) at max(now, its channel's clock, `ready`) and queues its
+  /// computation; `ready` is the latest predecessor computation end (0
+  /// without predecessors). Memory finishing in the waited gap is
+  /// released before the footprint check. Advances the decision instant
+  /// to the earliest instant any channel is free again. Throws
+  /// std::logic_error when the task does not fit, std::out_of_range for
+  /// an unknown task or channel.
+  TaskTimes start(TaskId id, Time ready = 0.0);
+
+  /// Advances the decision instant to the next computation-finish event,
+  /// releasing its memory. Returns false (and leaves time unchanged) when
+  /// no task is in flight.
+  bool advance_to_next_release();
+
+  /// The engine state as a value; reset(ci, capacity, &snap) restores it.
+  [[nodiscard]] Snapshot snapshot() const;
 
  private:
   friend class PrefixResumeEvaluator;
   friend Time evaluate_order(const CompiledInstance& ci,
                              std::span<const TaskId> order, Mem capacity,
-                             EvalScratch& scratch,
-                             const ExecutionState::Snapshot* initial,
+                             Engine& engine, const Snapshot* initial,
                              std::span<const Time> ready);
   friend Time evaluate_order(const CompiledInstance& ci,
                              std::span<const TaskId> order, Mem capacity,
-                             EvalScratch& scratch, Schedule& out,
-                             const ExecutionState::Snapshot* initial,
+                             Engine& engine, Schedule& out,
+                             const Snapshot* initial,
                              std::span<const Time> ready);
 
   struct Active {
     Time comp_end;
     Mem mem;
-    /// Min-heap on comp_end — identical comparator to
-    /// ExecutionState::ActiveTask so the release order (and therefore the
-    /// floating-point accumulation order of `used_`) matches exactly.
+    /// Min-heap on comp_end.
     [[nodiscard]] bool operator>(const Active& o) const noexcept {
       return comp_end > o.comp_end;
     }
+    bool operator==(const Active&) const = default;
   };
 
-  /// Rebuilds the engine start state: fresh clocks, or a carried
-  /// snapshot (mirroring ExecutionState(Mem, Snapshot) exactly). `ready`
-  /// (optional, per task id of `ci`) floors each transfer start at an
-  /// externally known instant — the window solver passes predecessor
-  /// completion times from earlier windows alongside the carried
-  /// snapshot; empty means no external floors.
-  void reset(const CompiledInstance& ci, Mem capacity,
-             const ExecutionState::Snapshot* initial,
-             std::span<const Time> ready = {});
-  /// Issues order[first..last) on the current state; the hot loop.
-  /// `record` is null on the scoring path.
-  void issue(const CompiledInstance& ci, std::span<const TaskId> order,
-             std::size_t first, std::size_t last, Schedule* record);
+  /// Restores clocks and the in-flight set from `snap`.
+  void load(const Snapshot& snap);
+  /// The admission loop: issues order[first..last) in order, each task
+  /// waiting for memory, its predecessors' recorded computation ends and
+  /// its external floor, then taking the start() step. `record` is null
+  /// on the scoring path.
+  void issue(std::span<const TaskId> order, std::size_t first,
+             std::size_t last, Schedule* record);
+  /// Builds issue()'s dependency table if a reset left it stale.
+  void prepare_deps();
   void release_until(Time t);
 
+  const CompiledInstance* ci_ = nullptr;
   Mem capacity_ = 0.0;
   Time now_ = 0.0;
   Time comp_avail_ = 0.0;
-  /// End of the last computation issued (0 before any issue). Computation
-  /// ends are monotone along the issue order, so this equals
-  /// Schedule::makespan over the issued tasks.
   Time makespan_ = 0.0;
   Mem used_ = 0.0;
   std::vector<Time> comm_avail_;  // one availability clock per channel
   std::vector<Active> active_;    // binary min-heap via std::*_heap
-  /// DAG support, all inert on edge-free instances: when track_deps_, each
-  /// issued task records its computation end here (-1 = not issued) and a
-  /// transfer waits for every predecessor's recorded end. external_ready_
+  /// DAG support for issue(), inert on edge-free instances: each task
+  /// issue() starts records its computation end here (-1 = not issued)
+  /// and a transfer waits for every predecessor's recorded end. Built on
+  /// the first issue() after a reset (deps_stale_), so step-API callers,
+  /// which pass `ready` themselves, never pay for it. external_ready_
   /// (possibly empty) carries cross-window floors per task id.
   bool track_deps_ = false;
+  bool deps_stale_ = false;
   std::vector<Time> comp_end_;
   std::vector<Time> external_ready_;
 };
 
+/// Former name of Engine, kept so callers written against it still build.
+using EvalScratch = Engine;
+
 /// Makespan of `order` (ids into `ci`), bit-identical to
 /// `simulate_order(inst, order, capacity).makespan(inst)` but without
-/// constructing a Schedule and without heap allocation once `scratch` is
-/// warm. `initial` (optional) carries a previous engine state exactly as
-/// `ExecutionState(capacity, *initial)` would. Unlike simulate_order, the
-/// order may cover any subset of the instance (the exact searches score
-/// window suffixes). Throws the same exception types as the reference
-/// path: std::invalid_argument when capacity is negative or a task can
-/// never fit, std::out_of_range for an unknown task or channel.
+/// constructing a Schedule and without heap allocation once `engine` is
+/// warm. `initial` (optional) carries a previous engine state (see
+/// Engine::reset). Unlike simulate_order, the order may cover any subset
+/// of the instance (the exact searches score window suffixes). Throws
+/// std::invalid_argument when capacity is negative or a task can never
+/// fit, std::out_of_range for an unknown task or channel.
 /// `ready` (optional, indexed by task id) floors each transfer start at an
 /// externally known instant — cross-window predecessor completion times.
 /// On a DAG instance the engine additionally enforces the instance's own
 /// edges: a transfer waits for every predecessor's computation end, and
 /// issuing a task before its predecessor throws std::invalid_argument.
-[[nodiscard]] Time evaluate_order(
-    const CompiledInstance& ci, std::span<const TaskId> order, Mem capacity,
-    EvalScratch& scratch, const ExecutionState::Snapshot* initial = nullptr,
-    std::span<const Time> ready = {});
+[[nodiscard]] Time evaluate_order(const CompiledInstance& ci,
+                                  std::span<const TaskId> order, Mem capacity,
+                                  Engine& engine,
+                                  const Engine::Snapshot* initial = nullptr,
+                                  std::span<const Time> ready = {});
 
 /// Recording overload: additionally writes each issued task's start times
-/// into `out` (same values execute_order records).
+/// into `out`.
 Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
-                    Mem capacity, EvalScratch& scratch, Schedule& out,
-                    const ExecutionState::Snapshot* initial = nullptr,
+                    Mem capacity, Engine& engine, Schedule& out,
+                    const Engine::Snapshot* initial = nullptr,
                     std::span<const Time> ready = {});
 
 /// Candidate scorer that caches the engine state after every prefix of a
@@ -245,9 +344,9 @@ class PrefixResumeEvaluator {
  public:
   PrefixResumeEvaluator(const CompiledInstance& ci, Mem capacity);
   /// Carried-state variant: every evaluation starts from `initial`
-  /// exactly as ExecutionState(capacity, initial) would.
+  /// exactly as Engine::reset(ci, capacity, &initial) would.
   PrefixResumeEvaluator(const CompiledInstance& ci, Mem capacity,
-                        const ExecutionState::Snapshot& initial);
+                        const Engine::Snapshot& initial);
 
   /// Installs per-task external transfer-start floors (cross-window
   /// predecessor completion times; see evaluate_order). Resets the base
@@ -276,8 +375,8 @@ class PrefixResumeEvaluator {
   }
 
   /// State of the engine after the most recent set_reference/evaluate.
-  [[nodiscard]] const EvalScratch& last_state() const noexcept {
-    return scratch_;
+  [[nodiscard]] const Engine& last_state() const noexcept {
+    return engine_;
   }
 
   /// Instrumentation: candidate evaluations served, tasks actually
@@ -293,21 +392,6 @@ class PrefixResumeEvaluator {
   }
 
  private:
-  /// Complete value copy of the engine after a prefix. Buffers are
-  /// assigned in place on save/load, so steady-state checkpointing does
-  /// not allocate.
-  struct Checkpoint {
-    Time now = 0.0;
-    Time comp_avail = 0.0;
-    Time makespan = 0.0;
-    Mem used = 0.0;
-    std::vector<Time> comm_avail;
-    std::vector<EvalScratch::Active> active;
-    /// Per-task computation ends, saved only on DAG instances (successor
-    /// transfers read them, so they are part of the engine state).
-    std::vector<Time> comp_end;
-  };
-
   void save_checkpoint(std::size_t k);
   void load_checkpoint(std::size_t k);
   [[nodiscard]] std::size_t common_prefix(
@@ -315,16 +399,20 @@ class PrefixResumeEvaluator {
   /// True when the live engine state bitwise equals `cp` (including the
   /// heap layout of the active set) — the reconvergence test evaluate()
   /// uses to merge a candidate back onto the reference trajectory.
-  [[nodiscard]] bool state_matches(const Checkpoint& cp) const noexcept;
+  [[nodiscard]] bool state_matches(const Engine& cp) const noexcept;
 
   const CompiledInstance* ci_;
   Mem capacity_;
   bool has_initial_ = false;
-  ExecutionState::Snapshot initial_;
+  Engine::Snapshot initial_;
   std::vector<Time> ready_;  ///< external transfer-start floors (may be empty)
-  EvalScratch scratch_;
+  Engine engine_;
   std::vector<TaskId> reference_;
-  std::vector<Checkpoint> checkpoints_;  // [k] = state after k tasks
+  /// [k] = the engine after k tasks of the reference: complete value
+  /// copies (heap layout included; on a DAG also the per-task ends that
+  /// successor transfers read). Copy-assignment reuses their buffers, so
+  /// steady-state checkpointing does not allocate.
+  std::vector<Engine> checkpoints_;
   std::uint64_t evaluations_ = 0;
   std::uint64_t tasks_simulated_ = 0;
   std::uint64_t tasks_resumed_ = 0;

@@ -1,247 +1,31 @@
 #include "core/simulate.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "core/compiled.hpp"
 
-#include "support/contract.hpp"
-
 namespace dts {
 
-ExecutionState::ExecutionState(Mem capacity, std::size_t n_channels)
-    : capacity_(capacity), comm_avail_(n_channels, 0.0) {
-  if (!(capacity >= 0.0)) {  // also rejects NaN
-    throw std::invalid_argument("ExecutionState: capacity must be >= 0");
-  }
-  if (n_channels == 0) {
-    throw std::invalid_argument("ExecutionState: need at least one channel");
-  }
-}
-
-ExecutionState::ExecutionState(Mem capacity, Time comm_available,
-                               Time comp_available)
-    : ExecutionState(capacity) {
-  if (comm_available < 0.0 || comp_available < 0.0) {
-    throw std::invalid_argument("ExecutionState: negative availability");
-  }
-  now_ = comm_avail_[0] = comm_available;
-  comp_avail_ = comp_available;
-}
-
-Time ExecutionState::comm_available() const noexcept {
-  return *std::max_element(comm_avail_.begin(), comm_avail_.end());
-}
-
-Time ExecutionState::Snapshot::single_link_available() const {
-  if (comm_available.size() != 1) {
-    throw std::logic_error(
-        "Snapshot::single_link_available: snapshot carries " +
-        std::to_string(comm_available.size()) +
-        " channels; caller assumes the paper's one-link model");
-  }
-  return comm_available.front();
-}
-
-ExecutionState::Snapshot ExecutionState::snapshot() const {
-  Snapshot snap;
-  snap.comm_available = comm_avail_;
-  snap.comp_available = comp_avail_;
-  snap.now = now_;
-  snap.active.reserve(active_.size());
-  for (const ActiveTask& a : active_) snap.active.emplace_back(a.comp_end, a.mem);
-  // Save -> restore must be the identity: the window solver and the
-  // pair-order branch & bound resume engines from snapshots, and a lossy
-  // capture silently corrupts time or memory accounting downstream (the
-  // bug class tests/differential_test.cpp caught in PR 3: `now` was not
-  // recorded, so multi-channel restores regressed the decision instant).
-  DTS_AUDIT_ONLY({
-    const ExecutionState restored(capacity_, snap);
-    DTS_AUDIT(restored.now_ == now_,
-              "snapshot restore must resume at the captured instant");
-    DTS_AUDIT(restored.comm_avail_ == comm_avail_,
-              "snapshot restore must keep every channel clock");
-    DTS_AUDIT(restored.comp_avail_ == comp_avail_,
-              "snapshot restore must keep the processor clock");
-    DTS_AUDIT(restored.active_.size() == active_.size(),
-              "snapshot restore must keep every in-flight task");
-    DTS_AUDIT(approx_equal(restored.used_, used_),
-              "snapshot restore must keep the memory footprint");
-  });
-  return snap;
-}
-
-ExecutionState::ExecutionState(Mem capacity, const Snapshot& snap)
-    : ExecutionState(capacity, snap.comm_available.size()) {
-  for (Time avail : snap.comm_available) {
-    if (avail < 0.0) {
-      throw std::invalid_argument("ExecutionState: negative availability");
-    }
-  }
-  if (snap.comp_available < 0.0 || snap.now < 0.0) {
-    throw std::invalid_argument("ExecutionState: negative availability");
-  }
-  comm_avail_ = snap.comm_available;
-  comp_avail_ = snap.comp_available;
-  // The decision instant resumes at the earliest instant a new transfer
-  // could be issued: the captured instant, or the first free channel if
-  // that is later (hand-built snapshots leave `now` at 0 and carry only
-  // clocks). Time never runs backwards — a decision instant earlier than
-  // the capture would re-admit memory the snapshot no longer tracks.
-  now_ = std::max(snap.now,
-                  *std::min_element(comm_avail_.begin(), comm_avail_.end()));
-  for (const auto& [comp_end, mem] : snap.active) {
-    // Entries already finished relative to the snapshot's clock carry no
-    // memory; keep the rest in flight.
-    if (approx_leq(comp_end, now_)) continue;
-    used_ += mem;
-    active_.push_back(ActiveTask{comp_end, mem});
-  }
-  std::make_heap(active_.begin(), active_.end(), std::greater<>{});
-}
-
-bool ExecutionState::fits(const Task& t) const noexcept {
-  return approx_leq(used_ + t.mem, capacity_);
-}
-
-bool ExecutionState::fits(Mem mem) const noexcept {
-  return approx_leq(used_ + mem, capacity_);
-}
-
-void ExecutionState::release_until(Time t) {
-  while (!active_.empty() && approx_leq(active_.front().comp_end, t)) {
-    used_ -= active_.front().mem;
-    std::pop_heap(active_.begin(), active_.end(), std::greater<>{});
-    active_.pop_back();
-  }
-  if (active_.empty()) used_ = 0.0;  // snap away accumulated rounding
-}
-
-void ExecutionState::advance_decision_instant() {
-  now_ = std::max(now_, *std::min_element(comm_avail_.begin(),
-                                          comm_avail_.end()));
-  release_until(now_);
-  // Standing invariant the snapshot round-trip relies on: the decision
-  // instant never trails the earliest free engine.
-  DTS_ENSURE(now_ >= *std::min_element(comm_avail_.begin(), comm_avail_.end()),
-             "decision instant must cover the earliest free channel");
-}
-
-TaskTimes ExecutionState::start(const Task& t, Time ready) {
-  DTS_AUDIT_ONLY(const Time audit_now = now_;
-                 const Time audit_channel = comm_avail_.at(t.channel);
-                 const Time audit_comp = comp_avail_;)
-  // checks the channel id; ready == 0 (no predecessors) leaves the
-  // precedence-free timing bit-identical.
-  const Time comm_start = std::max(earliest_comm_start(t), ready);
-  if (comm_start > now_) {
-    // The task's engine is busy past the decision instant (only possible
-    // with several channels), or a predecessor finishes later; memory
-    // finishing in the gap is released before the footprint check.
-    now_ = comm_start;
-    release_until(now_);
-  }
-  if (!fits(t)) {
-    throw std::logic_error("ExecutionState::start: task " + std::to_string(t.id) +
-                           " does not fit (used " + std::to_string(used_) +
-                           " + " + std::to_string(t.mem) + " > capacity " +
-                           std::to_string(capacity_) + ")");
-  }
-  const Time comm_end = comm_start + t.comm;
-  const Time comp_start = std::max(comm_end, comp_avail_);
-  const Time comp_end = comp_start + t.comp;
-
-  used_ += t.mem;
-  active_.push_back(ActiveTask{comp_end, t.mem});
-  std::push_heap(active_.begin(), active_.end(), std::greater<>{});
-
-  comm_avail_[t.channel] = comm_end;
-  comp_avail_ = comp_end;
-  advance_decision_instant();
-  // Clocks only move forward (per-channel monotonicity along the issue
-  // order) and the admission check above keeps the footprint bounded.
-  DTS_ENSURE(now_ >= audit_now, "decision instant must never decrease");
-  DTS_ENSURE(comm_avail_[t.channel] >= audit_channel,
-             "channel clock must be monotone along the issue order");
-  DTS_ENSURE(comp_avail_ >= audit_comp, "processor clock must be monotone");
-  DTS_AUDIT(approx_leq(used_, capacity_),
-            "memory bound exceeded mid-simulate");
-  return TaskTimes{comm_start, comp_start};
-}
-
-bool ExecutionState::advance_to_next_release() {
-  // Every entry with comp_end <= now_ was already released, so the heap
-  // top (if any) is a strictly future event.
-  if (active_.empty()) return false;
-  now_ = std::max(now_, active_.front().comp_end);
-  release_until(now_);
-  return true;
-}
-
-void ExecutionState::advance_to(Time t) {
-  now_ = std::max(now_, t);
-  for (Time& avail : comm_avail_) avail = std::max(avail, now_);
-  release_until(now_);
-}
-
-void execute_order(const Instance& inst, std::span<const TaskId> order,
-                   ExecutionState& state, Schedule& out,
-                   std::span<const Time> ready_floors) {
-  const bool dag = inst.has_dependencies();
-  for (TaskId id : order) {
-    const Task& t = inst[id];
-    Time ready = ready_floors.empty() ? 0.0 : ready_floors[id];
-    if (dag) {
-      for (const TaskId dep : t.deps) {
-        const TaskTimes& pred = out[dep];
-        if (!pred.scheduled()) {
-          throw std::invalid_argument(
-              "execute_order: task " + std::to_string(id) +
-              " issued before its predecessor " + std::to_string(dep));
-        }
-        ready = std::max(ready, pred.comp_start + inst[dep].comp);
-      }
-    }
-    while (!state.fits(t)) {
-      if (!state.advance_to_next_release()) {
-        throw std::invalid_argument(
-            "execute_order: task " + std::to_string(id) + " requires " +
-            std::to_string(t.mem) + " bytes but capacity is " +
-            std::to_string(state.capacity()));
-      }
-    }
-    const TaskTimes tt = state.start(t, ready);
-    out.set(id, tt.comm_start, tt.comp_start);
-  }
-}
-
-// Both conveniences run on the data-oriented fast path (core/compiled.hpp)
-// — bit-identical timings to the ExecutionState reference loop above,
-// pinned by tests/fast_path_parity_test.cpp — so one-shot callers benefit
-// from the SoA layout too; repeated scorers should hold a CompiledInstance
-// and an EvalScratch themselves.
 Schedule simulate_order(const Instance& inst, std::span<const TaskId> order,
                         Mem capacity) {
   if (order.size() != inst.size()) {
     throw std::invalid_argument("simulate_order: order must cover all tasks");
   }
   const CompiledInstance ci(inst);
-  EvalScratch scratch;
+  Engine engine;
   Schedule sched(inst.size());
-  evaluate_order(ci, order, capacity, scratch, sched);
+  evaluate_order(ci, order, capacity, engine, sched);
   return sched;
 }
 
 Time makespan_of_order(const Instance& inst, std::span<const TaskId> order,
                        Mem capacity) {
   if (order.size() != inst.size()) {
-    // Same message as simulate_order historically raised for short orders.
     throw std::invalid_argument("simulate_order: order must cover all tasks");
   }
   const CompiledInstance ci(inst);
-  EvalScratch scratch;
-  return evaluate_order(ci, order, capacity, scratch);
+  Engine engine;
+  return evaluate_order(ci, order, capacity, engine);
 }
 
 }  // namespace dts

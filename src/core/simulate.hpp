@@ -1,201 +1,21 @@
 #pragma once
 
 /// \file simulate.hpp
-/// Earliest-start execution engine for problem DT and its multi-channel
-/// generalization.
-///
-/// The engine models the machine's copy engines (one availability clock
-/// per channel — the paper's system is the one-channel case), one
-/// processing unit, and the bounded memory of the target node. All
-/// schedulers in the library drive the same engine, which guarantees they
-/// share identical timing semantics:
-///
-///  * a transfer may start at time t only if the memory still held by
-///    tasks whose transfer started and whose computation has not finished
-///    (half-open intervals) leaves room for the new task;
-///  * a transfer starts at the earliest instant >= the current decision
-///    instant at which its own channel is free; transfers on distinct
-///    channels overlap, transfers sharing a channel serialize;
-///  * SCOMP(i) = max(SCOMM(i) + CM_i, processor-free time) — computations
-///    are served in the order they are issued to the engine;
-///  * when nothing fits, time advances to the next computation-finish
-///    event (the only instants at which memory is released).
-///
-/// With a single channel these rules reproduce the paper's worked
-/// schedules (Figs. 4-6) exactly; see tests/paper_examples_test.cpp and
-/// the parity suite in tests/channels_test.cpp.
+/// One-shot conveniences over the timing engine (core/compiled.hpp):
+/// compile the instance, run one order on a fresh engine. Repeated
+/// scorers should hold a CompiledInstance and an Engine themselves.
 
-#include <algorithm>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 
 namespace dts {
 
-/// Mutable execution state of the copy engines, the processor and the
-/// memory node. Decision instants only move forward. A fresh state starts
-/// at time 0 with every resource idle and no memory in use; batch
-/// schedulers reuse one state across batches to model a runtime that
-/// keeps issuing work.
-class ExecutionState {
- public:
-  /// Capacity may be kInfiniteMem for the unconstrained (OMIM) case.
-  /// `n_channels` is the number of copy engines (>= 1); tasks name their
-  /// engine via Task::channel.
-  explicit ExecutionState(Mem capacity, std::size_t n_channels = 1);
-
-  /// State carried over from a previous scheduling round: the single link
-  /// and the processor become free at the given instants (memory starts
-  /// empty; callers that carry in-flight tasks use start() replay
-  /// instead). One-channel only — snapshots carry multi-channel clocks.
-  ExecutionState(Mem capacity, Time comm_available, Time comp_available);
-
-  /// The current decision instant (never decreases): the earliest instant
-  /// at which a new transfer could still be issued.
-  [[nodiscard]] Time now() const noexcept { return now_; }
-
-  [[nodiscard]] std::size_t num_channels() const noexcept {
-    return comm_avail_.size();
-  }
-
-  /// Instant at which channel `ch` is free for the next transfer.
-  [[nodiscard]] Time comm_available(ChannelId ch) const {
-    return comm_avail_.at(ch);
-  }
-
-  /// Instant at which *every* channel is free — for a single-channel state
-  /// this is the link clock of the original model (the value batch
-  /// schedulers carry across rounds and exact solvers tie-break on).
-  [[nodiscard]] Time comm_available() const noexcept;
-
-  [[nodiscard]] Time comp_available() const noexcept { return comp_avail_; }
-  [[nodiscard]] Mem capacity() const noexcept { return capacity_; }
-
-  /// Memory held at the current instant by tasks still owning their input.
-  [[nodiscard]] Mem used_memory() const noexcept { return used_; }
-
-  /// Number of tasks whose transfer started but whose computation has not
-  /// finished at the current instant.
-  [[nodiscard]] std::size_t active_tasks() const noexcept { return active_.size(); }
-
-  /// Would `t` fit in memory if its transfer started right now?
-  [[nodiscard]] bool fits(const Task& t) const noexcept;
-
-  /// Footprint-only overload for SoA callers (compiled.hpp) that carry
-  /// the memory requirement without materializing a Task.
-  [[nodiscard]] bool fits(Mem mem) const noexcept;
-
-  /// Earliest instant the transfer of `t` could start if issued now:
-  /// max(now, its channel's free time). Throws std::out_of_range when the
-  /// task names a channel this state does not have.
-  [[nodiscard]] Time earliest_comm_start(const Task& t) const {
-    return std::max(now_, comm_avail_.at(t.channel));
-  }
-
-  /// Idle time this task would inject on the processor if issued now:
-  /// max(0, start + CM - processor-free). The dynamic and correction
-  /// heuristics minimize this quantity over candidates (§4.2); with
-  /// multiple channels it naturally interleaves directions, preferring a
-  /// task whose engine is free over one whose engine is busy.
-  [[nodiscard]] Time induced_comp_idle(const Task& t) const {
-    return std::max(0.0, earliest_comm_start(t) + t.comm - comp_avail_);
-  }
-
-  /// Starts the transfer of `t` at the earliest feasible instant on its
-  /// channel and queues its computation. Advances the decision instant to
-  /// the earliest instant any channel is free again. Requires fits(t);
-  /// throws std::logic_error otherwise, std::out_of_range for an unknown
-  /// channel.
-  TaskTimes start(const Task& t) { return start(t, 0.0); }
-
-  /// Dependency-aware start: the transfer additionally waits for `ready`,
-  /// the latest predecessor computation-finish instant (0 when the task
-  /// has no predecessors — then this is exactly start(t)). Memory
-  /// finishing in the waited gap is released before the footprint check,
-  /// the same rule a busy channel already follows.
-  TaskTimes start(const Task& t, Time ready);
-
-  /// Advances the decision instant to the next computation-finish event,
-  /// releasing its memory. Returns false (and leaves time unchanged) when
-  /// no task is in flight.
-  bool advance_to_next_release();
-
-  /// Advances the decision instant to max(now, t), releasing memory of
-  /// every computation finishing up to that instant and raising every
-  /// channel clock to it.
-  void advance_to(Time t);
-
-  /// Value snapshot of the engine: per-channel availability plus the
-  /// (comp-end, memory) pairs of in-flight tasks. Used by the window
-  /// solver to explore candidate continuations and by the pair-order
-  /// branch & bound to start mid-stream.
-  struct Snapshot {
-    /// One clock per channel; a default snapshot is a fresh single link.
-    std::vector<Time> comm_available = {0.0};
-    Time comp_available = 0.0;
-    std::vector<std::pair<Time, Mem>> active;  ///< comp end, held memory
-    /// Decision instant at capture. Restoring resumes from
-    /// max(now, earliest channel clock): with one channel the last
-    /// transfer's end always equals the decision instant, but with
-    /// several channels an idle engine's clock can trail it — resuming
-    /// from the trailing clock alone would issue transfers in the past,
-    /// where memory this snapshot no longer tracks was still held
-    /// (found by tests/differential_test.cpp).
-    Time now = 0.0;
-
-    /// The single link's clock; throws std::logic_error when the snapshot
-    /// actually carries several channels (callers that assume the paper's
-    /// one-link model use this accessor so the assumption is checked).
-    [[nodiscard]] Time single_link_available() const;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-
-  /// Rebuilds an engine from a snapshot (same capacity semantics); the
-  /// channel count is the snapshot's clock count.
-  ExecutionState(Mem capacity, const Snapshot& snap);
-
- private:
-  struct ActiveTask {
-    Time comp_end;
-    Mem mem;
-    /// Min-heap on comp_end.
-    [[nodiscard]] bool operator>(const ActiveTask& o) const noexcept {
-      return comp_end > o.comp_end;
-    }
-  };
-
-  void release_until(Time t);
-  /// now_ := max(now_, earliest channel-free instant), releasing memory.
-  void advance_decision_instant();
-
-  Mem capacity_;
-  Time now_ = 0.0;
-  std::vector<Time> comm_avail_;  // one availability clock per channel
-  Time comp_avail_ = 0.0;
-  Mem used_ = 0.0;
-  std::vector<ActiveTask> active_;  // binary min-heap via std::*_heap
-};
-
-/// Executes `order` (task ids of `inst`) as a permutation schedule on an
-/// existing state, writing start times into `out`. Each transfer starts at
-/// the earliest feasible instant on its task's channel — and, on a DAG
-/// instance, no earlier than every predecessor's computation end, read
-/// from `out` (so batch and window callers that share one Schedule across
-/// rounds honor cross-round edges for free). Throws std::invalid_argument
-/// when a task can never fit (mem > capacity) or when a predecessor of a
-/// task has not been scheduled before it. `ready_floors` (optional,
-/// indexed by task id) additionally floors each transfer start at an
-/// externally known instant — the window solver passes completion times
-/// of predecessors that live outside the sub-instance; empty means none.
-void execute_order(const Instance& inst, std::span<const TaskId> order,
-                   ExecutionState& state, Schedule& out,
-                   std::span<const Time> ready_floors = {});
-
-/// Convenience: run `order` on a fresh state with one clock per channel of
-/// `inst`; returns the schedule.
+/// Runs `order` (all task ids of `inst`) on a fresh engine with one clock
+/// per channel of `inst`; returns the schedule. Throws
+/// std::invalid_argument when the order does not cover every task or a
+/// task can never fit.
 [[nodiscard]] Schedule simulate_order(const Instance& inst,
                                       std::span<const TaskId> order,
                                       Mem capacity);

@@ -208,28 +208,16 @@ SolveResult solve_bound(const SolveRequest& request, std::string_view solver,
 
 SolveResult solve(const SolveRequest& request, std::string_view solver,
                   const SolveOptions& options) {
-  // Fold the deprecated machine_model shim into the MachineRef so the
-  // rest of the pipeline has exactly one machine field to reason about.
-  MachineRef machine = request.machine;
-  if (request.machine_model) {
-    if (machine) {
-      throw std::invalid_argument(
-          "solve: set either SolveRequest::machine (registry name) or "
-          "machine_model (descriptor), not both");
-    }
-    machine = *request.machine_model;
-  }
   // Machine-parameterized solving: bind the instance to the requested
   // hardware before anything else, so capacity checks, bounds and the
   // solver itself all see the machine-costed workload.
-  if (machine) {
-    const Machine resolved = machine.resolve();
+  if (request.machine) {
+    const Machine resolved = request.machine.resolve();
     // Whole-request copy (not field-by-field) so fields added to
     // SolveRequest later cannot silently vanish on the machine path; the
     // copied instance is immediately replaced by its bound version.
     SolveRequest bound_request = request;
     bound_request.machine.reset();
-    bound_request.machine_model.reset();
     bound_request.instance = bind(request.instance, resolved);
     if (!bound_request.channels) {
       bound_request.channels = resolved.channel_set();

@@ -121,11 +121,6 @@ struct SolveRequest {
   std::optional<std::size_t> batch_size;
   std::optional<ChannelSet> channels;
   MachineRef machine;  ///< registry name or inline descriptor (or unset)
-  /// Deprecated source-compat shim for the pre-MachineRef split field
-  /// (one release only): solve() folds a descriptor set here into
-  /// `machine` and rejects requests that set both. New code assigns the
-  /// descriptor to `machine` directly.
-  std::optional<Machine> machine_model;
 };
 
 /// Cooperative cancellation. A default-constructed token can never fire;

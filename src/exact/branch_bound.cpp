@@ -19,7 +19,7 @@ std::tuple<Time, Time, Mem, ChannelId> value_key(const Task& t) {
 /// tasks reference plus every clock the carried snapshot holds (an idle
 /// carried engine must keep its clock through the window).
 std::size_t tracked_channels(const Instance& inst,
-                             const ExecutionState::Snapshot& initial) {
+                             const Engine::Snapshot& initial) {
   return std::max(inst.num_channels(), initial.comm_available.size());
 }
 
@@ -44,7 +44,7 @@ struct PairScratch {
 std::optional<Time> simulate_pair_order_impl(
     const CompiledInstance& ci, std::span<const TaskId> comm_order,
     std::span<const TaskId> comp_order, Mem capacity,
-    const ExecutionState::Snapshot& initial, Time abort_at, Schedule& out,
+    const Engine::Snapshot& initial, Time abort_at, Schedule& out,
     PairScratch& s, std::span<const Time> ready_floors = {}) {
   const std::size_t n = ci.size();
   const std::size_t nch =
@@ -208,7 +208,7 @@ std::optional<Time> simulate_pair_order(const Instance& inst,
                                         std::span<const TaskId> comm_order,
                                         std::span<const TaskId> comp_order,
                                         Mem capacity,
-                                        const ExecutionState::Snapshot& initial,
+                                        const Engine::Snapshot& initial,
                                         Time abort_at, Schedule& out,
                                         std::span<const Time> ready_floors) {
   const std::size_t n = inst.size();
@@ -237,8 +237,8 @@ PairOrderResult best_pair_order(const Instance& inst, Mem capacity,
     }
   }
 
-  const ExecutionState::Snapshot initial =
-      options.initial_state.value_or(ExecutionState::Snapshot{});
+  const Engine::Snapshot initial =
+      options.initial_state.value_or(Engine::Snapshot{});
 
   PairOrderResult result;
   result.makespan = options.upper_bound;
@@ -329,7 +329,7 @@ PairOrderResult best_pair_order(const Instance& inst, Mem capacity,
 
   // Reconstruct the final engine state of the winning pair.
   {
-    ExecutionState::Snapshot snap;
+    Engine::Snapshot snap;
     snap.comm_available = initial.comm_available;
     snap.comm_available.resize(tracked_channels(inst, initial), initial.now);
     Time proc_free = initial.comp_available;

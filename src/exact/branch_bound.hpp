@@ -34,7 +34,7 @@
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
-#include "core/simulate.hpp"
+#include "core/compiled.hpp"
 
 namespace dts {
 
@@ -44,7 +44,7 @@ struct PairOrderOptions {
   /// Optional carried engine state (window solving). May carry one clock
   /// per channel; channels the snapshot does not cover start free at the
   /// snapshot's decision instant.
-  std::optional<ExecutionState::Snapshot> initial_state;
+  std::optional<Engine::Snapshot> initial_state;
   /// Optional per-task transfer-start floors (indexed by task id):
   /// completion times of predecessors outside this instance — the window
   /// solver passes them next to the carried snapshot. Empty means none.
@@ -75,7 +75,7 @@ struct PairOrderResult {
   /// restricting it to one channel's tasks gives that engine's sequence.
   std::vector<TaskId> comm_order;
   std::vector<TaskId> comp_order;
-  ExecutionState::Snapshot final_state;
+  Engine::Snapshot final_state;
   std::uint64_t pairs_simulated = 0;
   /// True when options.should_stop ended the search early; the makespan is
   /// then only an upper bound (kInfiniteTime if nothing feasible was seen).
@@ -107,7 +107,7 @@ struct PairOrderResult {
 [[nodiscard]] std::optional<Time> simulate_pair_order(
     const Instance& inst, std::span<const TaskId> comm_order,
     std::span<const TaskId> comp_order, Mem capacity,
-    const ExecutionState::Snapshot& initial, Time abort_at, Schedule& out,
+    const Engine::Snapshot& initial, Time abort_at, Schedule& out,
     std::span<const Time> ready_floors = {});
 
 }  // namespace dts

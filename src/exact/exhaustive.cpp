@@ -58,8 +58,8 @@ void scan_orders(const Instance& inst, Mem capacity,
   // permutations share a long prefix — the prefix-resume evaluator
   // resimulates only the changed suffix (~e tasks per permutation on
   // average, independent of n). The winner's Schedule and carried
-  // snapshot are rebuilt on the reference engine only when the incumbent
-  // improves, which is rare.
+  // snapshot are rebuilt by one recording evaluation only when the
+  // incumbent improves, which is rare.
   const CompiledInstance compiled(inst);
   PrefixResumeEvaluator evaluator =
       options.initial_state
@@ -68,6 +68,7 @@ void scan_orders(const Instance& inst, Mem capacity,
   if (!options.ready_times.empty()) {
     evaluator.set_external_ready(options.ready_times);
   }
+  Engine engine;
   do {
     if (dag && !inst.is_topological_order(order)) continue;
     ++result.permutations_tried;
@@ -75,16 +76,15 @@ void scan_orders(const Instance& inst, Mem capacity,
     const Time link_free = evaluator.last_state().comm_available();
     if (result.order.empty() ||
         better_candidate(ms, link_free, result, best_link_free)) {
-      ExecutionState state =
-          options.initial_state
-              ? ExecutionState(capacity, *options.initial_state)
-              : ExecutionState(capacity, inst.num_channels());
       Schedule sched(inst.size());
-      execute_order(inst, order, state, sched, options.ready_times);
+      (void)evaluate_order(compiled, order, capacity, engine, sched,
+                           options.initial_state ? &*options.initial_state
+                                                 : nullptr,
+                           options.ready_times);
       result.makespan = ms;
       result.order = order;
       result.schedule = std::move(sched);
-      result.final_state = state.snapshot();
+      result.final_state = engine.snapshot();
       best_link_free = link_free;
     }
   } while (std::next_permutation(order.begin() +

@@ -12,7 +12,7 @@
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
-#include "core/simulate.hpp"
+#include "core/compiled.hpp"
 
 namespace dts {
 
@@ -24,7 +24,7 @@ struct ExhaustiveResult {
   Schedule schedule;
   /// Engine state after running the best order (window solving carries it
   /// into the next window).
-  ExecutionState::Snapshot final_state;
+  Engine::Snapshot final_state;
   std::uint64_t permutations_tried = 0;
 };
 
@@ -33,7 +33,7 @@ struct ExhaustiveOptions {
   /// exceed roughly max_n! (default 10!).
   std::size_t max_n = 10;
   /// Optional carried state (window solving); nullopt = fresh engine.
-  std::optional<ExecutionState::Snapshot> initial_state;
+  std::optional<Engine::Snapshot> initial_state;
   /// Optional per-task transfer-start floors (indexed by task id of the
   /// instance being solved): completion times of predecessors that live
   /// outside this instance — the window solver passes them next to the

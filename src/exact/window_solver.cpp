@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/simulate.hpp"
+#include "core/compiled.hpp"
 #include "exact/branch_bound.hpp"
 #include "exact/exhaustive.hpp"
 #include "exact/lower_bounds.hpp"
@@ -22,7 +22,7 @@ namespace {
 /// its carried clock with at least the cheapest trailing computation of
 /// that engine's tasks.
 Time carried_window_bound(const Instance& sub, Mem capacity,
-                          const ExecutionState::Snapshot& carried) {
+                          const Engine::Snapshot& carried) {
   Time bound = capacity_aware_bounds(sub, capacity).combined;
   Time sum_comp = 0.0;
   for (const Task& t : sub) sum_comp += t.comp;
@@ -45,6 +45,27 @@ Time carried_window_bound(const Instance& sub, Mem capacity,
     bound = std::max(bound, clock + sum_comm + min_comp);
   }
   return bound;
+}
+
+/// Issues `ids` verbatim from the carried state (the drain and fallback
+/// paths), committing their starts into `out`; returns the engine state
+/// after them. `floors` (per position of `ids`, possibly empty) carries
+/// edges into already committed tasks; edges among `ids` survive subset()
+/// and are enforced by the engine.
+Engine::Snapshot commit_in_order(const Instance& inst,
+                                 std::span<const TaskId> ids, Mem capacity,
+                                 const Engine::Snapshot& carried,
+                                 std::span<const Time> floors, Schedule& out) {
+  const Instance sub = inst.subset(ids);
+  const CompiledInstance ci(sub);
+  const std::vector<TaskId> order = sub.submission_order();
+  Schedule local(sub.size());
+  Engine engine;
+  (void)evaluate_order(ci, order, capacity, engine, local, &carried, floors);
+  for (TaskId k = 0; k < sub.size(); ++k) {
+    out.set(ids[k], local[k].comm_start, local[k].comp_start);
+  }
+  return engine.snapshot();
 }
 
 }  // namespace
@@ -71,7 +92,7 @@ WindowedResult solve_windowed(const Instance& inst, Mem capacity,
       dag ? inst.topological_order() : inst.submission_order();
   WindowedResult result;
   result.schedule = Schedule(inst.size());
-  ExecutionState::Snapshot carried;  // fresh start
+  Engine::Snapshot carried;  // fresh start
   carried.comm_available.assign(inst.num_channels(), 0.0);
 
   // Transfer-start floors of one window's tasks (local ids): the latest
@@ -108,13 +129,14 @@ WindowedResult solve_windowed(const Instance& inst, Mem capacity,
       // order so the caller still receives a complete feasible schedule.
       const std::span<const TaskId> rest(&submission[lo],
                                          submission.size() - lo);
-      ExecutionState state(capacity, carried);
-      execute_order(inst, rest, state, result.schedule);
+      (void)commit_in_order(inst, rest, capacity, carried,
+                            dag ? window_floors(rest) : std::vector<Time>{},
+                            result.schedule);
       return result;
     }
 
     const Instance sub = inst.subset(ids);
-    DTS_AUDIT_ONLY(const ExecutionState::Snapshot audit_carried = carried;)
+    DTS_AUDIT_ONLY(const Engine::Snapshot audit_carried = carried;)
     if (options.mode == WindowMode::kCommonOrder) {
       ExhaustiveOptions ex;
       ex.max_n = options.window;
@@ -143,9 +165,9 @@ WindowedResult solve_windowed(const Instance& inst, Mem capacity,
         // Stopped before this window produced an incumbent: fall back to
         // submission order for it (and, via the check above, the rest).
         result.stopped = true;
-        ExecutionState state(capacity, carried);
-        execute_order(inst, ids, state, result.schedule);
-        carried = state.snapshot();
+        carried = commit_in_order(
+            inst, ids, capacity, carried,
+            dag ? window_floors(ids) : std::vector<Time>{}, result.schedule);
         continue;
       }
       for (TaskId local = 0; local < sub.size(); ++local) {

@@ -14,12 +14,6 @@ namespace {
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 constexpr Mem kNoMem = std::numeric_limits<Mem>::infinity();
 
-/// Induced idle of a transfer of `comm` starting at `start`: the same
-/// expression, in the same operation order, as pick_candidate.
-Time idle_of(Time start, Time comm, Time comp_avail) noexcept {
-  return std::max(0.0, start + comm - comp_avail);
-}
-
 }  // namespace
 
 CandidateIndex::CandidateIndex(const CompiledInstance& ci,
@@ -97,10 +91,10 @@ std::size_t CandidateIndex::head() noexcept {
 }
 
 bool CandidateIndex::has_fit(std::size_t node,
-                             const ExecutionState& state) const noexcept {
+                             const Engine& engine) const noexcept {
   // fits() is monotone in the footprint, so the subtree minimum decides
   // exactly whether any pending task below `node` fits.
-  return count_[node] != 0 && state.fits(min_mem_[node]);
+  return count_[node] != 0 && engine.fits(min_mem_[node]);
 }
 
 bool CandidateIndex::acc_better(std::size_t a, std::size_t b) const noexcept {
@@ -141,63 +135,63 @@ void CandidateIndex::pull(const Tree& t, std::size_t k) noexcept {
 std::size_t CandidateIndex::first_fit(const Tree& t, std::size_t k,
                                       std::size_t lo, std::size_t hi,
                                       std::size_t from,
-                                      const ExecutionState& state) noexcept {
+                                      const Engine& engine) noexcept {
   ++stats_.nodes_visited;
-  if (hi <= from || !has_fit(t.node_base + k, state)) return npos;
+  if (hi <= from || !has_fit(t.node_base + k, engine)) return npos;
   if (hi - lo == 1) return t.first + lo;
   const std::size_t mid = lo + (hi - lo) / 2;
-  const std::size_t left = first_fit(t, 2 * k, lo, mid, from, state);
-  return left != npos ? left : first_fit(t, 2 * k + 1, mid, hi, from, state);
+  const std::size_t left = first_fit(t, 2 * k, lo, mid, from, engine);
+  return left != npos ? left : first_fit(t, 2 * k + 1, mid, hi, from, engine);
 }
 
 // dts-lint: hot-path
 std::size_t CandidateIndex::last_fit(const Tree& t, std::size_t k,
                                      std::size_t lo, std::size_t hi,
                                      std::size_t from, std::size_t to,
-                                     const ExecutionState& state) noexcept {
+                                     const Engine& engine) noexcept {
   ++stats_.nodes_visited;
-  if (hi <= from || to <= lo || !has_fit(t.node_base + k, state)) return npos;
+  if (hi <= from || to <= lo || !has_fit(t.node_base + k, engine)) return npos;
   if (hi - lo == 1) return t.first + lo;
   const std::size_t mid = lo + (hi - lo) / 2;
-  const std::size_t right = last_fit(t, 2 * k + 1, mid, hi, from, to, state);
+  const std::size_t right = last_fit(t, 2 * k + 1, mid, hi, from, to, engine);
   return right != npos ? right
-                       : last_fit(t, 2 * k, lo, mid, from, to, state);
+                       : last_fit(t, 2 * k, lo, mid, from, to, engine);
 }
 
 // dts-lint: hot-path
 void CandidateIndex::best_fit(const Tree& t, std::size_t k, std::size_t lo,
                               std::size_t hi, std::size_t from, std::size_t to,
-                              const ExecutionState& state,
+                              const Engine& engine,
                               std::size_t& best) noexcept {
   ++stats_.nodes_visited;
   const std::size_t node = t.node_base + k;
-  if (hi <= from || to <= lo || !has_fit(node, state)) return;
+  if (hi <= from || to <= lo || !has_fit(node, engine)) return;
   // The subtree's best pending task bounds every fitting one below it.
   const std::size_t top = best_[node];
   if (best != npos && !acc_better(top, best)) return;
-  if (from <= lo && hi <= to && state.fits(mem_[top])) {
+  if (from <= lo && hi <= to && engine.fits(mem_[top])) {
     best = top;
     return;
   }
   if (hi - lo == 1) return;
   const std::size_t mid = lo + (hi - lo) / 2;
-  best_fit(t, 2 * k, lo, mid, from, to, state, best);
-  best_fit(t, 2 * k + 1, mid, hi, from, to, state, best);
+  best_fit(t, 2 * k, lo, mid, from, to, engine, best);
+  best_fit(t, 2 * k + 1, mid, hi, from, to, engine, best);
 }
 
 // dts-lint: hot-path
 void CandidateIndex::collect(const Tree& t, std::size_t k, std::size_t lo,
                              std::size_t hi, std::size_t from, std::size_t to,
-                             const ExecutionState& state) {
+                             const Engine& engine) {
   ++stats_.nodes_visited;
-  if (hi <= from || to <= lo || !has_fit(t.node_base + k, state)) return;
+  if (hi <= from || to <= lo || !has_fit(t.node_base + k, engine)) return;
   if (hi - lo == 1) {
     fitting_pos_.push_back(pos_of_[t.first + lo]);
     return;
   }
   const std::size_t mid = lo + (hi - lo) / 2;
-  collect(t, 2 * k, lo, mid, from, to, state);
-  collect(t, 2 * k + 1, mid, hi, from, to, state);
+  collect(t, 2 * k, lo, mid, from, to, engine);
+  collect(t, 2 * k + 1, mid, hi, from, to, engine);
 }
 
 // dts-lint: hot-path
@@ -208,7 +202,7 @@ std::size_t CandidateIndex::idle_end(const Probe& p, std::size_t end,
   while (lo < hi) {
     ++stats_.nodes_visited;
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (idle_of(p.start, comm_[mid], comp_avail) <= bound) {
+    if (induced_idle(p.start, comm_[mid], comp_avail) <= bound) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -218,24 +212,24 @@ std::size_t CandidateIndex::idle_end(const Probe& p, std::size_t end,
 }
 
 // dts-lint: hot-path
-std::size_t CandidateIndex::pick(const ExecutionState& state) {
+std::size_t CandidateIndex::pick(const Engine& engine) {
   ++stats_.picks;
-  const Time now = state.now();
-  const Time comp_avail = state.comp_available();
+  const Time now = engine.now();
+  const Time comp_avail = engine.comp_available();
   // 1. The minimum idle m: each channel's leftmost fitting slot.
   bool any = false;
   Time m = 0.0;
   for (const Tree& t : trees_) {
     Probe& p = probes_[t.channel];
-    p.f0 = t.n == 0 ? npos : first_fit(t, 1, 0, t.leaves, 0, state);
+    p.f0 = t.n == 0 ? npos : first_fit(t, 1, 0, t.leaves, 0, engine);
     if (p.f0 == npos) continue;
-    p.start = std::max(now, state.comm_available(t.channel));
-    p.idle = idle_of(p.start, comm_[p.f0], comp_avail);
+    p.start = std::max(now, engine.comm_available(t.channel));
+    p.idle = induced_idle(p.start, comm_[p.f0], comp_avail);
     if (!any || p.idle < m) m = p.idle;
     any = true;
   }
   if (!any) {
-    DTS_AUDIT(scan(state) == npos, "indexed pick missed a fitting task");
+    DTS_AUDIT(scan(engine) == npos, "indexed pick missed a fitting task");
     return npos;
   }
 
@@ -255,9 +249,9 @@ std::size_t CandidateIndex::pick(const ExecutionState& state) {
       if (p.idle <= bound) {
         p.end = idle_end(p, t.first + t.n, bound, comp_avail);
         const std::size_t after = first_fit(t, 1, 0, t.leaves,
-                                            p.end - t.first, state);
+                                            p.end - t.first, engine);
         if (after == npos) continue;
-        idle = idle_of(p.start, comm_[after], comp_avail);
+        idle = induced_idle(p.start, comm_[after], comp_avail);
       }
       if (!have_next || idle < next) next = idle;
       have_next = true;
@@ -266,7 +260,7 @@ std::size_t CandidateIndex::pick(const ExecutionState& state) {
     bound = next;
     near_tie = true;
   }
-  if (near_tie) return fallback(state);
+  if (near_tie) return fallback(engine);
 
   // 3. No near-tie: every fitting task outside the cluster idles
   // definitely more than m, so the scan ends on the best-criterion,
@@ -279,21 +273,21 @@ std::size_t CandidateIndex::pick(const ExecutionState& state) {
     const std::size_t to = p.end - t.first;
     std::size_t winner = p.f0;  // SCMR: smallest comm, earliest position
     if (criterion_ == DynamicCriterion::kLargestComm) {
-      winner = last_fit(t, 1, 0, t.leaves, from, to, state);
+      winner = last_fit(t, 1, 0, t.leaves, from, to, engine);
     } else if (criterion_ == DynamicCriterion::kMaxAcceleration) {
       winner = npos;
-      best_fit(t, 1, 0, t.leaves, from, to, state, winner);
+      best_fit(t, 1, 0, t.leaves, from, to, engine, winner);
     }
     if (chosen == npos || better(winner, chosen)) chosen = winner;
   }
   const std::size_t pos = pos_of_[chosen];
-  DTS_AUDIT(pos == scan(state),
+  DTS_AUDIT(pos == scan(engine),
             "indexed pick differs from the linear pick_candidate scan");
   return pos;
 }
 
 // dts-lint: hot-path
-std::size_t CandidateIndex::fallback(const ExecutionState& state) {
+std::size_t CandidateIndex::fallback(const Engine& engine) {
   // Every fitting task outside the cluster idles definitely more than
   // every task inside it: the scan's first cluster task replaces any
   // earlier outsider, and no outsider can replace a cluster task. So the
@@ -303,37 +297,37 @@ std::size_t CandidateIndex::fallback(const ExecutionState& state) {
   for (const Tree& t : trees_) {
     const Probe& p = probes_[t.channel];
     if (p.f0 == npos || p.end == p.f0) continue;
-    collect(t, 1, 0, t.leaves, p.f0 - t.first, p.end - t.first, state);
+    collect(t, 1, 0, t.leaves, p.f0 - t.first, p.end - t.first, engine);
   }
   std::sort(fitting_pos_.begin(), fitting_pos_.end());
   fitting_.clear();
   for (const std::size_t pos : fitting_pos_) fitting_.push_back(order_[pos]);
   stats_.fallback_scanned += fitting_.size();
-  const std::size_t pos = chosen_position(state);
-  DTS_AUDIT(pos == scan(state),
+  const std::size_t pos = chosen_position(engine);
+  DTS_AUDIT(pos == scan(engine),
             "near-tie pick differs from the linear pick_candidate scan");
   return pos;
 }
 
-std::size_t CandidateIndex::chosen_position(const ExecutionState& state) {
-  const TaskId chosen = pick_candidate(*ci_, state, fitting_, criterion_);
+std::size_t CandidateIndex::chosen_position(const Engine& engine) {
+  const TaskId chosen = pick_candidate(*ci_, engine, fitting_, criterion_);
   if (chosen == kInvalidTask) return npos;
   return fitting_pos_[static_cast<std::size_t>(
       std::find(fitting_.begin(), fitting_.end(), chosen) - fitting_.begin())];
 }
 
-std::size_t CandidateIndex::scan(const ExecutionState& state) {
+std::size_t CandidateIndex::scan(const Engine& engine) {
   fitting_.clear();
   fitting_pos_.clear();
   for (std::size_t pos = head(); pos < order_.size(); ++pos) {
     if (removed_[pos] != 0) continue;
     const TaskId id = order_[pos];
-    if (state.fits(ci_->mem(id))) {
+    if (engine.fits(ci_->mem(id))) {
       fitting_.push_back(id);
       fitting_pos_.push_back(pos);
     }
   }
-  return chosen_position(state);
+  return chosen_position(engine);
 }
 
 void CandidateIndex::remove(std::size_t pos) {

@@ -9,7 +9,7 @@
 /// Why one sorted index suffices. For an independent task on channel c,
 /// the induced idle is max(0, max(now, clock_c) + comm - processor-free),
 /// which is non-decreasing in `comm` under the engine's exact operation
-/// order; `ExecutionState::fits` is monotone in the footprint. So the
+/// order; `Engine::fits` is monotone in the footprint. So the
 /// tasks of each channel are laid out as slots sorted by `comm` (equal
 /// `comm` by scan position: descending for LCMR, ascending for SCMR and
 /// MAMR) under a segment tree that stores, per node, the pending count
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "core/compiled.hpp"
-#include "core/simulate.hpp"
 #include "heuristics/dynamic.hpp"
 
 namespace dts {
@@ -70,9 +69,9 @@ class CandidateIndex {
   [[nodiscard]] std::size_t head() noexcept;
 
   /// Position of the pending task `pick_candidate` would choose among the
-  /// pending tasks that fit `state`, scanned in position order; npos when
+  /// pending tasks that fit `engine`, scanned in position order; npos when
   /// nothing fits.
-  [[nodiscard]] std::size_t pick(const ExecutionState& state);
+  [[nodiscard]] std::size_t pick(const Engine& engine);
 
   /// Removes the task at `pos` from the pending set.
   void remove(std::size_t pos);
@@ -99,7 +98,7 @@ class CandidateIndex {
   };
 
   [[nodiscard]] bool has_fit(std::size_t node,
-                             const ExecutionState& state) const noexcept;
+                             const Engine& engine) const noexcept;
   [[nodiscard]] bool better(std::size_t a, std::size_t b) const noexcept;
   [[nodiscard]] bool acc_better(std::size_t a, std::size_t b) const noexcept;
   void pull(const Tree& t, std::size_t k) noexcept;
@@ -111,30 +110,30 @@ class CandidateIndex {
   [[nodiscard]] std::size_t first_fit(const Tree& t, std::size_t k,
                                       std::size_t lo, std::size_t hi,
                                       std::size_t from,
-                                      const ExecutionState& state) noexcept;
+                                      const Engine& engine) noexcept;
   [[nodiscard]] std::size_t last_fit(const Tree& t, std::size_t k,
                                      std::size_t lo, std::size_t hi,
                                      std::size_t from, std::size_t to,
-                                     const ExecutionState& state) noexcept;
+                                     const Engine& engine) noexcept;
   void best_fit(const Tree& t, std::size_t k, std::size_t lo, std::size_t hi,
-                std::size_t from, std::size_t to, const ExecutionState& state,
+                std::size_t from, std::size_t to, const Engine& engine,
                 std::size_t& best) noexcept;
   /// Appends the positions of the fitting slots in local [from, to) to
   /// fitting_pos_.
   void collect(const Tree& t, std::size_t k, std::size_t lo, std::size_t hi,
-               std::size_t from, std::size_t to, const ExecutionState& state);
+               std::size_t from, std::size_t to, const Engine& engine);
   /// One past the last global slot in [p.f0, end) whose idle is at most
   /// `bound` (binary search over the static comm array, along which idle
   /// is non-decreasing).
   [[nodiscard]] std::size_t idle_end(const Probe& p, std::size_t end,
                                      Time bound, Time comp_avail) noexcept;
   /// The near-tie fallback: the linear scan over the tie cluster.
-  [[nodiscard]] std::size_t fallback(const ExecutionState& state);
+  [[nodiscard]] std::size_t fallback(const Engine& engine);
   /// pick_candidate over fitting_ (aligned with fitting_pos_), as a
   /// position.
-  [[nodiscard]] std::size_t chosen_position(const ExecutionState& state);
+  [[nodiscard]] std::size_t chosen_position(const Engine& engine);
   /// The linear scan over every pending fitting task (the audit reference).
-  [[nodiscard]] std::size_t scan(const ExecutionState& state);
+  [[nodiscard]] std::size_t scan(const Engine& engine);
 
   const CompiledInstance* ci_;
   std::span<const TaskId> order_;

@@ -17,28 +17,20 @@ std::string_view to_corrected_acronym(DynamicCriterion c) noexcept {
   return "?";
 }
 
-void execute_corrected(const Instance& inst,
-                       std::span<const TaskId> base_order,
-                       DynamicCriterion criterion, ExecutionState& state,
-                       Schedule& out) {
-  const CompiledInstance ci(inst);
-  execute_corrected(ci, base_order, criterion, state, out);
-}
-
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,
-                       DynamicCriterion criterion, ExecutionState& state,
+                       DynamicCriterion criterion, Engine& engine,
                        Schedule& out, SelectionStats* stats) {
   if (!ci.has_dependencies()) {
     CandidateIndex index(ci, base_order, criterion);
     while (!index.empty()) {
       std::size_t pos = index.head();
-      if (!state.fits(ci.mem(base_order[pos]))) {
+      if (!engine.fits(ci.mem(base_order[pos]))) {
         // The head is blocked by memory: dynamic correction over the
         // fitting tasks.
-        pos = index.pick(state);
+        pos = index.pick(engine);
         if (pos == CandidateIndex::npos) {
-          if (!state.advance_to_next_release()) {
+          if (!engine.advance_to_next_release()) {
             throw std::invalid_argument(
                 "execute_corrected: a pending task exceeds the memory "
                 "capacity");
@@ -46,7 +38,7 @@ void execute_corrected(const CompiledInstance& ci,
           continue;
         }
       }
-      const TaskTimes tt = state.start(detail::soa_task(ci, base_order[pos]));
+      const TaskTimes tt = engine.start(base_order[pos]);
       out.set(base_order[pos], tt.comm_start, tt.comp_start);
       index.remove(pos);
     }
@@ -66,9 +58,9 @@ void execute_corrected(const CompiledInstance& ci,
     const TaskId head = pending.front();
     Time head_ready = 0.0;
     if (detail::deps_ready(ci, out, head, head_ready) &&
-        state.fits(ci.mem(head))) {
+        engine.fits(ci.mem(head))) {
       // The static plan remains viable: follow it.
-      const TaskTimes tt = state.start(detail::soa_task(ci, head), head_ready);
+      const TaskTimes tt = engine.start(head, head_ready);
       out.set(head, tt.comm_start, tt.comp_start);
       pending.erase(pending.begin());
       continue;
@@ -82,7 +74,7 @@ void execute_corrected(const CompiledInstance& ci,
       Time ready = 0.0;
       if (!detail::deps_ready(ci, out, id, ready)) continue;
       any_ready = true;
-      if (state.fits(ci.mem(id))) {
+      if (engine.fits(ci.mem(id))) {
         fitting.push_back(id);
         floors.push_back(ready);
       }
@@ -91,16 +83,17 @@ void execute_corrected(const CompiledInstance& ci,
       if (!any_ready) {
         detail::throw_unready_pending("execute_corrected", ci, out, pending);
       }
-      if (!state.advance_to_next_release()) {
+      if (!engine.advance_to_next_release()) {
         throw std::invalid_argument(
             "execute_corrected: a pending task exceeds the memory capacity");
       }
       continue;
     }
-    const TaskId chosen = pick_candidate(ci, state, fitting, criterion, floors);
+    const TaskId chosen =
+        pick_candidate(ci, engine, fitting, criterion, floors);
     const std::size_t k = static_cast<std::size_t>(
         std::find(fitting.begin(), fitting.end(), chosen) - fitting.begin());
-    const TaskTimes tt = state.start(detail::soa_task(ci, chosen), floors[k]);
+    const TaskTimes tt = engine.start(chosen, floors[k]);
     out.set(chosen, tt.comm_start, tt.comp_start);
     pending.erase(std::find(pending.begin(), pending.end(), chosen));
   }
@@ -114,9 +107,10 @@ Schedule schedule_corrected_with_order(const Instance& inst,
     throw std::invalid_argument(
         "schedule_corrected_with_order: base order must cover all tasks");
   }
-  ExecutionState state(capacity, inst.num_channels());
+  const CompiledInstance ci(inst);
+  Engine engine(ci, capacity);
   Schedule sched(inst.size());
-  execute_corrected(inst, base_order, criterion, state, sched);
+  execute_corrected(ci, base_order, criterion, engine, sched);
   return sched;
 }
 

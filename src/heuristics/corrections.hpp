@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "core/instance.hpp"
+#include "core/compiled.hpp"
 #include "core/schedule.hpp"
-#include "core/simulate.hpp"
 #include "heuristics/dynamic.hpp"
 
 namespace dts {
@@ -29,21 +29,11 @@ namespace dts {
 /// Paper acronym of the corrected heuristic ("OOLCMR", ...).
 [[nodiscard]] std::string_view to_corrected_acronym(DynamicCriterion c) noexcept;
 
-/// Runs the corrected policy over `base_order` on an existing engine,
-/// writing start times into `out`.
-///
-/// Convenience delegator: compiles the instance and calls the
-/// compiled-first overload below — the one home of the correction loop
-/// and its DAG gating (tools/dts_lint.py `executor-one-home`).
-void execute_corrected(const Instance& inst,
-                       std::span<const TaskId> base_order,
-                       DynamicCriterion criterion, ExecutionState& state,
-                       Schedule& out);
-
-/// The compiled-first entry point (and the only defining body): correction
-/// scoring reads the SoA arrays (core/compiled.hpp), dependency gating is
-/// implemented here and nowhere else. Identical schedules to the Instance
-/// delegator; repeated callers compile once and reuse.
+/// Runs the corrected policy over `base_order` on `engine` (reset on
+/// `ci`), writing start times into `out`. The one home of the correction
+/// loop and its DAG gating (tools/dts_lint.py `executor-one-home`):
+/// correction scoring reads the SoA arrays (core/compiled.hpp). Repeated
+/// callers compile once and reuse.
 ///
 /// Cost. On a dependency-free instance one CandidateIndex
 /// (heuristics/candidate_index.hpp) over `base_order` answers the head of
@@ -55,7 +45,7 @@ void execute_corrected(const Instance& inst,
 /// (optional) accumulates the index's work counters.
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,
-                       DynamicCriterion criterion, ExecutionState& state,
+                       DynamicCriterion criterion, Engine& engine,
                        Schedule& out, SelectionStats* stats = nullptr);
 
 /// Corrected policy on a fresh engine with an explicit base order (the

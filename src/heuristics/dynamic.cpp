@@ -34,21 +34,20 @@ bool criterion_better(const CompiledInstance& ci, TaskId a, TaskId b,
 
 }  // namespace
 
-TaskId pick_candidate(const CompiledInstance& ci, const ExecutionState& state,
+TaskId pick_candidate(const CompiledInstance& ci, const Engine& engine,
                       std::span<const TaskId> candidates,
                       DynamicCriterion criterion, std::span<const Time> ready) {
-  const Time now = state.now();
-  const Time comp_avail = state.comp_available();
+  const Time now = engine.now();
+  const Time comp_avail = engine.comp_available();
   TaskId best = kInvalidTask;
   Time best_idle = kInfiniteTime;
   for (std::size_t k = 0; k < candidates.size(); ++k) {
     const TaskId id = candidates[k];
-    // induced_comp_idle over the SoA arrays, same operation order:
-    // max(0, max(now, channel clock) + comm - processor-free) — floored
-    // at the candidate's predecessor completion instant when given.
-    Time start = std::max(now, state.comm_available(ci.channel(id)));
+    // The transfer would start at max(now, channel clock), floored at
+    // the candidate's predecessor completion instant when given.
+    Time start = std::max(now, engine.comm_available(ci.channel(id)));
     if (!ready.empty()) start = std::max(start, ready[k]);
-    const Time idle = std::max(0.0, start + ci.comm(id) - comp_avail);
+    const Time idle = induced_idle(start, ci.comm(id), comp_avail);
     const bool strictly_less_idle = best != kInvalidTask && definitely_less(idle, best_idle);
     const bool tied_idle = best != kInvalidTask &&
                            !definitely_less(idle, best_idle) &&
@@ -62,23 +61,7 @@ TaskId pick_candidate(const CompiledInstance& ci, const ExecutionState& state,
   return best;
 }
 
-void execute_dynamic(const Instance& inst, std::span<const TaskId> ids,
-                     DynamicCriterion criterion, ExecutionState& state,
-                     Schedule& out) {
-  const CompiledInstance ci(inst);
-  execute_dynamic(ci, ids, criterion, state, out);
-}
-
 namespace detail {
-
-Task soa_task(const CompiledInstance& ci, TaskId id) {
-  return Task{.id = id,
-              .comm = ci.comm(id),
-              .comp = ci.comp(id),
-              .mem = ci.mem(id),
-              .channel = ci.channel(id),
-              .name = {}};
-}
 
 bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
                 Time& ready) {
@@ -110,20 +93,20 @@ bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
 }  // namespace detail
 
 void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
-                     DynamicCriterion criterion, ExecutionState& state,
+                     DynamicCriterion criterion, Engine& engine,
                      Schedule& out, SelectionStats* stats) {
   if (!ci.has_dependencies()) {
     CandidateIndex index(ci, ids, criterion);
     while (!index.empty()) {
-      const std::size_t pos = index.pick(state);
+      const std::size_t pos = index.pick(engine);
       if (pos == CandidateIndex::npos) {
-        if (!state.advance_to_next_release()) {
+        if (!engine.advance_to_next_release()) {
           throw std::invalid_argument(
               "execute_dynamic: a pending task exceeds the memory capacity");
         }
         continue;
       }
-      const TaskTimes tt = state.start(detail::soa_task(ci, ids[pos]));
+      const TaskTimes tt = engine.start(ids[pos]);
       out.set(ids[pos], tt.comm_start, tt.comp_start);
       index.remove(pos);
     }
@@ -147,7 +130,7 @@ void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
       Time ready = 0.0;
       if (!detail::deps_ready(ci, out, id, ready)) continue;
       any_ready = true;
-      if (state.fits(ci.mem(id))) {
+      if (engine.fits(ci.mem(id))) {
         fitting.push_back(id);
         floors.push_back(ready);
       }
@@ -156,16 +139,17 @@ void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
       if (!any_ready) {
         detail::throw_unready_pending("execute_dynamic", ci, out, pending);
       }
-      if (!state.advance_to_next_release()) {
+      if (!engine.advance_to_next_release()) {
         throw std::invalid_argument(
             "execute_dynamic: a pending task exceeds the memory capacity");
       }
       continue;
     }
-    const TaskId chosen = pick_candidate(ci, state, fitting, criterion, floors);
+    const TaskId chosen =
+        pick_candidate(ci, engine, fitting, criterion, floors);
     const std::size_t k = static_cast<std::size_t>(
         std::find(fitting.begin(), fitting.end(), chosen) - fitting.begin());
-    const TaskTimes tt = state.start(detail::soa_task(ci, chosen), floors[k]);
+    const TaskTimes tt = engine.start(chosen, floors[k]);
     out.set(chosen, tt.comm_start, tt.comp_start);
     pending.erase(std::find(pending.begin(), pending.end(), chosen));
   }
@@ -173,10 +157,11 @@ void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
 
 Schedule schedule_dynamic(const Instance& inst, DynamicCriterion criterion,
                           Mem capacity) {
-  ExecutionState state(capacity, inst.num_channels());
+  const CompiledInstance ci(inst);
+  Engine engine(ci, capacity);
   Schedule sched(inst.size());
   const std::vector<TaskId> ids = inst.submission_order();
-  execute_dynamic(inst, ids, criterion, state, sched);
+  execute_dynamic(ci, ids, criterion, engine, sched);
   return sched;
 }
 

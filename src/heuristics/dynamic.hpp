@@ -13,6 +13,7 @@
 /// If nothing fits, the link stays idle until the next computation finishes
 /// and releases memory. Communication and computation keep a common order.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -21,7 +22,6 @@
 #include "core/compiled.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
-#include "core/simulate.hpp"
 
 namespace dts {
 
@@ -33,6 +33,18 @@ enum class DynamicCriterion {
 
 /// Paper acronym of the pure dynamic heuristic ("LCMR", ...).
 [[nodiscard]] std::string_view to_acronym(DynamicCriterion c) noexcept;
+
+/// Idle time a transfer of length `comm` starting at `start` injects on a
+/// processor free at `comp_available`: max(0, start + comm - comp_available).
+/// The dynamic and correction heuristics minimize it over candidates
+/// (§4.2); with several channels `start` is the candidate's own channel
+/// clock, so a task whose engine is free beats one whose engine is busy.
+/// Every selection path evaluates this one expression, so their idles
+/// agree bit for bit.
+[[nodiscard]] inline Time induced_idle(Time start, Time comm,
+                                       Time comp_available) noexcept {
+  return std::max(0.0, start + comm - comp_available);
+}
 
 /// Among `candidates` (ids into `ci`, all assumed to fit in memory at the
 /// engine's current instant), returns the id the paper's rule prefers —
@@ -55,7 +67,7 @@ enum class DynamicCriterion {
 /// This linear scan is the DAG executors' selection, the indexed
 /// selection's near-tie fallback and its test reference.
 [[nodiscard]] TaskId pick_candidate(const CompiledInstance& ci,
-                                    const ExecutionState& state,
+                                    const Engine& engine,
                                     std::span<const TaskId> candidates,
                                     DynamicCriterion criterion,
                                     std::span<const Time> ready = {});
@@ -84,27 +96,20 @@ struct SelectionStats {
   }
 };
 
-/// Schedules every id in `ids` on `state` using dynamic selection, writing
-/// start times into `out`. `ids` supplies the tie-breaking priority (its
-/// order is the submission order within a batch). On a DAG instance only
+/// Schedules every id in `ids` on `engine` (reset on `ci`) using dynamic
+/// selection, writing start times into `out`. `ids` supplies the
+/// tie-breaking priority (its order is the submission order within a
+/// batch). On a DAG instance only
 /// tasks whose predecessors have all been scheduled (in `out` — possibly
 /// by an earlier batch sharing it) are candidates, and each transfer
 /// waits for its predecessors' computations; throws std::invalid_argument
 /// when every pending task waits on a predecessor outside `ids` that was
 /// never scheduled.
 ///
-/// Convenience delegator: compiles the instance and calls the
-/// compiled-first overload below — the *one* home of the scheduling loop
-/// and its DAG gating (tools/dts_lint.py `executor-one-home` keeps it
-/// that way). Repeated callers (the batch scheduler) compile once and
-/// call the compiled overload directly.
-void execute_dynamic(const Instance& inst, std::span<const TaskId> ids,
-                     DynamicCriterion criterion, ExecutionState& state,
-                     Schedule& out);
-
-/// The compiled-first entry point (and the only defining body): candidate
-/// scoring reads the SoA arrays, dependency gating is implemented here and
-/// nowhere else.
+/// The one home of the scheduling loop and its DAG gating
+/// (tools/dts_lint.py `executor-one-home` keeps it that way): candidate
+/// scoring reads the SoA arrays. Repeated callers (the batch scheduler)
+/// compile once and reuse.
 ///
 /// Cost. On a dependency-free instance every pick is answered by one
 /// CandidateIndex (heuristics/candidate_index.hpp) in O(log n) — O(n log n)
@@ -115,7 +120,7 @@ void execute_dynamic(const Instance& inst, std::span<const TaskId> ids,
 /// scan per pick. `stats` (optional) accumulates the index's work
 /// counters.
 void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
-                     DynamicCriterion criterion, ExecutionState& state,
+                     DynamicCriterion criterion, Engine& engine,
                      Schedule& out, SelectionStats* stats = nullptr);
 
 /// Convenience: run on a fresh engine over all tasks.
@@ -124,10 +129,6 @@ void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
                                         Mem capacity);
 
 namespace detail {
-
-/// Rebuilds the timing-relevant fields of a task from the SoA arrays (the
-/// engine's start() only reads these; the name stays empty).
-[[nodiscard]] Task soa_task(const CompiledInstance& ci, TaskId id);
 
 /// Predecessor readiness of `id` against the starts recorded in `out`:
 /// false when a predecessor is unscheduled, otherwise raises `ready` to

@@ -9,7 +9,6 @@
 
 #include "core/compiled.hpp"
 #include "core/registry.hpp"
-#include "core/simulate.hpp"
 #include "exact/branch_bound.hpp"
 #include "milp/model.hpp"
 #include "milp/simplex.hpp"
@@ -137,7 +136,7 @@ struct Incumbent {
 /// when it definitely improves — the exact incumbent discipline of
 /// best_pair_order, so accepted values come from the same finite set.
 bool try_improve(const Instance& inst, Mem capacity,
-                 const ExecutionState::Snapshot& fresh,
+                 const Engine::Snapshot& fresh,
                  std::span<const TaskId> comm, std::span<const TaskId> comp,
                  Incumbent& best, Schedule& scratch) {
   const std::optional<Time> ms = simulate_pair_order(
@@ -182,7 +181,7 @@ MilpResult solve_order_milp(const Instance& inst, Mem capacity,
     throw std::invalid_argument("milp: a task exceeds the memory capacity");
   }
 
-  ExecutionState::Snapshot fresh;
+  Engine::Snapshot fresh;
   fresh.comm_available.assign(inst.num_channels(), 0.0);
 
   // Warm start: decode every registry heuristic's schedule into its

@@ -46,7 +46,7 @@ constexpr DynamicCriterion kCriteria[] = {DynamicCriterion::kLargestComm,
 /// dynamic policy (§4.2) with `order` as the tie-breaking priority.
 void reference_execute(const CompiledInstance& ci,
                        std::span<const TaskId> order, DynamicCriterion c,
-                       bool corrected, ExecutionState& state, Schedule& out) {
+                       bool corrected, Engine& state, Schedule& out) {
   std::vector<TaskId> pending(order.begin(), order.end());
   std::vector<TaskId> fitting;
   while (!pending.empty()) {
@@ -64,14 +64,14 @@ void reference_execute(const CompiledInstance& ci,
       }
       chosen = pick_candidate(ci, state, fitting, c);
     }
-    const TaskTimes tt = state.start(detail::soa_task(ci, chosen));
+    const TaskTimes tt = state.start(chosen);
     out.set(chosen, tt.comm_start, tt.comp_start);
     pending.erase(std::find(pending.begin(), pending.end(), chosen));
   }
 }
 
 void indexed_execute(const CompiledInstance& ci, std::span<const TaskId> order,
-                     DynamicCriterion c, bool corrected, ExecutionState& state,
+                     DynamicCriterion c, bool corrected, Engine& state,
                      Schedule& out, SelectionStats* stats = nullptr) {
   if (corrected) {
     execute_corrected(ci, order, c, state, out, stats);
@@ -110,8 +110,8 @@ void expect_six_identical(const Instance& inst, Mem capacity,
   for (const bool corrected : {false, true}) {
     const std::vector<TaskId>& order = corrected ? johnson : submission;
     for (const DynamicCriterion c : kCriteria) {
-      ExecutionState ref_state(capacity, inst.num_channels());
-      ExecutionState idx_state(capacity, inst.num_channels());
+      Engine ref_state(ci, capacity);
+      Engine idx_state(ci, capacity);
       Schedule ref(inst.size());
       Schedule idx(inst.size());
       reference_execute(ci, order, c, corrected, ref_state, ref);
@@ -243,17 +243,17 @@ std::vector<TaskId> static_batch_order(HeuristicId id, const Instance& inst,
 Schedule reference_auto_batch(const Instance& inst, Mem capacity) {
   const CompiledInstance ci(inst);
   const std::vector<TaskId> submission = inst.submission_order();
-  ExecutionState::Snapshot carried;
+  Engine::Snapshot carried;
   carried.comm_available.assign(inst.num_channels(), 0.0);
   Schedule committed(inst.size());
   for (std::size_t lo = 0; lo < submission.size(); lo += 16) {
     const std::span<const TaskId> ids(
         &submission[lo], std::min<std::size_t>(16, submission.size() - lo));
-    ExecutionState best_state(capacity, carried);
+    Engine best_state(ci, capacity, &carried);
     Schedule best(inst.size());
     bool have_best = false;
     for (const HeuristicId h : all_heuristic_ids()) {
-      ExecutionState state(capacity, carried);
+      Engine state(ci, capacity, &carried);
       Schedule trial(inst.size());
       const HeuristicCategory cat = info(h).category;
       if (cat == HeuristicCategory::kDynamic ||
@@ -271,8 +271,15 @@ Schedule reference_auto_batch(const Instance& inst, Mem capacity) {
                 : std::vector<TaskId>(ids.begin(), ids.end());
         reference_execute(ci, order, c, corrected, state, trial);
       } else {
-        execute_order(inst, static_batch_order(h, inst, ids, capacity), state,
-                      trial);
+        for (const TaskId id : static_batch_order(h, inst, ids, capacity)) {
+          while (!state.fits(ci.mem(id))) {
+            if (!state.advance_to_next_release()) {
+              throw std::invalid_argument("reference: task exceeds capacity");
+            }
+          }
+          const TaskTimes tt = state.start(id);
+          trial.set(id, tt.comm_start, tt.comp_start);
+        }
       }
       const Time end = state.comp_available();
       const Time best_end = best_state.comp_available();
@@ -358,7 +365,7 @@ void expect_subquadratic(ChemistryKernel kernel, MachineModel machine) {
     SelectionStats stats;
     for (const DynamicCriterion c : kCriteria) {
       for (const bool corrected : {false, true}) {
-        ExecutionState state(capacity, inst.num_channels());
+        Engine state(ci, capacity);
         Schedule out(inst.size());
         indexed_execute(ci, corrected ? johnson : submission, c, corrected,
                         state, out, &stats);

@@ -11,6 +11,7 @@
 
 #include "core/bounds.hpp"
 #include "core/channels.hpp"
+#include "core/compiled.hpp"
 #include "core/registry.hpp"
 #include "core/simulate.hpp"
 #include "core/solver.hpp"
@@ -175,9 +176,11 @@ TEST(SingleChannelParity, ExplicitSingleChannelSetTakesTheLegacyPath) {
 // ------------------------------------------------------- engine semantics
 
 TEST(MultiChannelEngine, OppositeDirectionsOverlap) {
-  ExecutionState s(kInfiniteMem, 2);
-  const TaskTimes in = s.start(channel_task(kChannelH2D, 5, 2, 1));
-  const TaskTimes out = s.start(channel_task(kChannelD2H, 3, 0, 1));
+  const CompiledInstance ci(Instance(std::vector<Task>{
+      channel_task(kChannelH2D, 5, 2, 1), channel_task(kChannelD2H, 3, 0, 1)}));
+  Engine s(ci, kInfiniteMem);
+  const TaskTimes in = s.start(0);
+  const TaskTimes out = s.start(1);
   EXPECT_DOUBLE_EQ(in.comm_start, 0.0);
   EXPECT_DOUBLE_EQ(out.comm_start, 0.0);  // D2H engine was never busy
   EXPECT_DOUBLE_EQ(s.comm_available(kChannelH2D), 5.0);
@@ -185,9 +188,12 @@ TEST(MultiChannelEngine, OppositeDirectionsOverlap) {
 }
 
 TEST(MultiChannelEngine, SameChannelSerializes) {
-  ExecutionState s(kInfiniteMem, 2);
-  s.start(channel_task(kChannelH2D, 5, 0, 1));
-  const TaskTimes second = s.start(channel_task(kChannelH2D, 2, 0, 1));
+  const CompiledInstance ci(Instance(std::vector<Task>{
+      channel_task(kChannelH2D, 5, 0, 1), channel_task(kChannelH2D, 2, 0, 1),
+      channel_task(kChannelD2H, 1, 0, 1)}));
+  Engine s(ci, kInfiniteMem);
+  s.start(0);
+  const TaskTimes second = s.start(1);
   EXPECT_DOUBLE_EQ(second.comm_start, 5.0);
 }
 
@@ -206,18 +212,23 @@ TEST(MultiChannelEngine, MemoryGatesAcrossChannelsNotTransfers) {
 }
 
 TEST(MultiChannelEngine, RejectsUnknownChannel) {
-  ExecutionState s(kInfiniteMem, 1);
-  EXPECT_THROW((void)s.start(channel_task(1, 1, 1, 0)), std::out_of_range);
+  const CompiledInstance ci(
+      Instance(std::vector<Task>{channel_task(1, 1, 1, 0)}));
+  const Engine::Snapshot one_link;  // a single clock
+  Engine s(ci, kInfiniteMem, &one_link);
+  EXPECT_THROW((void)s.start(0), std::out_of_range);
+  EXPECT_THROW((void)s.comm_available(1), std::out_of_range);
 }
 
 TEST(MultiChannelEngine, SnapshotRoundTripKeepsChannelClocks) {
-  ExecutionState s(kInfiniteMem, 2);
-  s.start(channel_task(kChannelH2D, 5, 2, 1));
-  s.start(channel_task(kChannelD2H, 3, 0, 1));
-  const ExecutionState::Snapshot snap = s.snapshot();
+  const CompiledInstance ci(Instance(std::vector<Task>{
+      channel_task(kChannelH2D, 5, 2, 1), channel_task(kChannelD2H, 3, 0, 1)}));
+  Engine s(ci, kInfiniteMem);
+  s.start(0);
+  s.start(1);
+  const Engine::Snapshot snap = s.snapshot();
   ASSERT_EQ(snap.comm_available.size(), 2u);
-  EXPECT_THROW((void)snap.single_link_available(), std::logic_error);
-  ExecutionState r(kInfiniteMem, snap);
+  const Engine r(ci, kInfiniteMem, &snap);
   EXPECT_EQ(r.num_channels(), 2u);
   EXPECT_DOUBLE_EQ(r.comm_available(kChannelH2D), 5.0);
   EXPECT_DOUBLE_EQ(r.comm_available(kChannelD2H), 3.0);

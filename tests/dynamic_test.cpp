@@ -12,7 +12,7 @@ namespace {
 TEST(PickCandidate, EmptyReturnsInvalid) {
   const Instance inst = testing::table4_instance();
   const CompiledInstance ci(inst);
-  ExecutionState state(kInfiniteMem);
+  Engine state(ci, kInfiniteMem);
   const std::vector<TaskId> none;
   EXPECT_EQ(pick_candidate(ci, state, none, DynamicCriterion::kLargestComm),
             kInvalidTask);
@@ -24,7 +24,7 @@ TEST(PickCandidate, MinimumIdleDominatesCriterion) {
   // criterion (the paper's Fig. 5 schedules all start with task B).
   const Instance inst = testing::table4_instance();
   const CompiledInstance ci(inst);
-  ExecutionState state(kInfiniteMem);
+  Engine state(ci, kInfiniteMem);
   const std::vector<TaskId> all{0, 1, 2, 3};
   for (DynamicCriterion c :
        {DynamicCriterion::kLargestComm, DynamicCriterion::kSmallestComm,
@@ -37,8 +37,8 @@ TEST(PickCandidate, CriterionBreaksIdleTies) {
   // Busy processor: nobody induces idle, criterion decides.
   const Instance inst = testing::table4_instance();
   const CompiledInstance ci(inst);
-  ExecutionState state(kInfiniteMem);
-  state.start(inst[1]);  // B: processor busy until t=7
+  Engine state(ci, kInfiniteMem);
+  state.start(1);  // B: processor busy until t=7
   const std::vector<TaskId> rest{0, 2, 3};  // A(3,2) C(4,6) D(5,1)
   EXPECT_EQ(pick_candidate(ci, state, rest, DynamicCriterion::kLargestComm),
             3u);
@@ -52,8 +52,8 @@ TEST(PickCandidate, CriterionBreaksIdleTies) {
 TEST(PickCandidate, ZeroCommTaskIsInfinitelyAccelerated) {
   const Instance inst = Instance::from_comm_comp({{0, 4}, {2, 10}});
   const CompiledInstance ci(inst);
-  ExecutionState state(kInfiniteMem);
-  state.start(inst[1]);  // keep processor busy so idle ties
+  Engine state(ci, kInfiniteMem);
+  state.start(1);  // keep processor busy so idle ties
   const std::vector<TaskId> both{0, 1};
   EXPECT_EQ(
       pick_candidate(ci, state, both, DynamicCriterion::kMaxAcceleration),
@@ -63,8 +63,8 @@ TEST(PickCandidate, ZeroCommTaskIsInfinitelyAccelerated) {
 TEST(PickCandidate, TieOnCriterionPrefersEarlierCandidate) {
   const Instance inst = Instance::from_comm_comp({{2, 2}, {2, 2}});
   const CompiledInstance ci(inst);
-  ExecutionState state(kInfiniteMem);
-  state.start(inst[0]);
+  Engine state(ci, kInfiniteMem);
+  state.start(0);
   // Re-pick among identical tasks (pretend both still pending).
   const std::vector<TaskId> both{1, 0};
   EXPECT_EQ(pick_candidate(ci, state, both, DynamicCriterion::kLargestComm),

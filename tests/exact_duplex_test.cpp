@@ -134,7 +134,7 @@ TEST(ExactDuplex, CarriedMultiClockStateShiftsSchedule) {
     tasks.push_back(std::move(t));
   }
   const Instance inst(std::move(tasks));
-  ExecutionState::Snapshot snap;
+  Engine::Snapshot snap;
   snap.comm_available = {10.0, 4.0};
   snap.comp_available = 6.0;
   snap.now = 4.0;

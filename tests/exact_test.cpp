@@ -54,7 +54,7 @@ TEST(Exhaustive, NeverWorseThanAnyHeuristicOrder) {
 }
 
 TEST(PairSimulator, IdenticalOrdersMatchCommonOrderEngine) {
-  // simulate_pair_order(o, o) must agree exactly with execute_order(o):
+  // simulate_pair_order(o, o) must agree exactly with simulate_order(o):
   // both implement earliest-start permutation semantics.
   Rng rng(54);
   for (int iter = 0; iter < 200; ++iter) {
@@ -138,7 +138,7 @@ TEST(PairOrder, ThrowsWhenTaskExceedsCapacity) {
 
 TEST(PairOrder, CarriedStateShiftsSchedule) {
   const Instance inst = Instance::from_comm_comp({{2, 3}, {1, 4}});
-  ExecutionState::Snapshot snap;
+  Engine::Snapshot snap;
   snap.comm_available = {10.0};
   snap.comp_available = 12.0;
   PairOrderOptions options;

@@ -4,6 +4,7 @@
 
 #include "core/johnson.hpp"
 #include "core/registry.hpp"
+#include "core/simulate.hpp"
 #include "exact/exhaustive.hpp"
 #include "test_util.hpp"
 

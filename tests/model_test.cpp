@@ -258,16 +258,6 @@ TEST(Solve, BindsLazilyFromMachineNameAndDescriptor) {
   const SolveResult by_desc = solve(by_desc_request, "OS");
   EXPECT_EQ(by_name.makespan, by_desc.makespan);
 
-  // Deprecated machine_model shim (one release): still honored, and still
-  // ambiguous next to a set MachineRef.
-  SolveRequest by_shim = request;
-  by_shim.machine = std::nullopt;
-  by_shim.machine_model = machine_from_name("paper");
-  EXPECT_EQ(by_name.makespan, solve(by_shim, "OS").makespan);
-  SolveRequest both = request;
-  both.machine_model = machine_from_name("paper");
-  EXPECT_THROW((void)solve(both, "OS"), std::invalid_argument);
-
   // Unknown names surface the registry's listing error.
   SolveRequest unknown = request;
   unknown.machine = "no-such-machine";

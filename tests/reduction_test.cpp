@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/simulate.hpp"
 #include "core/validate.hpp"
 #include "exact/exhaustive.hpp"
 #include "test_util.hpp"

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
+#include "core/compiled.hpp"
 #include "core/johnson.hpp"
+#include "heuristics/dynamic.hpp"
 #include "test_util.hpp"
 
 namespace dts {
@@ -14,21 +18,29 @@ Task make_task(Time comm, Time comp, Mem mem) {
   return Task{.id = 0, .comm = comm, .comp = comp, .mem = mem, .name = {}};
 }
 
+/// Compiled instance of the given tasks (ids follow the list), for
+/// driving the engine's step API by task id.
+CompiledInstance compile(std::vector<Task> tasks) {
+  return CompiledInstance(Instance(std::move(tasks)));
+}
+
 TEST(ExecutionState, FreshStateIsEmpty) {
-  ExecutionState s(10.0);
+  const CompiledInstance ci = compile({make_task(3, 4, 5)});
+  const Engine s(ci, 10.0);
   EXPECT_DOUBLE_EQ(s.now(), 0.0);
   EXPECT_DOUBLE_EQ(s.used_memory(), 0.0);
   EXPECT_EQ(s.active_tasks(), 0u);
 }
 
 TEST(ExecutionState, RejectsNegativeCapacity) {
-  EXPECT_THROW(ExecutionState(-1.0), std::invalid_argument);
+  const CompiledInstance ci = compile({make_task(3, 4, 5)});
+  EXPECT_THROW(Engine(ci, -1.0), std::invalid_argument);
 }
 
 TEST(ExecutionState, StartAdvancesLinkAndQueuesComp) {
-  ExecutionState s(10.0);
-  const Task t = make_task(3, 4, 5);
-  const TaskTimes tt = s.start(t);
+  const CompiledInstance ci = compile({make_task(3, 4, 5)});
+  Engine s(ci, 10.0);
+  const TaskTimes tt = s.start(0);
   EXPECT_DOUBLE_EQ(tt.comm_start, 0.0);
   EXPECT_DOUBLE_EQ(tt.comp_start, 3.0);
   EXPECT_DOUBLE_EQ(s.now(), 3.0);
@@ -37,8 +49,9 @@ TEST(ExecutionState, StartAdvancesLinkAndQueuesComp) {
 }
 
 TEST(ExecutionState, MemoryReleasedAtComputeEnd) {
-  ExecutionState s(10.0);
-  s.start(make_task(3, 4, 5));
+  const CompiledInstance ci = compile({make_task(3, 4, 5)});
+  Engine s(ci, 10.0);
+  s.start(0);
   EXPECT_TRUE(s.advance_to_next_release());
   EXPECT_DOUBLE_EQ(s.now(), 7.0);
   EXPECT_DOUBLE_EQ(s.used_memory(), 0.0);
@@ -46,53 +59,49 @@ TEST(ExecutionState, MemoryReleasedAtComputeEnd) {
 }
 
 TEST(ExecutionState, FitsRespectsCapacity) {
-  ExecutionState s(10.0);
-  s.start(make_task(2, 10, 6));
-  EXPECT_TRUE(s.fits(make_task(1, 1, 4)));
-  EXPECT_FALSE(s.fits(make_task(1, 1, 4.5)));
+  const CompiledInstance ci = compile({make_task(2, 10, 6)});
+  Engine s(ci, 10.0);
+  s.start(0);
+  EXPECT_TRUE(s.fits(4));
+  EXPECT_FALSE(s.fits(4.5));
 }
 
 TEST(ExecutionState, StartThrowsWhenNotFitting) {
-  ExecutionState s(10.0);
-  s.start(make_task(2, 10, 6));
-  EXPECT_THROW((void)s.start(make_task(1, 1, 5)), std::logic_error);
+  const CompiledInstance ci =
+      compile({make_task(2, 10, 6), make_task(1, 1, 5)});
+  Engine s(ci, 10.0);
+  s.start(0);
+  EXPECT_THROW((void)s.start(1), std::logic_error);
 }
 
 TEST(ExecutionState, ZeroComputationReleasesImmediately) {
-  ExecutionState s(10.0);
-  s.start(make_task(4, 0, 9));
+  const CompiledInstance ci = compile({make_task(4, 0, 9)});
+  Engine s(ci, 10.0);
+  s.start(0);
   // comp runs [4,4): by the time the link is free again the memory is gone.
   EXPECT_DOUBLE_EQ(s.used_memory(), 0.0);
   EXPECT_EQ(s.active_tasks(), 0u);
 }
 
 TEST(ExecutionState, InducedIdleComputation) {
-  ExecutionState s(20.0);
-  s.start(make_task(2, 10, 1));  // processor busy until 12, link free at 2
+  const CompiledInstance ci = compile({make_task(2, 10, 1)});
+  Engine s(ci, 20.0);
+  s.start(0);  // processor busy until 12, link free at 2
+  const Time start = std::max(s.now(), s.comm_available(0));
   // A task with comm 4 would arrive at 6 < 12: no induced idle.
-  EXPECT_DOUBLE_EQ(s.induced_comp_idle(make_task(4, 1, 1)), 0.0);
+  EXPECT_DOUBLE_EQ(induced_idle(start, 4, s.comp_available()), 0.0);
   // A task with comm 15 would arrive at 17: 5 units of idle.
-  EXPECT_DOUBLE_EQ(s.induced_comp_idle(make_task(15, 1, 1)), 5.0);
-}
-
-TEST(ExecutionState, AdvanceToReleasesPassedWork) {
-  ExecutionState s(10.0);
-  s.start(make_task(1, 2, 5));  // comp ends at 3
-  s.advance_to(2.5);
-  EXPECT_DOUBLE_EQ(s.used_memory(), 5.0);
-  s.advance_to(3.0);
-  EXPECT_DOUBLE_EQ(s.used_memory(), 0.0);
-  // Time never moves backwards.
-  s.advance_to(1.0);
-  EXPECT_DOUBLE_EQ(s.now(), 3.0);
+  EXPECT_DOUBLE_EQ(induced_idle(start, 15, s.comp_available()), 5.0);
 }
 
 TEST(ExecutionState, SnapshotRoundTrip) {
-  ExecutionState s(10.0);
-  s.start(make_task(2, 8, 4));  // active until 10
-  s.start(make_task(3, 1, 3));  // comp [10,11): active until 11
-  const ExecutionState::Snapshot snap = s.snapshot();
-  ExecutionState r(10.0, snap);
+  const CompiledInstance ci =
+      compile({make_task(2, 8, 4), make_task(3, 1, 3)});
+  Engine s(ci, 10.0);
+  s.start(0);  // active until 10
+  s.start(1);  // comp [10,11): active until 11
+  const Engine::Snapshot snap = s.snapshot();
+  const Engine r(ci, 10.0, &snap);
   EXPECT_DOUBLE_EQ(r.comm_available(), s.comm_available());
   EXPECT_DOUBLE_EQ(r.comp_available(), s.comp_available());
   EXPECT_DOUBLE_EQ(r.used_memory(), s.used_memory());
@@ -100,11 +109,12 @@ TEST(ExecutionState, SnapshotRoundTrip) {
 }
 
 TEST(ExecutionState, SnapshotDropsFinishedEntries) {
-  ExecutionState::Snapshot snap;
+  const CompiledInstance ci = compile({make_task(1, 1, 1)});
+  Engine::Snapshot snap;
   snap.comm_available = {10.0};
   snap.comp_available = 12.0;
   snap.active = {{5.0, 100.0}, {15.0, 7.0}};  // first already finished
-  ExecutionState s(20.0, snap);
+  const Engine s(ci, 20.0, &snap);
   EXPECT_DOUBLE_EQ(s.used_memory(), 7.0);
   EXPECT_EQ(s.active_tasks(), 1u);
 }
@@ -164,12 +174,14 @@ TEST(SimulateOrder, RandomOrdersAlwaysFeasible) {
 
 TEST(ExecuteOrder, CarriesStateAcrossCalls) {
   const Instance inst = testing::table3_instance();
-  ExecutionState state(kInfiniteMem);
+  const CompiledInstance ci(inst);
+  Engine engine;
   Schedule sched(inst.size());
   const std::vector<TaskId> first{1, 2};
   const std::vector<TaskId> second{0, 3};
-  execute_order(inst, first, state, sched);
-  execute_order(inst, second, state, sched);
+  (void)evaluate_order(ci, first, kInfiniteMem, engine, sched);
+  const Engine::Snapshot carried = engine.snapshot();
+  (void)evaluate_order(ci, second, kInfiniteMem, engine, sched, &carried);
   // Identical to executing the concatenated order in one go.
   const std::vector<TaskId> full{1, 2, 0, 3};
   const Schedule reference = simulate_order(inst, full, kInfiniteMem);

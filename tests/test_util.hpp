@@ -1,11 +1,16 @@
 #pragma once
 
 /// Shared fixtures for the dts test suite: the paper's example instances
-/// (Tables 2-5) and seeded random instance generators for property tests.
+/// (Tables 2-5), seeded random instance generators for property tests and
+/// an independent reference for the timing engine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -113,6 +118,80 @@ inline ::testing::AssertionResult feasible(const Instance& inst,
   const ValidationReport report = validate_schedule(inst, sched, capacity);
   if (report.ok()) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure() << report.summary();
+}
+
+/// Final state and schedule of a reference_run.
+struct ReferenceRun {
+  Schedule schedule;
+  std::vector<Time> comm_available;  ///< one clock per channel
+  Time comp_available = 0.0;
+  Time now = 0.0;
+  Mem used = 0.0;
+  std::size_t active = 0;
+};
+
+/// Oracle for the timing engine (core/compiled.hpp), written from its
+/// documented rules as a plain per-task loop over `inst` and independent
+/// of the engine's code: memory is held from transfer start to
+/// computation end and released at computation ends (a min-heap on the
+/// end, popped in the same order as the engine's, so the footprint sums
+/// round identically); a transfer waits for memory, its channel, the
+/// decision instant and its predecessors; computations run in issue
+/// order; after each issue the decision instant moves to the earliest
+/// free channel. Throws std::invalid_argument for a task that can never
+/// fit or one issued before a predecessor.
+inline ReferenceRun reference_run(const Instance& inst,
+                                  std::span<const TaskId> order,
+                                  Mem capacity) {
+  struct Held {
+    Time end;
+    Mem mem;
+    bool operator>(const Held& o) const { return end > o.end; }
+  };
+  ReferenceRun r{Schedule(inst.size()),
+                 std::vector<Time>(inst.num_channels(), 0.0)};
+  std::vector<Held> held;
+  const auto release_until = [&](Time t) {
+    while (!held.empty() && approx_leq(held.front().end, t)) {
+      r.used -= held.front().mem;
+      std::pop_heap(held.begin(), held.end(), std::greater<>{});
+      held.pop_back();
+    }
+    if (held.empty()) r.used = 0.0;
+  };
+  for (const TaskId id : order) {
+    const Task& t = inst[id];
+    while (!approx_leq(r.used + t.mem, capacity)) {  // wait for memory
+      if (held.empty()) throw std::invalid_argument("reference: never fits");
+      r.now = std::max(r.now, held.front().end);
+      release_until(r.now);
+    }
+    Time ready = 0.0;
+    for (const TaskId dep : t.deps) {
+      if (!r.schedule[dep].scheduled()) {
+        throw std::invalid_argument("reference: predecessor not issued");
+      }
+      ready = std::max(ready, r.schedule[dep].comp_start + inst[dep].comp);
+    }
+    Time& clock = r.comm_available.at(t.channel);
+    const Time comm_start = std::max(std::max(r.now, clock), ready);
+    if (comm_start > r.now) {
+      r.now = comm_start;
+      release_until(r.now);
+    }
+    const Time comp_start = std::max(comm_start + t.comm, r.comp_available);
+    clock = comm_start + t.comm;
+    r.comp_available = comp_start + t.comp;
+    r.used += t.mem;
+    held.push_back(Held{r.comp_available, t.mem});
+    std::push_heap(held.begin(), held.end(), std::greater<>{});
+    r.now = std::max(r.now, *std::min_element(r.comm_available.begin(),
+                                              r.comm_available.end()));
+    release_until(r.now);
+    r.schedule.set(id, comm_start, comp_start);
+  }
+  r.active = held.size();
+  return r;
 }
 
 }  // namespace dts::testing

@@ -4,6 +4,7 @@
 
 #include "core/bounds.hpp"
 #include "core/johnson.hpp"
+#include "core/simulate.hpp"
 #include "core/validate.hpp"
 #include "exact/exhaustive.hpp"
 #include "test_util.hpp"
