@@ -124,16 +124,16 @@ std::span<const TaskId> CompiledInstance::tasks_on_channel(ChannelId ch) const {
 // Engine
 
 Time Engine::comm_available(ChannelId ch) const {
-  if (ch >= comm_avail_.size()) {
-    throw_unknown_engine_channel(ch, comm_avail_.size());
-  }
-  return comm_avail_[ch];
+  const std::vector<Time>& clocks = state_.comm_avail;
+  if (ch >= clocks.size()) throw_unknown_engine_channel(ch, clocks.size());
+  return clocks[ch];
 }
 
 Time Engine::comm_available() const noexcept {
-  Time latest = comm_avail_[0];
-  for (std::size_t c = 1; c < comm_avail_.size(); ++c) {
-    latest = std::max(latest, comm_avail_[c]);
+  const std::vector<Time>& clocks = state_.comm_avail;
+  Time latest = clocks[0];
+  for (std::size_t c = 1; c < clocks.size(); ++c) {
+    latest = std::max(latest, clocks[c]);
   }
   return latest;
 }
@@ -141,24 +141,26 @@ Time Engine::comm_available() const noexcept {
 void Engine::reset(const CompiledInstance& ci, Mem capacity,
                    const Snapshot* initial, std::span<const Time> ready) {
   if (!(capacity >= 0.0)) throw_negative_capacity();  // also rejects NaN
+  State& s = state_;
   ci_ = &ci;
   capacity_ = capacity;
-  makespan_ = 0.0;
+  s.makespan = 0.0;
   track_deps_ = ci.has_dependencies();
   deps_stale_ = track_deps_;
+  if (!track_deps_) s.comp_end.clear();
   external_ready_.assign(ready.begin(), ready.end());
   if (initial == nullptr) {
-    comm_avail_.assign(ci.num_channels(), 0.0);
-    now_ = 0.0;
-    comp_avail_ = 0.0;
-    used_ = 0.0;
-    active_.clear();
+    s.comm_avail.assign(ci.num_channels(), 0.0);
+    s.now = 0.0;
+    s.comp_avail = 0.0;
+    s.used = 0.0;
+    s.active.clear();
   } else {
     load(*initial);
   }
   // After warm-up this reserve is a no-op: starting can add at most one
   // active entry per task, so start()'s push_back never reallocates.
-  active_.reserve(active_.size() + ci.size());
+  s.active.reserve(s.active.size() + ci.size());
 }
 
 void Engine::load(const Snapshot& snap) {
@@ -169,34 +171,36 @@ void Engine::load(const Snapshot& snap) {
   if (snap.comp_available < 0.0 || snap.now < 0.0) {
     throw_negative_availability();
   }
-  comm_avail_.assign(snap.comm_available.begin(), snap.comm_available.end());
-  comp_avail_ = snap.comp_available;
+  State& s = state_;
+  s.comm_avail.assign(snap.comm_available.begin(), snap.comm_available.end());
+  s.comp_avail = snap.comp_available;
   // The decision instant resumes at the earliest instant a new transfer
   // could be issued: the captured instant, or the first free channel if
   // that is later (hand-built snapshots leave `now` at 0 and carry only
   // clocks). Time never runs backwards — a decision instant earlier than
   // the capture would re-admit memory the snapshot no longer tracks.
-  now_ = std::max(snap.now,
-                  *std::min_element(comm_avail_.begin(), comm_avail_.end()));
-  used_ = 0.0;
-  active_.clear();
+  s.now = std::max(snap.now,
+                   *std::min_element(s.comm_avail.begin(), s.comm_avail.end()));
+  s.used = 0.0;
+  s.active.clear();
   for (const auto& [comp_end, mem] : snap.active) {
     // Entries already finished relative to the restored clock carry no
     // memory; keep the rest in flight.
-    if (approx_leq(comp_end, now_)) continue;
-    used_ += mem;
-    active_.push_back(Active{comp_end, mem});
+    if (approx_leq(comp_end, s.now)) continue;
+    s.used += mem;
+    s.active.push_back(Active{comp_end, mem});
   }
-  std::make_heap(active_.begin(), active_.end(), std::greater<>{});
+  std::make_heap(s.active.begin(), s.active.end(), std::greater<>{});
 }
 
 Engine::Snapshot Engine::snapshot() const {
+  const State& s = state_;
   Snapshot snap;
-  snap.comm_available = comm_avail_;
-  snap.comp_available = comp_avail_;
-  snap.now = now_;
-  snap.active.reserve(active_.size());
-  for (const Active& a : active_) snap.active.emplace_back(a.comp_end, a.mem);
+  snap.comm_available = s.comm_avail;
+  snap.comp_available = s.comp_avail;
+  snap.now = s.now;
+  snap.active.reserve(s.active.size());
+  for (const Active& a : s.active) snap.active.emplace_back(a.comp_end, a.mem);
   // Save -> restore must be the identity: batch runtimes, the window
   // solver and the pair-order branch & bound resume engines from
   // snapshots, and a lossy capture silently corrupts time or memory
@@ -207,15 +211,16 @@ Engine::Snapshot Engine::snapshot() const {
     Engine restored;
     restored.capacity_ = capacity_;
     restored.load(snap);
-    DTS_AUDIT(restored.now_ == now_,
+    const State& r = restored.state_;
+    DTS_AUDIT(r.now == s.now,
               "snapshot restore must resume at the captured instant");
-    DTS_AUDIT(restored.comm_avail_ == comm_avail_,
+    DTS_AUDIT(r.comm_avail == s.comm_avail,
               "snapshot restore must keep every channel clock");
-    DTS_AUDIT(restored.comp_avail_ == comp_avail_,
+    DTS_AUDIT(r.comp_avail == s.comp_avail,
               "snapshot restore must keep the processor clock");
-    DTS_AUDIT(restored.active_.size() == active_.size(),
+    DTS_AUDIT(r.active.size() == s.active.size(),
               "snapshot restore must keep every in-flight task");
-    DTS_AUDIT(approx_equal(restored.used_, used_),
+    DTS_AUDIT(approx_equal(r.used, s.used),
               "snapshot restore must keep the memory footprint");
   });
   return snap;
@@ -223,21 +228,23 @@ Engine::Snapshot Engine::snapshot() const {
 
 // dts-lint: hot-path
 void Engine::release_until(Time t) {
-  while (!active_.empty() && approx_leq(active_.front().comp_end, t)) {
-    used_ -= active_.front().mem;
-    std::pop_heap(active_.begin(), active_.end(), std::greater<>{});
-    active_.pop_back();
+  State& s = state_;
+  while (!s.active.empty() && approx_leq(s.active.front().comp_end, t)) {
+    s.used -= s.active.front().mem;
+    std::pop_heap(s.active.begin(), s.active.end(), std::greater<>{});
+    s.active.pop_back();
   }
-  if (active_.empty()) used_ = 0.0;  // snap away accumulated rounding
+  if (s.active.empty()) s.used = 0.0;  // snap away accumulated rounding
 }
 
 // dts-lint: hot-path
 bool Engine::advance_to_next_release() {
-  // Every entry with comp_end <= now_ was already released, so the heap
-  // top (if any) is a strictly future event.
-  if (active_.empty()) return false;
-  now_ = std::max(now_, active_.front().comp_end);
-  release_until(now_);
+  // Every entry ending at or before the decision instant was already
+  // released, so the heap top (if any) is a strictly future event.
+  State& s = state_;
+  if (s.active.empty()) return false;
+  s.now = std::max(s.now, s.active.front().comp_end);
+  release_until(s.now);
   return true;
 }
 
@@ -247,75 +254,81 @@ bool Engine::advance_to_next_release() {
 TaskTimes Engine::start(TaskId id, Time ready) {
   const CompiledInstance& ci = *ci_;
   if (id >= ci.size()) throw_unknown_task(id, ci.size());
+  State& s = state_;
   const ChannelId ch = ci.channel(id);
-  const std::size_t nch = comm_avail_.size();
+  const std::size_t nch = s.comm_avail.size();
   if (ch >= nch) throw_unknown_channel(id, ch, nch);
-  Time* const clocks = comm_avail_.data();
-  DTS_AUDIT_ONLY(const Time audit_now = now_;
+  Time* const clocks = s.comm_avail.data();
+  DTS_AUDIT_ONLY(const Time audit_now = s.now;
                  const Time audit_channel = clocks[ch];
-                 const Time audit_comp = comp_avail_;)
+                 const Time audit_comp = s.comp_avail;)
   // ready == 0 (no predecessors) leaves the precedence-free timing
   // bit-identical: every clock is >= 0, and std::max keeps its first
   // argument on ties.
-  const Time comm_start = std::max(std::max(now_, clocks[ch]), ready);
-  if (comm_start > now_) {
+  const Time comm_start = std::max(std::max(s.now, clocks[ch]), ready);
+  if (comm_start > s.now) {
     // The task's engine is busy past the decision instant (only possible
     // with several channels), or a predecessor finishes later; memory
     // finishing in the gap is released before the footprint check.
-    now_ = comm_start;
-    release_until(now_);
+    s.now = comm_start;
+    release_until(s.now);
   }
   const Mem m = ci.mem(id);
-  if (!fits(m)) throw_does_not_fit(id, used_, m, capacity_);
+  if (!fits(m)) throw_does_not_fit(id, s.used, m, capacity_);
   const Time comm_end = comm_start + ci.comm(id);
-  const Time comp_start = std::max(comm_end, comp_avail_);
+  const Time comp_start = std::max(comm_end, s.comp_avail);
   const Time comp_end = comp_start + ci.comp(id);
 
-  used_ += m;
-  active_.push_back(Active{comp_end, m});
-  std::push_heap(active_.begin(), active_.end(), std::greater<>{});
+  s.used += m;
+  s.active.push_back(Active{comp_end, m});
+  std::push_heap(s.active.begin(), s.active.end(), std::greater<>{});
 
   clocks[ch] = comm_end;
-  comp_avail_ = comp_end;
-  makespan_ = comp_end;
+  s.comp_avail = comp_end;
+  s.makespan = comp_end;
 
   // The decision instant moves to the earliest free channel.
   Time min_clock = clocks[0];
   for (std::size_t c = 1; c < nch; ++c) {
     min_clock = std::min(min_clock, clocks[c]);
   }
-  now_ = std::max(now_, min_clock);
-  release_until(now_);
+  s.now = std::max(s.now, min_clock);
+  release_until(s.now);
 
   // Clocks only move forward (per-channel monotonicity along the issue
   // order) and the admission check above keeps the footprint bounded;
   // the decision instant never trails the earliest free channel, the
   // invariant the snapshot round-trip relies on.
-  DTS_ENSURE(now_ >= audit_now, "decision instant must never decrease");
+  DTS_ENSURE(s.now >= audit_now, "decision instant must never decrease");
   DTS_ENSURE(clocks[ch] >= audit_channel,
              "channel clock must be monotone along the issue order");
-  DTS_ENSURE(comp_avail_ >= audit_comp, "processor clock must be monotone");
-  DTS_ENSURE(now_ >= min_clock,
+  DTS_ENSURE(s.comp_avail >= audit_comp, "processor clock must be monotone");
+  DTS_ENSURE(s.now >= min_clock,
              "decision instant must cover the earliest free channel");
-  DTS_AUDIT(approx_leq(used_, capacity_), "memory bound exceeded mid-simulate");
+  DTS_AUDIT(approx_leq(s.used, capacity_),
+            "memory bound exceeded mid-simulate");
   return TaskTimes{comm_start, comp_start};
 }
 
 void Engine::prepare_deps() {
   if (!deps_stale_) return;
-  comp_end_.assign(ci_->size(), -1.0);  // -1 = not issued yet
+  state_.comp_end.assign(ci_->size(), -1.0);  // -1 = not issued yet
   deps_stale_ = false;
 }
 
+// Flattened so start() and the heap operations inline into the loop:
+// called out of line, the step costs the scoring paths ~15% on 1k-task
+// traces.
 // dts-lint: hot-path
-void Engine::issue(std::span<const TaskId> order, std::size_t first,
-                   std::size_t last, Schedule* record) {
+[[gnu::flatten]] void Engine::issue(std::span<const TaskId> order,
+                                    std::size_t first, std::size_t last,
+                                    Schedule* record) {
   const CompiledInstance& ci = *ci_;
   const std::size_t n_tasks = ci.size();
   prepare_deps();
   const Time* const floors =
       external_ready_.empty() ? nullptr : external_ready_.data();
-  Time* const ends = track_deps_ ? comp_end_.data() : nullptr;
+  Time* const ends = track_deps_ ? state_.comp_end.data() : nullptr;
 
   for (std::size_t k = first; k < last; ++k) {
     const TaskId id = order[k];
@@ -337,7 +350,7 @@ void Engine::issue(std::span<const TaskId> order, std::size_t first,
       }
     }
     const TaskTimes tt = start(id, ready);
-    if (ends != nullptr) ends[id] = makespan_;  // this task's comp end
+    if (ends != nullptr) ends[id] = state_.makespan;  // its comp end
     if (record != nullptr) record->set(id, tt.comm_start, tt.comp_start);
   }
 }
@@ -348,7 +361,7 @@ Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
                     std::span<const Time> ready) {
   engine.reset(ci, capacity, initial, ready);
   engine.issue(order, 0, order.size(), nullptr);
-  return engine.makespan_;
+  return engine.state_.makespan;
 }
 
 Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
@@ -357,7 +370,7 @@ Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
                     std::span<const Time> ready) {
   engine.reset(ci, capacity, initial, ready);
   engine.issue(order, 0, order.size(), &out);
-  return engine.makespan_;
+  return engine.state_.makespan;
 }
 
 // ----------------------------------------------------------------------
@@ -389,12 +402,12 @@ void PrefixResumeEvaluator::set_external_ready(std::span<const Time> ready) {
 
 void PrefixResumeEvaluator::save_checkpoint(std::size_t k) {
   engine_.prepare_deps();
-  checkpoints_[k] = engine_;
+  checkpoints_[k] = engine_.state_;
 }
 
 // dts-lint: hot-path
 void PrefixResumeEvaluator::load_checkpoint(std::size_t k) {
-  engine_ = checkpoints_[k];
+  engine_.state_ = checkpoints_[k];
 }
 
 std::size_t PrefixResumeEvaluator::common_prefix(
@@ -426,22 +439,7 @@ Time PrefixResumeEvaluator::set_reference(std::span<const TaskId> order) {
   ++evaluations_;
   tasks_simulated_ += order.size() - keep;
   tasks_resumed_ += keep;
-  return engine_.makespan_;
-}
-
-// dts-lint: hot-path
-bool PrefixResumeEvaluator::state_matches(const Engine& cp) const noexcept {
-  // comp_avail_ carries a swap's perturbation the longest on comp-bound
-  // workloads, so it is the most discriminating scalar — check it first.
-  // Element order matters (heap layout drives release tie-breaks), so the
-  // active sets compare as raw arrays, not as multisets. On a DAG, suffix
-  // tasks read predecessors' recorded ends, so states only merge when
-  // those agree too (both sides issued the same task set, so unissued
-  // entries are -1 on both; off a DAG both tables are empty).
-  return engine_.comp_avail_ == cp.comp_avail_ && engine_.now_ == cp.now_ &&
-         engine_.makespan_ == cp.makespan_ && engine_.used_ == cp.used_ &&
-         engine_.comm_avail_ == cp.comm_avail_ &&
-         engine_.active_ == cp.active_ && engine_.comp_end_ == cp.comp_end_;
+  return engine_.state_.makespan;
 }
 
 // dts-lint: hot-path
@@ -478,10 +476,10 @@ Time PrefixResumeEvaluator::evaluate(std::span<const TaskId> order) {
   // kProbeStride times less often.
   constexpr std::size_t kProbeStride = 4;
   for (std::size_t k = merge_from; k < order.size();) {
-    if (state_matches(checkpoints_[k])) {
+    if (engine_.state_ == checkpoints_[k]) {
       tasks_simulated_ += k - keep;
       tasks_resumed_ += keep + (order.size() - k);
-      return checkpoints_[reference_.size()].makespan_;
+      return checkpoints_[reference_.size()].makespan;
     }
     const std::size_t next = std::min(k + kProbeStride, order.size());
     engine_.issue(order, k, next, nullptr);
@@ -489,7 +487,7 @@ Time PrefixResumeEvaluator::evaluate(std::span<const TaskId> order) {
   }
   tasks_simulated_ += order.size() - keep;
   tasks_resumed_ += keep;
-  return engine_.makespan_;
+  return engine_.state_.makespan;
 }
 
 }  // namespace dts

@@ -191,9 +191,9 @@ class Engine {
 
   /// The current decision instant (never decreases): the earliest instant
   /// at which a new transfer could still be issued.
-  [[nodiscard]] Time now() const noexcept { return now_; }
+  [[nodiscard]] Time now() const noexcept { return state_.now; }
   [[nodiscard]] std::size_t num_channels() const noexcept {
-    return comm_avail_.size();
+    return state_.comm_avail.size();
   }
   /// Instant at which channel `ch` is free for the next transfer; throws
   /// std::out_of_range for a channel the engine does not track.
@@ -202,24 +202,26 @@ class Engine {
   /// single channel the link clock of the original model, the value batch
   /// runtimes and exact searches tie-break on.
   [[nodiscard]] Time comm_available() const noexcept;
-  [[nodiscard]] Time comp_available() const noexcept { return comp_avail_; }
+  [[nodiscard]] Time comp_available() const noexcept {
+    return state_.comp_avail;
+  }
   [[nodiscard]] Mem capacity() const noexcept { return capacity_; }
   /// Memory held at the current instant by tasks still owning their input.
-  [[nodiscard]] Mem used_memory() const noexcept { return used_; }
+  [[nodiscard]] Mem used_memory() const noexcept { return state_.used; }
   /// Tasks whose transfer started but whose computation has not finished
   /// at the current instant.
   [[nodiscard]] std::size_t active_tasks() const noexcept {
-    return active_.size();
+    return state_.active.size();
   }
   /// End of the last computation started since reset (0 before any).
   /// Computation ends are monotone along the issue order, so this is the
   /// makespan of the issued tasks.
-  [[nodiscard]] Time makespan() const noexcept { return makespan_; }
+  [[nodiscard]] Time makespan() const noexcept { return state_.makespan; }
 
   /// Would a task of footprint `mem` fit if its transfer started now?
   // dts-lint: hot-path
   [[nodiscard]] bool fits(Mem mem) const noexcept {
-    return approx_leq(used_ + mem, capacity_);
+    return approx_leq(state_.used + mem, capacity_);
   }
 
   /// Starts the transfer of task `id` (of the instance the engine was
@@ -274,23 +276,36 @@ class Engine {
   void prepare_deps();
   void release_until(Time t);
 
+  /// Everything that evolves as tasks start. PrefixResumeEvaluator
+  /// checkpoints it by value and merges a candidate back onto its
+  /// reference when the two compare equal, member by member in this
+  /// order (the processor clock first: a move's perturbation lingers
+  /// there longest). The active set compares as a raw array, since its
+  /// heap layout drives release order.
+  struct State {
+    Time comp_avail = 0.0;
+    Time now = 0.0;
+    /// End of the last computation started (see makespan()).
+    Time makespan = 0.0;
+    Mem used = 0.0;
+    std::vector<Time> comm_avail;  // one availability clock per channel
+    std::vector<Active> active;    // binary min-heap via std::*_heap
+    /// DAG support for issue(), inert (empty) on edge-free instances:
+    /// each task issue() starts records its computation end here (-1 =
+    /// not issued) and a transfer waits for every predecessor's end.
+    std::vector<Time> comp_end;
+    bool operator==(const State&) const = default;
+  };
+
   const CompiledInstance* ci_ = nullptr;
   Mem capacity_ = 0.0;
-  Time now_ = 0.0;
-  Time comp_avail_ = 0.0;
-  Time makespan_ = 0.0;
-  Mem used_ = 0.0;
-  std::vector<Time> comm_avail_;  // one availability clock per channel
-  std::vector<Active> active_;    // binary min-heap via std::*_heap
-  /// DAG support for issue(), inert on edge-free instances: each task
-  /// issue() starts records its computation end here (-1 = not issued)
-  /// and a transfer waits for every predecessor's recorded end. Built on
-  /// the first issue() after a reset (deps_stale_), so step-API callers,
-  /// which pass `ready` themselves, never pay for it. external_ready_
-  /// (possibly empty) carries cross-window floors per task id.
+  State state_;
+  /// state_.comp_end is built on the first issue() after a reset
+  /// (deps_stale_), so step-API callers, which pass `ready` themselves,
+  /// never pay for it. external_ready_ (possibly empty) carries
+  /// cross-window floors per task id.
   bool track_deps_ = false;
   bool deps_stale_ = false;
-  std::vector<Time> comp_end_;
   std::vector<Time> external_ready_;
 };
 
@@ -396,10 +411,6 @@ class PrefixResumeEvaluator {
   void load_checkpoint(std::size_t k);
   [[nodiscard]] std::size_t common_prefix(
       std::span<const TaskId> order) const noexcept;
-  /// True when the live engine state bitwise equals `cp` (including the
-  /// heap layout of the active set) — the reconvergence test evaluate()
-  /// uses to merge a candidate back onto the reference trajectory.
-  [[nodiscard]] bool state_matches(const Engine& cp) const noexcept;
 
   const CompiledInstance* ci_;
   Mem capacity_;
@@ -408,11 +419,10 @@ class PrefixResumeEvaluator {
   std::vector<Time> ready_;  ///< external transfer-start floors (may be empty)
   Engine engine_;
   std::vector<TaskId> reference_;
-  /// [k] = the engine after k tasks of the reference: complete value
-  /// copies (heap layout included; on a DAG also the per-task ends that
-  /// successor transfers read). Copy-assignment reuses their buffers, so
-  /// steady-state checkpointing does not allocate.
-  std::vector<Engine> checkpoints_;
+  /// [k] = the engine state after k tasks of the reference, by value.
+  /// Copy-assignment reuses the buffers, so steady-state checkpointing
+  /// does not allocate.
+  std::vector<Engine::State> checkpoints_;
   std::uint64_t evaluations_ = 0;
   std::uint64_t tasks_simulated_ = 0;
   std::uint64_t tasks_resumed_ = 0;
