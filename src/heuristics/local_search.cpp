@@ -57,12 +57,11 @@ LocalSearchResult improve_order(const Instance& inst, Mem capacity,
   // caller already passed a topological order, and on edge-free
   // instances).
   if (dag) result.order = legalize_order(inst, result.order);
-  // All candidate scoring runs on the data-oriented fast path: one SoA
-  // compilation of the instance, checkpoints along the incumbent order,
-  // and per-candidate resimulation of only the suffix after the move
-  // (bit-identical makespans to the full engine — the search trajectory
-  // is unchanged, it just stops paying a Schedule + full resimulation
-  // per candidate).
+  // Candidate scoring: one SoA compilation of the instance, checkpoints
+  // along the incumbent order, and per-candidate resimulation of only the
+  // suffix after the move (bit-identical makespans to a full run — the
+  // search trajectory is unchanged, it just stops paying a Schedule +
+  // full resimulation per candidate).
   const CompiledInstance compiled(inst);
   PrefixResumeEvaluator evaluator(compiled, capacity);
   result.initial_makespan = evaluator.set_reference(result.order);
