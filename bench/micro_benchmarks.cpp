@@ -1,7 +1,8 @@
 /// Runtime micro-benchmarks (google-benchmark): scheduling cost of each
 /// heuristic family versus task count, plus the building blocks (Johnson
 /// sort, simulator, GG sequencing, validator) and the trace text codec
-/// (number formatting, trace write and read, in MB/s). Not a paper
+/// (number formatting, trace write and read, in MB/s, on an HF trace and
+/// on a CCSD-DAG trace for a duplex machine). Not a paper
 /// figure — this documents that every heuristic is cheap enough to run
 /// inside a runtime system's scheduling loop, the paper's intended
 /// deployment.
@@ -23,6 +24,7 @@
 #include "support/rng.hpp"
 #include "support/text.hpp"
 #include "trace/generators.hpp"
+#include "trace/machine.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
@@ -128,8 +130,9 @@ void BM_CcsdTraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_CcsdTraceGeneration);
 
-/// A byte-annotated HF trace of `n` tasks, the shape dts1 requests carry.
-Instance io_trace(std::size_t n) {
+/// A byte-annotated HF trace of `n` tasks: integer mem, one channel, no
+/// zeros and no dependency edges.
+Instance hf_trace(std::size_t n) {
   TraceConfig config;
   config.seed = 5;
   config.min_tasks = n;
@@ -137,16 +140,30 @@ Instance io_trace(std::size_t n) {
   return generate_hf_trace(config);
 }
 
+/// A CCSD-DAG trace of `n` tasks on duplex-pcie, the shape most dts1
+/// request payloads have: fractional mem, a channel column, deps= lists
+/// and the exact zero comp of every write-back task.
+Instance dag_duplex_trace(std::size_t n) {
+  TraceConfig config;
+  config.seed = 5;
+  config.min_tasks = n;
+  config.max_tasks = n;
+  config.machine = MachineModel::duplex_pcie();
+  return generate_ccsd_dag_trace(config);
+}
+
+using TraceMaker = Instance (*)(std::size_t);
+
 std::string trace_text(const Instance& inst) {
   std::ostringstream out;
   write_trace(out, inst);
   return out.str();
 }
 
-void BM_AppendDouble(benchmark::State& state) {
+void BM_AppendDouble(benchmark::State& state, TraceMaker make) {
   // Every number a trace record formats: comm, comp, mem and bytes.
   std::vector<double> values;
-  for (const Task& t : io_trace(4096)) {
+  for (const Task& t : make(4096)) {
     for (const double v : {t.comm, t.comp, t.mem, t.comm_bytes}) {
       if (std::isfinite(v)) values.push_back(v);
     }
@@ -163,10 +180,11 @@ void BM_AppendDouble(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(out.size()));
 }
-BENCHMARK(BM_AppendDouble);
+BENCHMARK_CAPTURE(BM_AppendDouble, hf, hf_trace);
+BENCHMARK_CAPTURE(BM_AppendDouble, dag_duplex, dag_duplex_trace);
 
-void BM_WriteTrace(benchmark::State& state) {
-  const Instance inst = io_trace(static_cast<std::size_t>(state.range(0)));
+void BM_WriteTrace(benchmark::State& state, TraceMaker make) {
+  const Instance inst = make(static_cast<std::size_t>(state.range(0)));
   const auto bytes = static_cast<std::int64_t>(trace_text(inst).size());
   for (auto _ : state) {
     std::ostringstream out;
@@ -175,17 +193,21 @@ void BM_WriteTrace(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * bytes);
 }
-BENCHMARK(BM_WriteTrace)->Range(512, 8192);
+BENCHMARK_CAPTURE(BM_WriteTrace, hf, hf_trace)->Range(512, 8192);
+BENCHMARK_CAPTURE(BM_WriteTrace, dag_duplex, dag_duplex_trace)
+    ->Range(512, 8192);
 
-void BM_ReadTrace(benchmark::State& state) {
+void BM_ReadTrace(benchmark::State& state, TraceMaker make) {
   const std::string text =
-      trace_text(io_trace(static_cast<std::size_t>(state.range(0))));
+      trace_text(make(static_cast<std::size_t>(state.range(0))));
   for (auto _ : state) {
     benchmark::DoNotOptimize(read_trace(std::string_view(text)));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(text.size()));
 }
-BENCHMARK(BM_ReadTrace)->Range(512, 8192);
+BENCHMARK_CAPTURE(BM_ReadTrace, hf, hf_trace)->Range(512, 8192);
+BENCHMARK_CAPTURE(BM_ReadTrace, dag_duplex, dag_duplex_trace)
+    ->Range(512, 8192);
 
 }  // namespace
