@@ -10,20 +10,25 @@
 /// reads it back to the identical bit pattern. The `%.17g` goldens and
 /// every trace or response ever written stay valid inputs.
 ///
-/// append_double has two paths. The fast path computes the 17 digits with
-/// integer arithmetic: integers below 1e17 print directly, and any other
-/// finite normal magnitude in about [1e-16, 1.7e38] is scaled to
-/// floor(|value|·10^k) plus its exact remainder in 128 bits (times 5^k and
-/// a shift for k >= 0, a division by 10^-k above 1e17), the exponent
-/// chosen from the unrounded digits, then rounded half to even. Every
-/// other value (zero, subnormals, inf, nan, magnitudes outside that
-/// range) takes the fallback, std::to_chars(general, 17). Builds with
-/// DTS_AUDIT check every fast-path string against the fallback.
+/// write_double, which append_double wraps, has two paths. The fast path
+/// computes the 17 digits with integer arithmetic. Zero and integers
+/// below 1e17 print directly. Any other finite normal magnitude in about
+/// [1e-11, 1.7e38] is scaled once to floor(|value|·10^k) and how the rest
+/// compares with one half: a 64x64-bit multiply by 5^k and a shift below
+/// 64 for k >= 0, a 128-bit division by 10^-k above 1e17. The decimal
+/// exponent is estimated from the binary one and is exact or one too low;
+/// when it is low the scale yields 18 digits and the last one joins the
+/// rounding state. Digits round half to even and go straight into the
+/// caller's text. Every other value (subnormals, inf, nan, magnitudes
+/// outside that range) takes the fallback, std::to_chars(general, 17).
+/// Builds with DTS_AUDIT check every fast-path string against the
+/// fallback.
 ///
 /// Parsing is full-token: a token parses only when every character is
 /// consumed, so trailing garbage ("1.5x"), hex soup ("0x10") and empty
 /// tokens are rejections the caller turns into its own diagnostic.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -32,8 +37,22 @@
 
 namespace dts {
 
-/// Appends `value` exactly as printf("%.17g") formats it in the C locale
-/// (17 significant digits: every finite double round-trips).
+/// Room the cursor writers need past the cursor. The longest text is 24
+/// chars ("-2.2250738585072014e-308"); the fast path's fixed-size stores
+/// reach 34.
+inline constexpr std::size_t kNumberTextRoom = 34;
+
+/// Writes `value` at `cursor` exactly as printf("%.17g") formats it in the
+/// C locale (17 significant digits: every finite double round-trips) and
+/// returns the end of the text. [cursor, cursor + kNumberTextRoom) must be
+/// writable; chars past the returned end are left unspecified.
+[[nodiscard]] char* write_double(char* cursor, double value) noexcept;
+
+/// Writes `value` in decimal at `cursor`, with room as for write_double,
+/// and returns the end of the text.
+[[nodiscard]] char* write_uint(char* cursor, std::uint64_t value) noexcept;
+
+/// Appends `value` as write_double writes it.
 void append_double(std::string& out, double value);
 
 /// Appends `value` in decimal.

@@ -1,11 +1,16 @@
 #include "trace/trace_io.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,9 +26,6 @@ constexpr std::string_view kMagicV3 = "# dts-trace v3";
 constexpr std::string_view kMagicV4 = "# dts-trace v4";
 constexpr std::string_view kBytesPrefix = "bytes=";
 constexpr std::string_view kDepsPrefix = "deps=";
-/// The longest number text a record holds: "-2.2250738585072014e-308",
-/// or a 20-digit id.
-constexpr std::size_t kMaxNumberText = 24;
 /// Task records reach the stream in writes of about this size.
 constexpr std::size_t kWriteBytes = 64 * 1024;
 
@@ -182,8 +184,8 @@ void write_trace(std::ostream& out, const Instance& inst) {
   // edges need v4, bytes and time-less tasks v3, extra channels v2;
   // everything else stays v1 so legacy readers keep working.
   bool bytes = false;
-  // An upper bound on one rendered record: a number field is at most
-  // kMaxNumberText characters plus a separator.
+  // An upper bound on one rendered record: a number field needs at most
+  // kNumberTextRoom characters plus a separator.
   std::size_t record_bound = 0;
   for (const Task& t : inst) {
     bytes = bytes || t.has_comm_bytes() || !t.time_bound();
@@ -192,7 +194,7 @@ void write_trace(std::ostream& out, const Instance& inst) {
     record_bound = std::max(record_bound,
                             std::string_view("task ").size() + t.name.size() +
                                 kBytesPrefix.size() + kDepsPrefix.size() +
-                                numbers * (kMaxNumberText + 1));
+                                numbers * (kNumberTextRoom + 1));
   }
   const bool deps = inst.has_dependencies();
   out << (deps ? kMagicV4 : bytes ? kMagicV3 : multi ? kMagicV2 : kMagicV1)
@@ -202,53 +204,73 @@ void write_trace(std::ostream& out, const Instance& inst) {
   if (multi) out << " channels=" << inst.num_channels();
   out << '\n';
 
-  // Task records: exact (%.17g) number text, rendered into a buffer that
-  // reaches the stream in writes of about kWriteBytes. It has room for
-  // one more record past that, so it never reallocates.
-  std::string body;
-  body.reserve(kWriteBytes + record_bound);
+  // Task records: exact (%.17g) number text, rendered through a cursor
+  // into a chunk that reaches the stream in writes of about kWriteBytes.
+  // It has room for one more record past that, so no write overruns it.
+  const auto chunk =
+      std::make_unique_for_overwrite<char[]>(kWriteBytes + record_bound);
+  char* const begin = chunk.get();
+  const auto flush = [&out, begin](const char* end) {
+    out.write(begin, static_cast<std::streamsize>(end - begin));
+  };
+  const auto put = [](char* p, std::string_view text) {
+    std::memcpy(p, text.data(), text.size());
+    return p + text.size();
+  };
+  char* p = begin;
   for (const Task& t : inst) {
-    if (body.size() >= kWriteBytes) {
-      out.write(body.data(), static_cast<std::streamsize>(body.size()));
-      body.clear();
+    if (static_cast<std::size_t>(p - begin) >= kWriteBytes) {
+      flush(p);
+      p = begin;
     }
-    body += "task ";
+    p = put(p, "task ");
     if (t.name.empty()) {
-      body += 'T';
-      append_uint(body, t.id);
+      *p++ = 'T';
+      p = write_uint(p, t.id);
     } else {
-      body += t.name;
+      p = put(p, t.name);
     }
-    body += ' ';
+    *p++ = ' ';
     if (t.time_bound()) {
-      append_double(body, t.comm);
+      p = write_double(p, t.comm);
     } else {
-      body += '?';  // time-less: cost comes from the byte annotation
+      *p++ = '?';  // time-less: cost comes from the byte annotation
     }
-    body += ' ';
-    append_double(body, t.comp);
-    body += ' ';
-    append_double(body, t.mem);
+    *p++ = ' ';
+    p = write_double(p, t.comp);
+    *p++ = ' ';
+    const char* const mem_text = p;
+    p = write_double(p, t.mem);
+    const std::string_view mem(mem_text,
+                               static_cast<std::size_t>(p - mem_text));
     if (multi) {
-      body += ' ';
-      append_uint(body, t.channel);
+      *p++ = ' ';
+      p = write_uint(p, t.channel);
     }
     if (t.has_comm_bytes()) {
-      body += ' ';
-      body += kBytesPrefix;
-      append_double(body, t.comm_bytes);
-    }
-    if (!t.deps.empty()) {
-      body += ' ';
-      body += kDepsPrefix;
-      for (std::size_t i = 0; i < t.deps.size(); ++i) {
-        if (i > 0) body += ',';
-        append_uint(body, t.deps[i]);
+      *p++ = ' ';
+      p = put(p, kBytesPrefix);
+      // Generated tasks footprint exactly the bytes they move: reuse the
+      // mem text when the bit patterns match (== would equate +0.0 and
+      // -0.0, which print differently).
+      if (std::bit_cast<std::uint64_t>(t.comm_bytes) ==
+          std::bit_cast<std::uint64_t>(t.mem)) {
+        p = put(p, mem);
+      } else {
+        p = write_double(p, t.comm_bytes);
       }
     }
-    body += '\n';
+    if (!t.deps.empty()) {
+      *p++ = ' ';
+      p = put(p, kDepsPrefix);
+      for (std::size_t i = 0; i < t.deps.size(); ++i) {
+        if (i > 0) *p++ = ',';
+        p = write_uint(p, t.deps[i]);
+      }
+    }
+    *p++ = '\n';
   }
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  flush(p);
 }
 
 void write_trace_file(const std::filesystem::path& path, const Instance& inst) {

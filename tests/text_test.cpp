@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <ostream>
@@ -79,7 +80,7 @@ TEST(TextCodec, AppendDoubleMatchesPrintfOnRandomBitPatterns) {
   }
 }
 
-// The fast path covers finite magnitudes of about 1e-16 to 1.7e38; the
+// The fast path covers finite magnitudes of about 1e-11 to 1.7e38; the
 // cases below aim at it and at its edges (random bit patterns mostly
 // land in the std::to_chars fallback).
 
@@ -177,6 +178,37 @@ TEST(TextCodec, AppendDoubleMatchesPrintfOnEveryGeneratedNumber) {
     check(bind(bytes_only, machine_from_name(listing.name)));
   }
   EXPECT_GT(checked, 50000u);
+}
+
+TEST(TextCodec, CursorWritersStayWithinTheirRoom) {
+  std::vector<double> values = {0.0, -0.0, DBL_MAX, -DBL_MIN, 5e-324,
+                                1.0 / 3.0, -123456789.125, 1e-5, 0.5};
+  Rng rng(34);
+  for (int i = 0; i < 20000; ++i) {
+    const double magnitude = std::pow(10.0, rng.uniform(-12.0, 20.0));
+    values.push_back(i % 2 == 0 ? magnitude : -magnitude);
+  }
+  // Distinct neighbouring bytes, so that a block shifted past the room
+  // shows even where it copies the buffer's own contents.
+  const auto pattern = [](std::size_t i) {
+    return static_cast<char>('A' + i % 26);
+  };
+  for (const double value : values) {
+    char buffer[kNumberTextRoom + 24];
+    for (std::size_t i = 0; i < std::size(buffer); ++i) buffer[i] = pattern(i);
+    const char* const end = write_double(buffer, value);
+    EXPECT_EQ(std::string(buffer, static_cast<std::size_t>(end - buffer)),
+              printf_17g(value));
+    for (std::size_t i = kNumberTextRoom; i < std::size(buffer); ++i) {
+      EXPECT_EQ(buffer[i], pattern(i)) << printf_17g(value) << " at " << i;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  char buffer[kNumberTextRoom];
+  const char* const end =
+      write_uint(buffer, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(std::string(buffer, static_cast<std::size_t>(end - buffer)),
+            "18446744073709551615");
 }
 
 TEST(TextCodec, AppendAppendsWithoutClobbering) {
@@ -330,6 +362,26 @@ Instance bit_pattern_trace() {
   return Instance(std::move(tasks));
 }
 
+/// Tasks that guard the writer's reuse of the mem text for bytes=: +0.0
+/// and -0.0 compare equal but print differently, one ulp apart prints
+/// differently too, and an exact zero comm takes the zero path.
+Instance text_reuse_trace() {
+  std::vector<Task> tasks(3);
+  tasks[0].comm = 1.5;
+  tasks[0].comp = 2.0;
+  tasks[0].mem = 0.0;
+  tasks[0].comm_bytes = -0.0;
+  tasks[1].comm = 0.25;
+  tasks[1].comp = 1.0;
+  tasks[1].mem = 1048576.1;
+  tasks[1].comm_bytes = std::nextafter(tasks[1].mem, 2e6);
+  tasks[2].comm = 0.0;
+  tasks[2].comp = 3.0;
+  tasks[2].mem = 4096.0;
+  tasks[2].comm_bytes = 4096.0;
+  return Instance(std::move(tasks));
+}
+
 TEST(TraceText, WriterIsByteIdenticalToTheLegacyStreamWriter) {
   TraceConfig config;
   config.seed = 9;
@@ -355,6 +407,7 @@ TEST(TraceText, WriterIsByteIdenticalToTheLegacyStreamWriter) {
       {"time-less task", Instance(std::move(mixed))},
       {"bit patterns", bit_pattern_trace()},
       {"large CCSD", generate_ccsd_trace(large)},
+      {"text reuse guards", text_reuse_trace()},
       {"empty", Instance{}},
   };
   for (const auto& [name, inst] : cases) {
