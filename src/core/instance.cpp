@@ -29,6 +29,7 @@ Instance::Instance(std::vector<Task> tasks) : tasks_(std::move(tasks)) {
 void Instance::validate_dependencies() const {
   const std::size_t n = tasks_.size();
   std::vector<std::size_t> indegree(n, 0);
+  std::vector<std::size_t> first(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     for (const TaskId dep : tasks_[i].deps) {
       if (dep >= n) {
@@ -42,15 +43,19 @@ void Instance::validate_dependencies() const {
                                     " depends on itself");
       }
       ++indegree[i];
+      ++first[dep];
+    }
+  }
+  // Successors in one array, task t's at [first[t], first[t + 1]) in
+  // ascending order: count, sum the counts, then place from the back.
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<TaskId> successors(first[n]);
+  for (std::size_t i = n; i-- > 0;) {
+    for (const TaskId dep : tasks_[i].deps) {
+      successors[--first[dep]] = static_cast<TaskId>(i);
     }
   }
   // Kahn's algorithm: if the peel stops short, the remainder is a cycle.
-  std::vector<std::vector<TaskId>> successors(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const TaskId dep : tasks_[i].deps) {
-      successors[dep].push_back(static_cast<TaskId>(i));
-    }
-  }
   std::vector<TaskId> ready;
   for (std::size_t i = 0; i < n; ++i) {
     if (indegree[i] == 0) ready.push_back(static_cast<TaskId>(i));
@@ -60,8 +65,8 @@ void Instance::validate_dependencies() const {
     const TaskId t = ready.back();
     ready.pop_back();
     ++placed;
-    for (const TaskId succ : successors[t]) {
-      if (--indegree[succ] == 0) ready.push_back(succ);
+    for (std::size_t s = first[t]; s < first[t + 1]; ++s) {
+      if (--indegree[successors[s]] == 0) ready.push_back(successors[s]);
     }
   }
   if (placed != n) {
