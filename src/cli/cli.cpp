@@ -612,6 +612,10 @@ int cmd_recost(const CommandLine& cmd, std::ostream& out, std::istream& in) {
     write_trace_file(*out_file, bound);
   } else {
     write_trace(out, bound);
+    out.flush();
+    if (!out) {
+      throw std::runtime_error("recost: cannot write the trace to stdout");
+    }
   }
   return 0;
 }

@@ -279,6 +279,10 @@ void write_trace_file(const std::filesystem::path& path, const Instance& inst) {
     throw std::runtime_error("write_trace_file: cannot open " + path.string());
   }
   write_trace(out, inst);
+  out.flush();
+  if (!out) {
+    throw std::runtime_error("write_trace_file: cannot write " + path.string());
+  }
 }
 
 Instance read_trace(std::string_view text) {

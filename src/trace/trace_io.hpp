@@ -71,8 +71,11 @@ class TraceIoError : public std::runtime_error {
   std::size_t line_;
 };
 
-/// Serializes the instance; includes a summary comment header.
+/// Serializes the instance; includes a summary comment header. Stream
+/// failures are left in the stream's state.
 void write_trace(std::ostream& out, const Instance& inst);
+/// As write_trace, to a file; throws std::runtime_error naming the path
+/// when the file cannot be opened or written.
 void write_trace_file(const std::filesystem::path& path, const Instance& inst);
 
 /// Parses trace text in place (no copy of the payload); throws

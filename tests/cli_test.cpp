@@ -457,6 +457,35 @@ TEST(Cli, RecostRejectsTracesWithoutByteAnnotations) {
   EXPECT_NE(r.err.find("byte-annotated"), std::string::npos) << r.err;
 }
 
+TEST(Cli, TraceWritesToAFullDeviceFail) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  const CliRun generated =
+      run({"generate", "--kernel=HF", "--min-tasks=4000", "--max-tasks=4000",
+           "--out=/dev/full"});
+  EXPECT_EQ(generated.exit_code, 1);
+  EXPECT_EQ(generated.out.find("wrote"), std::string::npos) << generated.out;
+  EXPECT_NE(generated.err.find("/dev/full"), std::string::npos)
+      << generated.err;
+
+  // recost writes to stdout when --out is absent; here stdout is full.
+  TempFile file("full_recost.trace");
+  ASSERT_EQ(run({"generate", "--kernel=HF", "--min-tasks=30",
+                 "--max-tasks=40", "--out=" + file.str()})
+                .exit_code,
+            0);
+  const std::string args[] = {"recost", file.str(), "--machine=nvlink"};
+  const char* const argv[] = {args[0].c_str(), args[1].c_str(),
+                              args[2].c_str()};
+  std::ofstream full("/dev/full");
+  ASSERT_TRUE(full.is_open());
+  std::ostringstream err;
+  std::istringstream in;
+  EXPECT_EQ(run_cli(3, argv, full, err, in), 1);
+  EXPECT_NE(err.str().find("error:"), std::string::npos) << err.str();
+}
+
 TEST(Cli, SolveMachineRecostsByteAnnotatedTraces) {
   // A bytes-only (time-less) trace solves only with --machine.
   TempFile file("timeless.trace");

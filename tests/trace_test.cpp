@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "trace/generators.hpp"
 #include "trace/tensor_tasks.hpp"
@@ -190,6 +193,27 @@ TEST(TraceIo, RoundTrip) {
     EXPECT_DOUBLE_EQ(loaded[i].mem, original[i].mem) << i;
     EXPECT_DOUBLE_EQ(loaded[i].comm_bytes, original[i].comm_bytes) << i;
     EXPECT_EQ(loaded[i].name, original[i].name) << i;
+  }
+}
+
+TEST(TraceIo, WriteTraceFileReportsAFailedWrite) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  // /dev/full opens fine and refuses every byte: a trace that fits the
+  // stream's buffer fails at the flush, a larger one while writing.
+  for (const std::size_t n : {std::size_t{4}, std::size_t{4000}}) {
+    TraceConfig config;
+    config.min_tasks = n;
+    config.max_tasks = n;
+    const Instance inst = generate_hf_trace(config);
+    try {
+      write_trace_file("/dev/full", inst);
+      ADD_FAILURE() << n << " tasks: no error for a failed write";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
