@@ -189,18 +189,15 @@ char* format_17g(char* first, char* last, double value) noexcept {
   if (exponent >= 0 && exponent < 17) {  // %f style, d...d[.ddd]
     const int whole = exponent + 1;
     *p = lead;
-    if (length > whole) {
-      // The '.' goes after digit `whole`: the digits behind it move one
-      // place up.
-      std::memcpy(p + 1, &text, 16);
-      char fraction[16];
-      std::memcpy(fraction, p + whole, 16);
-      std::memcpy(p + whole + 1, fraction, 16);
-      p[whole] = '.';
-      return p + length + 1;
-    }
     std::memcpy(p + 1, &text, 16);
-    return p + whole;
+    if (length <= whole) return p + whole;
+    // The '.' goes after digit `whole`: the digits behind it move one
+    // place up.
+    char fraction[16];
+    std::memcpy(fraction, p + whole, 16);
+    std::memcpy(p + whole + 1, fraction, 16);
+    p[whole] = '.';
+    return p + length + 1;
   }
   if (exponent < 0 && exponent >= -4) {  // %f style, 0.[000]ddd
     std::memcpy(p, "0.000", 5);
