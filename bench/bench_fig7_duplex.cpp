@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   config.seed = options.seed;
   config.min_tasks = 2;
   config.max_tasks = 2;
-  config.machine = MachineModel::duplex_pcie();
+  config.machine = machine_from_name("duplex-pcie");
 
   const std::vector<HeuristicId> ids = all_heuristic_ids();
   std::vector<Fig7Row> rows;

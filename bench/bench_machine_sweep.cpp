@@ -105,8 +105,6 @@ dts::Machine asymmetric_duplex_machine(double slowdown) {
       affine_channel(d2h.name, d2h.model->zero_byte_latency(),
                      d2h.model->asymptotic_bandwidth() / slowdown);
   return Machine(base.name() + "/d2h-" + std::to_string(int(slowdown)) + "x",
-                 "duplex-pcie, D2H slowed " + std::to_string(int(slowdown)) +
-                     "x",
                  std::move(channels));
 }
 
@@ -213,7 +211,7 @@ int main(int argc, char** argv) {
   for (ChemistryKernel kernel : {ChemistryKernel::kHartreeFock,
                                  ChemistryKernel::kCoupledClusterSD}) {
     TraceConfig duplex_config;
-    duplex_config.machine = MachineModel::duplex_pcie();
+    duplex_config.machine = machine_from_name("duplex-pcie");
     std::vector<Instance> duplex_bytes;
     for (const Instance& trace : generate_process_traces(
              kernel, options.traces, options.seed, duplex_config)) {
@@ -265,7 +263,7 @@ int main(int argc, char** argv) {
                        "relaxed median", "dag/relaxed"});
   {
     TraceConfig dag_config;
-    dag_config.machine = MachineModel::duplex_pcie();
+    dag_config.machine = machine_from_name("duplex-pcie");
     std::vector<Instance> dag_bytes;
     for (std::size_t p = 0; p < options.traces; ++p) {
       TraceConfig config = dag_config;

@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
       std::vector<Instance> corpus;
       if (duplex) {
         TraceConfig config;
-        config.machine = MachineModel::duplex_pcie();
+        config.machine = machine_from_name("duplex-pcie");
         corpus = generate_process_traces(kernel, options.traces, options.seed,
                                          config);
       } else {

@@ -12,7 +12,7 @@
 #include "bench_common.hpp"
 #include "support/rng.hpp"
 #include "threestage/three_stage.hpp"
-#include "trace/machine.hpp"
+#include "model/machine.hpp"
 
 namespace {
 
@@ -20,19 +20,20 @@ using namespace dts;
 
 /// GPU kernel queue with non-trivial result downloads (out ~ 30% of in).
 ThreeStageInstance gpu_queue(Rng& rng, std::size_t n) {
-  const MachineModel gpu = MachineModel::pcie_gpu();
+  const Machine gpu = machine_from_name("pcie-gpu");
   std::vector<StagedTask> tasks;
   for (std::size_t i = 0; i < n; ++i) {
     const double in_bytes = rng.uniform(64e6, 768e6);
     const double out_bytes = in_bytes * rng.uniform(0.1, 0.5);
     const double flops = rng.uniform(0.5e12, 6e12);
-    tasks.push_back(StagedTask{.id = 0,
-                               .in_comm = gpu.transfer_time(in_bytes),
-                               .comp = gpu.compute_time(flops),
-                               .out_comm = gpu.transfer_time(out_bytes),
-                               .in_mem = in_bytes,
-                               .out_mem = out_bytes,
-                               .name = "k" + std::to_string(i)});
+    tasks.push_back(
+        StagedTask{.id = 0,
+                   .in_comm = gpu.transfer_time(kChannelH2D, in_bytes),
+                   .comp = gpu.compute_time(flops),
+                   .out_comm = gpu.transfer_time(kChannelH2D, out_bytes),
+                   .in_mem = in_bytes,
+                   .out_mem = out_bytes,
+                   .name = "k" + std::to_string(i)});
   }
   return ThreeStageInstance(std::move(tasks));
 }

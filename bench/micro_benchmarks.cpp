@@ -24,7 +24,7 @@
 #include "support/rng.hpp"
 #include "support/text.hpp"
 #include "trace/generators.hpp"
-#include "trace/machine.hpp"
+#include "model/machine.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
@@ -148,7 +148,7 @@ Instance dag_duplex_trace(std::size_t n) {
   config.seed = 5;
   config.min_tasks = n;
   config.max_tasks = n;
-  config.machine = MachineModel::duplex_pcie();
+  config.machine = machine_from_name("duplex-pcie");
   return generate_ccsd_dag_trace(config);
 }
 

@@ -24,14 +24,13 @@
 #include "core/solver.hpp"
 #include "report/table.hpp"
 #include "support/rng.hpp"
-#include "trace/machine.hpp"
+#include "model/machine.hpp"
 #include "trace/transforms.hpp"
 
 int main() {
   using namespace dts;
 
-  const MachineModel gpu = MachineModel::duplex_pcie();
-  const ChannelSet channels = gpu.channel_set();
+  const Machine gpu = machine_from_name("duplex-pcie");
   Rng rng(11);
 
   // A symmetric, transfer-bound pipeline stage: each kernel pulls an
@@ -44,13 +43,13 @@ int main() {
     const double in_bytes = rng.uniform(64e6, 512e6);
     const double out_bytes = in_bytes * rng.uniform(0.7, 1.0);
     tasks.push_back(Task{.id = 0,
-                         .comm = gpu.transfer_time(in_bytes),
+                         .comm = gpu.transfer_time(kChannelH2D, in_bytes),
                          .comp = gpu.compute_time(rng.uniform(0.1e12, 0.4e12)),
                          .mem = in_bytes,
                          .channel = kChannelH2D,
                          .name = "fetch_" + std::to_string(i)});
     tasks.push_back(Task{.id = 0,
-                         .comm = gpu.d2h_transfer_time(out_bytes),
+                         .comm = gpu.transfer_time(kChannelD2H, out_bytes),
                          .comp = 0.0,
                          .mem = out_bytes,
                          .channel = kChannelD2H,
@@ -75,7 +74,7 @@ int main() {
       const SolveResult serialized =
           solve({.instance = single, .capacity = factor * mc}, solver);
       const SolveResult overlapped = solve(
-          {.instance = duplex, .capacity = factor * mc, .channels = channels},
+          {.instance = duplex, .capacity = factor * mc, .machine = gpu},
           solver);
       table.add_row(
           {format_si_bytes(factor * mc), solver,

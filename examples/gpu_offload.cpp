@@ -19,12 +19,12 @@
 #include "report/gantt.hpp"
 #include "report/table.hpp"
 #include "support/rng.hpp"
-#include "trace/machine.hpp"
+#include "model/machine.hpp"
 
 int main() {
   using namespace dts;
 
-  const MachineModel gpu = MachineModel::pcie_gpu();
+  const Machine gpu = machine_from_name("pcie-gpu");
   Rng rng(7);
 
   // A mixed kernel queue: big embedding-table gathers (transfer-bound),
@@ -36,7 +36,7 @@ int main() {
     if (pick < 0.3) {  // embedding gather: 256-1024 MB in, light compute
       const double bytes = rng.uniform(256e6, 1024e6);
       t = Task{.id = 0,
-               .comm = gpu.transfer_time(bytes),
+               .comm = gpu.transfer_time(kChannelH2D, bytes),
                .comp = gpu.streaming_time(bytes) * 0.5,
                .mem = bytes,
                .comm_bytes = bytes,
@@ -45,7 +45,7 @@ int main() {
       const double bytes = rng.uniform(32e6, 128e6);
       const double flops = rng.uniform(2e12, 8e12);
       t = Task{.id = 0,
-               .comm = gpu.transfer_time(bytes),
+               .comm = gpu.transfer_time(kChannelH2D, bytes),
                .comp = gpu.compute_time(flops),
                .mem = bytes,
                .comm_bytes = bytes,
@@ -53,7 +53,7 @@ int main() {
     } else {  // elementwise epilogue
       const double bytes = rng.uniform(8e6, 32e6);
       t = Task{.id = 0,
-               .comm = gpu.transfer_time(bytes),
+               .comm = gpu.transfer_time(kChannelH2D, bytes),
                .comp = gpu.streaming_time(bytes),
                .mem = bytes,
                .comm_bytes = bytes,

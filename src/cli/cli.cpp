@@ -163,19 +163,6 @@ void expect_tasks(const Instance& inst, const std::string& file) {
   }
 }
 
-/// Resolves `generate`'s --machine flag. Generation needs the full
-/// MachineModel (compute rates as well as link models), so it stays on
-/// the MachineModel presets; scheduling commands resolve --machine in the
-/// MachineRegistry instead (any registered machine, affine or piecewise).
-MachineModel resolve_generator_machine(const std::string& name) {
-  if (name == "cascade" || name == "paper") return MachineModel::cascade();
-  if (name == "pcie-gpu") return MachineModel::pcie_gpu();
-  if (name == "duplex-pcie") return MachineModel::duplex_pcie();
-  throw std::invalid_argument(
-      "unknown machine '" + name +
-      "' (generate accepts paper, cascade, pcie-gpu or duplex-pcie)");
-}
-
 /// Builds the SolveRequest shared by every scheduling command from one
 /// trace file (solve-batch calls this per positional file). --machine
 /// resolves in the MachineRegistry and re-costs the trace's
@@ -209,7 +196,6 @@ SolveRequest make_request(const CommandLine& cmd, const std::string& file,
     }
     const Machine machine = machine_from_name(*machine_name);
     request.instance = bind(request.instance, machine);
-    request.channels = machine.channel_set();
   }
   return request;
 }
@@ -259,7 +245,24 @@ int cmd_generate(const CommandLine& cmd, std::ostream& out) {
     throw std::invalid_argument("need 0 < min-tasks <= max-tasks");
   }
   if (const auto machine = cmd.flag("machine")) {
-    config.machine = resolve_generator_machine(*machine);
+    config.machine = machine_from_name(*machine);
+    if (!config.machine.has_compute_rates()) {
+      // Generation costs computations too, so transfer-only machines
+      // (piecewise or link-only presets) cannot drive it.
+      std::string generating;
+      for (const MachineListing& listing : list_machines()) {
+        try {
+          if (!machine_from_name(listing.name).has_compute_rates()) continue;
+        } catch (const std::logic_error&) {
+          continue;  // a registration that cannot build cannot generate
+        }
+        generating += (generating.empty() ? "" : ", ") + listing.name;
+      }
+      throw std::invalid_argument("machine '" + *machine +
+                                  "' has no compute rates, so it cannot "
+                                  "generate traces (presets that can: " +
+                                  generating + ")");
+    }
   }
   if (const auto fraction = cmd.flag("writeback-fraction")) {
     if (!config.machine.duplex()) {

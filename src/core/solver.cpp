@@ -169,14 +169,6 @@ SolveResult solve_bound(const SolveRequest& request, std::string_view solver,
   if (request.batch_size && *request.batch_size == 0) {
     throw std::invalid_argument("solve: batch_size must be > 0");
   }
-  if (request.channels &&
-      request.instance.num_channels() > request.channels->size()) {
-    throw std::invalid_argument(
-        "solve: the instance references channel " +
-        std::to_string(request.instance.num_channels() - 1) +
-        " but the request's channel set has only " +
-        std::to_string(request.channels->size()) + " engine(s)");
-  }
   // Central dependency gate: a solver that declared kIndependent never
   // sees a DAG request — rejecting here (off the declaration, before the
   // factory runs) means the edges can never be silently ignored.
@@ -219,9 +211,6 @@ SolveResult solve(const SolveRequest& request, std::string_view solver,
     SolveRequest bound_request = request;
     bound_request.machine.reset();
     bound_request.instance = bind(request.instance, resolved);
-    if (!bound_request.channels) {
-      bound_request.channels = resolved.channel_set();
-    }
     return solve_bound(bound_request, solver, options);
   }
   if (!request.instance.fully_bound()) {

@@ -44,7 +44,6 @@
 #include <variant>
 #include <vector>
 
-#include "core/channels.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "exact/lower_bounds.hpp"
@@ -64,7 +63,6 @@ class Executor;  // job.hpp: fan-out interface implemented by SolverPool
 class MachineRef {
  public:
   MachineRef() = default;
-  MachineRef(std::nullopt_t) {}  // NOLINT: source compat with the optional era
   MachineRef(std::string name) : ref_(std::move(name)) {}      // NOLINT
   MachineRef(std::string_view name) : ref_(std::string(name)) {}  // NOLINT
   MachineRef(const char* name) : ref_(std::string(name)) {}    // NOLINT
@@ -100,26 +98,23 @@ class MachineRef {
 /// paper §6.3). Solvers that cannot honor a batch window reject requests
 /// that set one.
 ///
-/// `channels` describes the machine's copy engines. When unset, the
-/// channel set is implied by the instance (tasks' highest channel id);
-/// single-channel requests follow the exact legacy semantics of the
-/// paper's model. When set, it must cover every channel the instance's
-/// tasks reference — solve() rejects a request whose tasks name engines
-/// the machine does not have — and its names label per-channel reporting.
+/// The copy engines are implied by the instance (tasks' highest channel
+/// id); single-channel requests follow the exact legacy semantics of the
+/// paper's model.
 ///
 /// `machine` parameterizes solving by hardware: solve() lazily binds the
 /// instance (model/machine.hpp bind()) before running, re-costing every
-/// byte-annotated task through the machine's per-channel TransferModels,
-/// and — when `channels` is unset — adopts the machine's channel set. The
-/// MachineRef carries either a MachineRegistry name (resolved at solve()
-/// time) or an inline descriptor (used as-is). Without a machine, solve()
+/// byte-annotated task through the machine's per-channel TransferModels;
+/// bind() rejects a request whose tasks name engines the machine does
+/// not have. The MachineRef carries either a MachineRegistry name
+/// (resolved at solve() time) or an inline descriptor (used as-is).
+/// Without a machine, solve()
 /// rejects instances carrying time-less (bytes-only) tasks — there is
 /// nothing to cost them with.
 struct SolveRequest {
   Instance instance;
   Mem capacity = 0.0;
   std::optional<std::size_t> batch_size;
-  std::optional<ChannelSet> channels;
   MachineRef machine;  ///< registry name or inline descriptor (or unset)
 };
 

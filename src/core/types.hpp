@@ -29,17 +29,20 @@ using TaskId = std::uint32_t;
 /// Sentinel for "no task".
 inline constexpr TaskId kInvalidTask = std::numeric_limits<TaskId>::max();
 
-/// Index of a copy engine (transfer channel) within a ChannelSet. The
+/// Index of a copy engine (transfer channel) among a Machine's channels
+/// (model/machine.hpp). Each Task names the channel its transfer occupies;
+/// the engine keeps one availability clock per channel, so transfers on
+/// distinct channels overlap while transfers sharing one serialize. The
 /// paper's testbed has a single half-duplex link (channel 0); CPU<->GPU
 /// offload adds one engine per direction.
 using ChannelId = std::uint32_t;
 
 /// The single link of the paper's model, and the host-to-device engine of
-/// a duplex channel set.
+/// a duplex machine.
 inline constexpr ChannelId kChannelH2D = 0;
 
-/// The device-to-host copy engine of a duplex channel set (result
-/// write-back traffic).
+/// The device-to-host copy engine of a duplex machine (result write-back
+/// traffic).
 inline constexpr ChannelId kChannelD2H = 1;
 
 /// Upper bound (exclusive) on channel ids a valid Task may name —

@@ -4,11 +4,13 @@
 /// Machine descriptors and the string-keyed machine registry: the hardware
 /// half of the paper's performance-model methodology, made first class.
 ///
-/// A Machine is a named collection of copy engines, each costed by its own
-/// TransferModel. Workloads stay machine independent — tasks carry the
-/// *bytes* their transfer moves (Task::comm_bytes) — and bind() produces
-/// the machine-specific costed instance by running every byte-annotated
-/// task through its channel's model. Re-targeting a workload to different
+/// A Machine is the library's one machine descriptor: a named collection
+/// of copy engines, each costed by its own TransferModel, plus the
+/// processor's compute rates the trace generators cost computations with.
+/// Workloads stay machine independent — tasks carry the *bytes* their
+/// transfer moves (Task::comm_bytes) — and bind() produces the
+/// machine-specific costed instance by running every byte-annotated task
+/// through its channel's model. Re-targeting a workload to different
 /// hardware is bind(inst, other_machine); asymmetric-duplex what-if
 /// studies are a one-line machine swap.
 ///
@@ -25,7 +27,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/channels.hpp"
 #include "core/instance.hpp"
 #include "model/transfer_model.hpp"
 
@@ -42,35 +43,30 @@ struct MachineChannel {
   [[nodiscard]] Time transfer_time(double bytes) const {
     return model->transfer_time(bytes);
   }
-
-  /// Affine summary (asymptotic bandwidth + zero-byte latency) for the
-  /// execution core's ChannelSet, which labels per-channel reporting.
-  [[nodiscard]] ChannelSpec spec() const {
-    return ChannelSpec{name, model->asymptotic_bandwidth(),
-                       model->zero_byte_latency()};
-  }
 };
 
 /// Convenience builder for the common affine case.
 [[nodiscard]] MachineChannel affine_channel(std::string name, double latency,
                                             double bandwidth);
 
-/// A machine: named channels indexed by ChannelId. Channel 0 is the
-/// paper's single link (and the H2D engine of a duplex machine);
-/// channel 1, when present, is the D2H write-back engine.
+/// A machine: named channels indexed by ChannelId, plus optional compute
+/// rates. Channel 0 is the paper's single link (and the H2D engine of a
+/// duplex machine); channel 1, when present, is the D2H write-back engine.
+/// A transfer-only machine (both rates zero) can re-cost and solve traces
+/// but not generate them.
 class Machine {
  public:
   Machine() = default;
 
-  /// Throws std::invalid_argument for an empty channel list or a channel
-  /// without a model.
-  Machine(std::string name, std::string description,
-          std::vector<MachineChannel> channels);
+  /// `flop_rate` is the effective dense-compute rate (flop/s) and
+  /// `memory_bandwidth` the streaming bandwidth of memory-bound kernels
+  /// (bytes/s); both zero means the machine has no compute rates. Throws
+  /// std::invalid_argument for an empty channel list, a channel without a
+  /// model, a negative or non-finite rate, or only one rate set.
+  Machine(std::string name, std::vector<MachineChannel> channels,
+          double flop_rate = 0.0, double memory_bandwidth = 0.0);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] const std::string& description() const noexcept {
-    return description_;
-  }
   [[nodiscard]] std::size_t num_channels() const noexcept {
     return channels_.size();
   }
@@ -88,13 +84,30 @@ class Machine {
     return channels_.at(id).transfer_time(bytes);
   }
 
-  /// The execution core's view: names + affine summaries per engine.
-  [[nodiscard]] ChannelSet channel_set() const;
+  [[nodiscard]] double flop_rate() const noexcept { return flop_rate_; }
+  [[nodiscard]] double memory_bandwidth() const noexcept {
+    return memory_bandwidth_;
+  }
+  /// True when the machine carries compute rates (it can generate traces).
+  [[nodiscard]] bool has_compute_rates() const noexcept {
+    return flop_rate_ > 0.0;
+  }
+
+  /// Time to execute `flops` of dense compute.
+  [[nodiscard]] Time compute_time(double flops) const noexcept {
+    return flops / flop_rate_;
+  }
+
+  /// Time of a memory-bound pass touching `bytes` twice (read + write).
+  [[nodiscard]] Time streaming_time(double bytes) const noexcept {
+    return 2.0 * bytes / memory_bandwidth_;
+  }
 
  private:
   std::string name_;
-  std::string description_;
   std::vector<MachineChannel> channels_;
+  double flop_rate_ = 0.0;
+  double memory_bandwidth_ = 0.0;
 };
 
 /// Produces the machine-costed instance: every byte-annotated task gets

@@ -10,13 +10,12 @@
 /// intercept at a protocol threshold).
 ///
 /// affine_transfer_time() below is the ONE implementation of the affine
-/// map in the library: ChannelSpec::transfer_time (core/channels.hpp),
-/// MachineModel (trace/machine.hpp) and AffineTransferModel all delegate
-/// to it, so the trace generators, the costing layer and bind() can never
-/// drift apart — the bit-for-bit parity the golden tests pin depends on
-/// every caller evaluating the exact same expression.
+/// map in the library: AffineTransferModel delegates to it, and the trace
+/// generators and bind() both cost transfers through a Machine's channel
+/// models (model/machine.hpp), so generation-time and bind()-time costing
+/// can never drift apart — the bit-for-bit parity the golden tests pin
+/// depends on every caller evaluating the exact same expression.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,13 +46,11 @@ class TransferModel {
   [[nodiscard]] virtual std::string describe() const = 0;
 
   /// Effective asymptotic bandwidth (bytes/s) — the slope of the
-  /// large-message regime. Reports and ChannelSpec summaries use it.
+  /// large-message regime. Machine what-if sweeps scale it.
   [[nodiscard]] virtual double asymptotic_bandwidth() const noexcept = 0;
 
   /// Zero-byte intercept (s) — the small-message startup cost.
   [[nodiscard]] virtual double zero_byte_latency() const noexcept = 0;
-
-  [[nodiscard]] virtual std::unique_ptr<TransferModel> clone() const = 0;
 };
 
 /// The paper's calibrated model: transfer_time = latency + bytes/bandwidth.
@@ -73,12 +70,6 @@ class AffineTransferModel final : public TransferModel {
   [[nodiscard]] double zero_byte_latency() const noexcept override {
     return latency_;
   }
-  [[nodiscard]] std::unique_ptr<TransferModel> clone() const override {
-    return std::make_unique<AffineTransferModel>(latency_, bandwidth_);
-  }
-
-  [[nodiscard]] double latency() const noexcept { return latency_; }
-  [[nodiscard]] double bandwidth() const noexcept { return bandwidth_; }
 
  private:
   double latency_;
@@ -110,9 +101,6 @@ class PiecewiseTransferModel final : public TransferModel {
   }
   [[nodiscard]] double zero_byte_latency() const noexcept override {
     return segments_.front().latency;
-  }
-  [[nodiscard]] std::unique_ptr<TransferModel> clone() const override {
-    return std::make_unique<PiecewiseTransferModel>(segments_);
   }
 
   [[nodiscard]] const std::vector<Segment>& segments() const noexcept {

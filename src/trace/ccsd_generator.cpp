@@ -32,7 +32,7 @@ double log_uniform(Rng& rng, double lo, double hi) {
 
 Instance generate_ccsd_trace(const TraceConfig& config) {
   Rng rng(config.seed ^ 0x434353442D555241ULL);  // "CCSD-URA"
-  const MachineModel& m = config.machine;
+  const MachineChannel& link = config.machine.channel(kChannelH2D);
   const std::size_t n_tasks = static_cast<std::size_t>(
       rng.uniform_u64(config.min_tasks, config.max_tasks));
 
@@ -59,7 +59,7 @@ Instance generate_ccsd_trace(const TraceConfig& config) {
     } else {
       bytes = log_uniform(rng, kMinSlabBytes, 0.45 * kMaxSlabBytes);
     }
-    const Time comm = m.transfer_time(bytes);
+    const Time comm = link.transfer_time(bytes);
     // Lognormal work-per-byte with E[r] = 1 (mu = -sigma^2/2), sigma 0.65:
     // the comm and comp sums balance in expectation (Fig. 8's CCSD shape)
     // while ~37% of tasks are compute intensive and ~6% fall beyond ratio
@@ -79,10 +79,12 @@ Instance generate_ccsd_trace(const TraceConfig& config) {
 
 Instance generate_ccsd_dag_trace(const TraceConfig& config) {
   Rng rng(config.seed ^ 0x434353442D444147ULL);  // "CCSD-DAG"
-  const MachineModel& m = config.machine;
+  const Machine& m = config.machine;
   const std::size_t n_tasks = static_cast<std::size_t>(
       rng.uniform_u64(config.min_tasks, config.max_tasks));
   const ChannelId wb_channel = m.duplex() ? kChannelD2H : kChannelH2D;
+  const MachineChannel& link = m.channel(kChannelH2D);
+  const MachineChannel& wb_link = m.channel(wb_channel);
 
   // Super Instruction style contraction chains: within a chain,
   // contraction k fetches its fresh operand slab (an independent host
@@ -110,7 +112,7 @@ Instance generate_ccsd_dag_trace(const TraceConfig& config) {
       } else {
         bytes = log_uniform(rng, kMinSlabBytes, 0.45 * kMaxSlabBytes);
       }
-      const Time comm = m.transfer_time(bytes);
+      const Time comm = link.transfer_time(bytes);
       // Same lognormal work-per-byte family as generate_ccsd_trace
       // (E[r] = 1, sigma 0.65): the aggregate Fig. 8 shape is preserved,
       // only the precedence structure differs.
@@ -128,8 +130,7 @@ Instance generate_ccsd_dag_trace(const TraceConfig& config) {
     }
     const Mem result_bytes = config.writeback_fraction * chain_output;
     Task wb;
-    wb.comm = m.duplex() ? m.d2h_transfer_time(result_bytes)
-                         : m.transfer_time(result_bytes);
+    wb.comm = wb_link.transfer_time(result_bytes);
     wb.comp = 0.0;
     wb.mem = result_bytes;
     wb.channel = wb_channel;
@@ -153,9 +154,7 @@ Instance generate_trace(ChemistryKernel kernel, const TraceConfig& config) {
       break;
   }
   if (config.machine.duplex()) {
-    const ChannelSet channels = config.machine.channel_set();
-    inst = with_writeback(inst, channels[kChannelD2H],
-                          config.writeback_fraction);
+    inst = with_writeback(inst, config.machine, config.writeback_fraction);
   }
   return inst;
 }

@@ -20,10 +20,11 @@
 /// Generation is fully deterministic in the seed.
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/instance.hpp"
-#include "trace/machine.hpp"
+#include "model/machine.hpp"
 
 namespace dts {
 
@@ -39,7 +40,9 @@ struct TraceConfig {
   /// Tasks per process trace, sampled uniformly in [min_tasks, max_tasks].
   std::size_t min_tasks = 300;
   std::size_t max_tasks = 800;
-  MachineModel machine = MachineModel::cascade();
+  /// The machine whose channels cost the transfers and whose compute
+  /// rates cost the computations; it must carry compute rates.
+  Machine machine = machine_from_name("paper");
   /// Fraction of each task's input footprint written back to the host
   /// when the machine is duplex (see below). HF accumulates one result
   /// tile against two fetched ones; CCSD amplitude slabs return near
@@ -61,7 +64,7 @@ struct TraceConfig {
 /// on the device, so the transfer may overlap with earlier chains but
 /// the computation order is fixed) — and ends with a result write-back
 /// task (comp = 0) depending on the final contraction. On a duplex
-/// machine (MachineModel::duplex()) write-backs ride kChannelD2H;
+/// machine (Machine::duplex()) write-backs ride kChannelD2H;
 /// half-duplex machines put them on the single channel. Chains are
 /// mutually independent, so the instance is a forest of linear DAGs —
 /// the shape Instance::has_dependencies()-aware solvers are benchmarked
@@ -69,8 +72,8 @@ struct TraceConfig {
 /// fully deterministic in the seed.
 [[nodiscard]] Instance generate_ccsd_dag_trace(const TraceConfig& config);
 
-/// Dispatch on the kernel. A duplex machine (MachineModel::duplex() —
-/// e.g. MachineModel::duplex_pcie()) makes the trace bidirectional: each
+/// Dispatch on the kernel. A duplex machine (Machine::duplex() — e.g.
+/// the "duplex-pcie" preset) makes the trace bidirectional: each
 /// fetched task is followed by a result write-back task on kChannelD2H
 /// sized by TraceConfig::writeback_fraction, so input and output traffic
 /// can overlap on the two engines. Half-duplex machines reproduce the

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "support/rng.hpp"
@@ -18,7 +19,12 @@ constexpr double kIndexBufferBytes = 16000.0;  // shell-index metadata
 
 Instance generate_hf_trace(const TraceConfig& config) {
   Rng rng(config.seed ^ 0x48462D53494F5349ULL);  // "HF-SIOSI"
-  const MachineModel& m = config.machine;
+  const Machine& m = config.machine;
+  if (!m.has_compute_rates()) {
+    throw std::invalid_argument("generate_hf_trace: machine '" + m.name() +
+                                "' has no compute rates");
+  }
+  const MachineChannel& link = m.channel(kChannelH2D);
   const std::size_t n_tasks = static_cast<std::size_t>(
       rng.uniform_u64(config.min_tasks, config.max_tasks));
 
@@ -69,7 +75,7 @@ Instance generate_hf_trace(const TraceConfig& config) {
       // next transfer is in flight), and with small communication times.
       const auto k = static_cast<std::size_t>(rng.uniform_u64(30, 60));
       const double b_bytes = 8.0 * static_cast<double>(k * kHfTile);
-      const Time comm = m.transfer_time(b_bytes);
+      const Time comm = link.transfer_time(b_bytes);
       t = Task{.id = 0,
                .comm = comm,
                .comp = comm * rng.uniform(1.05, 1.45),

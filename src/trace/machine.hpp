@@ -1,107 +1,17 @@
 #pragma once
 
 /// \file machine.hpp
-/// Cost model mapping data volumes and flop counts to (communication,
-/// computation) times. The defaults are shaped after one process's share
-/// of a PNNL Cascade node (Intel Xeon E5-2670, InfiniBand FDR, Global
-/// Arrays one-sided transfers), the testbed of the paper. Only the
-/// *ratios* between transfer and compute times influence scheduling
-/// decisions; the absolute magnitudes simply keep reported times in a
-/// realistic microsecond-to-second range.
+/// Compatibility shim: the one machine descriptor is Machine
+/// (model/machine.hpp), and presets are named via machine_from_name().
 
-#include <string>
-
-#include "core/channels.hpp"
-#include "core/types.hpp"
 #include "model/machine.hpp"
 
 namespace dts {
 
 struct MachineModel {
-  /// Effective one-sided transfer bandwidth per process (bytes/s). A
-  /// Cascade node's FDR link is shared by 15 worker processes.
-  double link_bandwidth = 1.2e9;
-  /// Per-transfer startup latency (s).
-  double link_latency = 2.0e-6;
-  /// Effective per-core floating-point rate for BLAS-3-like kernels
-  /// (flop/s); E5-2670 peak is 20.8 GF/s DP, DGEMM reaches ~60%.
-  double flop_rate = 1.2e10;
-  /// Per-core streaming bandwidth for memory-bound kernels such as tensor
-  /// transposes (bytes/s, counting read+write traffic once each).
-  double memory_bandwidth = 4.0e9;
-  /// Device-to-host copy engine bandwidth (bytes/s). Zero means the
-  /// machine is half duplex — every transfer shares the one link above,
-  /// the paper's model. A positive value adds a second, independent
-  /// channel for result write-back (the conclusion's CPU->GPU case: one
-  /// DMA engine per direction).
-  double d2h_bandwidth = 0.0;
-
-  /// True when the machine exposes a dedicated D2H engine.
-  [[nodiscard]] bool duplex() const noexcept { return d2h_bandwidth > 0.0; }
-
-  /// The copy engines of this machine: the link alone, or H2D + D2H.
-  [[nodiscard]] ChannelSet channel_set() const {
-    if (!duplex()) return ChannelSet::single_link(link_bandwidth, link_latency);
-    return ChannelSet::duplex(link_bandwidth, d2h_bandwidth, link_latency);
+  [[nodiscard]] static Machine duplex_pcie() {
+    return machine_from_name("duplex-pcie");
   }
-
-  /// Time to move `bytes` across the (H2D) link. Delegates to the
-  /// library's single affine implementation (model/transfer_model.hpp) so
-  /// generation-time costing can never drift from bind()-time costing.
-  [[nodiscard]] Time transfer_time(double bytes) const noexcept {
-    return affine_transfer_time(link_latency, link_bandwidth, bytes);
-  }
-
-  /// Time to move `bytes` back over the D2H engine (the H2D link when the
-  /// machine is half duplex).
-  [[nodiscard]] Time d2h_transfer_time(double bytes) const noexcept {
-    return affine_transfer_time(
-        link_latency, duplex() ? d2h_bandwidth : link_bandwidth, bytes);
-  }
-
-  /// Time to execute `flops` of dense compute.
-  [[nodiscard]] Time compute_time(double flops) const noexcept {
-    return flops / flop_rate;
-  }
-
-  /// Time of a memory-bound pass touching `bytes` twice (read + write).
-  [[nodiscard]] Time streaming_time(double bytes) const noexcept {
-    return 2.0 * bytes / memory_bandwidth;
-  }
-
-  /// The defaults above: one process's slice of a Cascade node.
-  [[nodiscard]] static MachineModel cascade() noexcept { return {}; }
-
-  /// A CPU->GPU offload link (PCIe 3.0 x16 with a ~7 TF/s accelerator),
-  /// used by the gpu_offload example: same model, different constants —
-  /// the paper's conclusion singles out this setting as the natural next
-  /// application of the heuristics.
-  [[nodiscard]] static MachineModel pcie_gpu() noexcept {
-    MachineModel m;
-    m.link_bandwidth = 1.2e10;
-    m.link_latency = 8.0e-6;
-    m.flop_rate = 7.0e12;
-    m.memory_bandwidth = 4.0e11;
-    return m;
-  }
-
-  /// The same accelerator with both PCIe 3.0 x16 DMA engines engaged: one
-  /// copy engine per direction, so input fetches (H2D) and result
-  /// write-back (D2H) overlap. D2H runs marginally slower than H2D on
-  /// real parts (posted- vs non-posted transaction overhead).
-  [[nodiscard]] static MachineModel duplex_pcie() noexcept {
-    MachineModel m = pcie_gpu();
-    m.d2h_bandwidth = 1.1e10;
-    return m;
-  }
-
-  /// The transfer side of this model as a first-class Machine descriptor
-  /// (model/machine.hpp): one affine channel per copy engine, built from
-  /// the same constants — the registry presets "paper", "pcie-gpu" and
-  /// "duplex-pcie" are exactly these conversions, so bind()-time costing
-  /// reproduces generation-time costing bit for bit.
-  [[nodiscard]] Machine to_machine(std::string name,
-                                   std::string description) const;
 };
 
 }  // namespace dts

@@ -12,38 +12,38 @@ double TileSpec::bytes() const noexcept {
   return 8.0 * static_cast<double>(elements());
 }
 
-Task make_transpose_task(const MachineModel& machine, const TileSpec& tile,
+Task make_transpose_task(const Machine& machine, const TileSpec& tile,
                          std::string name) {
   const double bytes = tile.bytes();
   return Task{.id = 0,
-              .comm = machine.transfer_time(bytes),
+              .comm = machine.transfer_time(kChannelH2D, bytes),
               .comp = machine.streaming_time(bytes),
               .mem = bytes,
               .comm_bytes = bytes,
               .name = std::move(name)};
 }
 
-Task make_contraction_task(const MachineModel& machine, std::size_t m,
+Task make_contraction_task(const Machine& machine, std::size_t m,
                            std::size_t n, std::size_t k, std::string name) {
   const double a_bytes = 8.0 * static_cast<double>(m) * static_cast<double>(k);
   const double b_bytes = 8.0 * static_cast<double>(k) * static_cast<double>(n);
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                        static_cast<double>(k);
   return Task{.id = 0,
-              .comm = machine.transfer_time(a_bytes + b_bytes),
+              .comm = machine.transfer_time(kChannelH2D, a_bytes + b_bytes),
               .comp = machine.compute_time(flops),
               .mem = a_bytes + b_bytes,
               .comm_bytes = a_bytes + b_bytes,
               .name = std::move(name)};
 }
 
-Task make_fock_accumulation_task(const MachineModel& machine,
+Task make_fock_accumulation_task(const Machine& machine,
                                  const TileSpec& tile, std::size_t n_tiles,
                                  double index_buffer_bytes, std::string name) {
   const double bytes =
       tile.bytes() * static_cast<double>(n_tiles) + index_buffer_bytes;
   return Task{.id = 0,
-              .comm = machine.transfer_time(bytes),
+              .comm = machine.transfer_time(kChannelH2D, bytes),
               // A couple of streaming passes (digestion + accumulation)
               // over the fetched integrals; still communication intensive
               // because the link is slower than the memory system.

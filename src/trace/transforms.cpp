@@ -100,12 +100,17 @@ std::vector<Instance> split_batches(const Instance& inst,
   return batches;
 }
 
-Instance with_writeback(const Instance& inst, const ChannelSpec& d2h,
+Instance with_writeback(const Instance& inst, const Machine& machine,
                         double result_fraction, bool depend_on_producer) {
   if (!(result_fraction > 0.0) || result_fraction > 1.0) {
     throw std::invalid_argument(
         "with_writeback: result_fraction must be in (0, 1]");
   }
+  if (!machine.duplex()) {
+    throw std::invalid_argument("with_writeback: machine '" + machine.name() +
+                                "' has no D2H channel");
+  }
+  const MachineChannel& d2h = machine.channel(kChannelD2H);
   // Interleaving shifts every original task's id; edges may point forward
   // (the constructor only requires acyclicity), so the full old-id -> new-id
   // map must exist before any edge is rewritten.

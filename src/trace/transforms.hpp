@@ -10,8 +10,8 @@
 #include <span>
 #include <vector>
 
-#include "core/channels.hpp"
 #include "core/instance.hpp"
+#include "model/machine.hpp"
 #include "support/rng.hpp"
 
 namespace dts {
@@ -55,18 +55,20 @@ namespace dts {
 /// Bidirectional (duplex) extension of a trace: after each task with a
 /// positive footprint, inserts a result write-back task on kChannelD2H
 /// whose transfer moves `result_fraction` of the task's input footprint
-/// over `d2h` (comp = 0 — a pure transfer occupying the output buffer for
-/// the duration of the copy). Original tasks keep their channels; the
+/// over `machine`'s D2H channel (comp = 0 — a pure transfer occupying the
+/// output buffer for the duration of the copy). Original tasks keep their
+/// channels; the
 /// result models the paper-conclusion scenario where computed results
 /// stream back to the host while the next inputs stream in.
-/// `result_fraction` must be in (0, 1]. Existing dependency edges are
+/// `result_fraction` must be in (0, 1] and the machine duplex (throws
+/// std::invalid_argument otherwise). Existing dependency edges are
 /// remapped through the interleaving. With `depend_on_producer` each
 /// write-back gains a dependency edge on the task that produced it (the
 /// copy may not start before the computation ends — a DAG instance); the
 /// default leaves write-backs independent, preserving the historical
 /// duplex benchmarks bit-for-bit.
 [[nodiscard]] Instance with_writeback(const Instance& inst,
-                                      const ChannelSpec& d2h,
+                                      const Machine& machine,
                                       double result_fraction,
                                       bool depend_on_producer = false);
 

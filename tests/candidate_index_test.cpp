@@ -133,7 +133,7 @@ void sweep_capacities(const Instance& inst, const std::string& label,
   }
 }
 
-TraceConfig trace_config(std::uint64_t seed, MachineModel machine) {
+TraceConfig trace_config(std::uint64_t seed, Machine machine) {
   return TraceConfig{.seed = seed,
                      .min_tasks = 100,
                      .max_tasks = 160,
@@ -144,7 +144,7 @@ TEST(CandidateIndex, HartreeFockAtThreeTimeScales) {
   SelectionStats stats;
   for (const std::uint64_t seed : {1}) {
     const Instance hf =
-        generate_hf_trace(trace_config(seed, MachineModel::cascade()));
+        generate_hf_trace(trace_config(seed, machine_from_name("paper")));
     sweep_capacities(hf, "HF", stats);
     sweep_capacities(scale_times(hf, 1e3, 1e3), "HF x1e3", stats);
     sweep_capacities(scale_times(hf, 1e-3, 1e-3), "HF x1e-3", stats);
@@ -156,11 +156,11 @@ TEST(CandidateIndex, CcsdSingleAndDuplex) {
   SelectionStats stats;
   for (const std::uint64_t seed : {1}) {
     sweep_capacities(
-        generate_ccsd_trace(trace_config(seed, MachineModel::cascade())),
+        generate_ccsd_trace(trace_config(seed, machine_from_name("paper"))),
         "CCSD", stats);
     const Instance duplex =
         generate_trace(ChemistryKernel::kCoupledClusterSD,
-                       trace_config(seed, MachineModel::duplex_pcie()));
+                       trace_config(seed, machine_from_name("duplex-pcie")));
     ASSERT_EQ(duplex.num_channels(), 2u);
     sweep_capacities(duplex, "CCSD-duplex", stats);
   }
@@ -304,11 +304,11 @@ TEST(CandidateIndex, AutoBatchMatchesTheLinearReference) {
   const std::vector<HeuristicId> all = all_heuristic_ids();
   for (const std::uint64_t seed : {3}) {
     const Instance hf = scale_times(
-        generate_hf_trace(trace_config(seed, MachineModel::cascade())), 1e3,
-        1e3);
+        generate_hf_trace(trace_config(seed, machine_from_name("paper"))),
+        1e3, 1e3);
     const Instance ccsd =
         generate_trace(ChemistryKernel::kCoupledClusterSD,
-                       trace_config(seed, MachineModel::duplex_pcie()));
+                       trace_config(seed, machine_from_name("duplex-pcie")));
     for (const Instance* inst : {&hf, &ccsd}) {
       for (const double f : {1.125, 1.5, 3.0}) {
         const Mem capacity = f * inst->min_capacity();
@@ -344,7 +344,7 @@ double loglog_slope(const std::vector<double>& n,
 /// visited plus fallback candidates scanned) over all six heuristics at
 /// 1.5 mc must scale no worse than n^1.2 from n = 1k to 16k tasks. The
 /// linear scan it replaces scales as n^2.
-void expect_subquadratic(ChemistryKernel kernel, MachineModel machine) {
+void expect_subquadratic(ChemistryKernel kernel, Machine machine) {
   if (kAuditsEnabled) {
     GTEST_SKIP() << "audit builds cross-check every pick against the O(n) "
                     "scan; the counters are build-independent and guarded "
@@ -380,22 +380,23 @@ void expect_subquadratic(ChemistryKernel kernel, MachineModel machine) {
 }
 
 TEST(SelectionScaling, HartreeFockSingleChannel) {
-  expect_subquadratic(ChemistryKernel::kHartreeFock, MachineModel::cascade());
+  expect_subquadratic(ChemistryKernel::kHartreeFock,
+                      machine_from_name("paper"));
 }
 
 TEST(SelectionScaling, HartreeFockDuplex) {
   expect_subquadratic(ChemistryKernel::kHartreeFock,
-                      MachineModel::duplex_pcie());
+                      machine_from_name("duplex-pcie"));
 }
 
 TEST(SelectionScaling, CcsdSingleChannel) {
   expect_subquadratic(ChemistryKernel::kCoupledClusterSD,
-                      MachineModel::cascade());
+                      machine_from_name("paper"));
 }
 
 TEST(SelectionScaling, CcsdDuplex) {
   expect_subquadratic(ChemistryKernel::kCoupledClusterSD,
-                      MachineModel::duplex_pcie());
+                      machine_from_name("duplex-pcie"));
 }
 
 }  // namespace

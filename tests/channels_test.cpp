@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/bounds.hpp"
-#include "core/channels.hpp"
 #include "core/compiled.hpp"
 #include "core/registry.hpp"
 #include "core/simulate.hpp"
@@ -18,8 +17,8 @@
 #include "core/validate.hpp"
 #include "exact/branch_bound.hpp"
 #include "exact/lower_bounds.hpp"
+#include "model/machine.hpp"
 #include "trace/generators.hpp"
-#include "trace/machine.hpp"
 #include "trace/transforms.hpp"
 #include "test_util.hpp"
 
@@ -160,12 +159,13 @@ TEST(SingleChannelParity, EveryBuiltinSolverMatchesTheSeedMakespans) {
 }
 
 TEST(SingleChannelParity, ExplicitSingleChannelSetTakesTheLegacyPath) {
-  // Passing the machine's one-link ChannelSet is equivalent to passing
-  // nothing at all.
+  // Naming the paper's one-link machine is equivalent to naming nothing
+  // at all: the instance's tasks carry no byte annotations, so binding
+  // keeps their measured times.
   const Instance inst = testing::table4_instance();
   SolveRequest bare{.instance = inst, .capacity = testing::kTable4Capacity};
   SolveRequest with_set = bare;
-  with_set.channels = MachineModel::cascade().channel_set();
+  with_set.machine = "paper";
   for (const char* solver : {"auto", "SCMR", "window:3", "branch-bound"}) {
     EXPECT_DOUBLE_EQ(solve(bare, solver).makespan,
                      solve(with_set, solver).makespan)
@@ -292,7 +292,7 @@ TEST(DuplexWins, GeneratedDuplexTracesBeatTheirMergedTwin) {
   config.seed = 3;
   config.min_tasks = 60;
   config.max_tasks = 80;
-  config.machine = MachineModel::duplex_pcie();
+  config.machine = machine_from_name("duplex-pcie");
   for (ChemistryKernel kernel :
        {ChemistryKernel::kHartreeFock, ChemistryKernel::kCoupledClusterSD}) {
     const Instance duplex = generate_trace(kernel, config);
@@ -369,7 +369,7 @@ TEST(ChannelSolve, MismatchedChannelSetIsRejected) {
   SolveRequest request;
   request.instance = symmetric_duplex_workload();
   request.capacity = 4.0;
-  request.channels = MachineModel::cascade().channel_set();  // one engine
+  request.machine = "paper";  // one engine; bind() rejects channel 1
   EXPECT_THROW((void)solve(request, "auto"), std::invalid_argument);
 }
 
@@ -377,7 +377,7 @@ TEST(ChannelSolve, SimulationSolversHandleDuplexRequests) {
   SolveRequest request;
   request.instance = symmetric_duplex_workload();
   request.capacity = 4.0;
-  request.channels = MachineModel::duplex_pcie().channel_set();
+  request.machine = "duplex-pcie";
   for (const char* solver : {"auto", "SCMR", "window:3", "local-search",
                              "auto-batch:4"}) {
     const SolveResult res = solve(request, solver);
@@ -450,18 +450,20 @@ TEST(ChannelSolve, TasksRejectOutOfRangeChannels) {
 }
 
 TEST(ChannelSet, ValidatesItsSpecs) {
-  EXPECT_THROW(ChannelSet(std::vector<ChannelSpec>{}), std::invalid_argument);
-  EXPECT_THROW(ChannelSet({ChannelSpec{"x", 0.0, 0.0}}),
-               std::invalid_argument);
-  EXPECT_THROW(ChannelSet({ChannelSpec{"x", 1e9, -1.0}}),
-               std::invalid_argument);
-  const ChannelSet duplex = ChannelSet::duplex(2e9, 1e9, 1e-6);
-  EXPECT_EQ(duplex.size(), 2u);
-  EXPECT_FALSE(duplex.single());
-  EXPECT_EQ(duplex[kChannelH2D].name, "H2D");
-  EXPECT_EQ(duplex[kChannelD2H].name, "D2H");
-  EXPECT_GT(duplex[kChannelD2H].transfer_time(1e9),
-            duplex[kChannelH2D].transfer_time(1e9));
+  // A Machine's channel list is validated where it is built: no channels
+  // at all, a non-positive bandwidth or a negative latency is rejected.
+  EXPECT_THROW(Machine("m", {}), std::invalid_argument);
+  EXPECT_THROW((void)affine_channel("x", 0.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)affine_channel("x", -1.0, 1e9), std::invalid_argument);
+  const Machine duplex("m",
+                       {affine_channel("H2D", 1e-6, 2e9),
+                        affine_channel("D2H", 1e-6, 1e9)});
+  EXPECT_EQ(duplex.num_channels(), 2u);
+  EXPECT_TRUE(duplex.duplex());
+  EXPECT_EQ(duplex.channel(kChannelH2D).name, "H2D");
+  EXPECT_EQ(duplex.channel(kChannelD2H).name, "D2H");
+  EXPECT_GT(duplex.transfer_time(kChannelD2H, 1e9),
+            duplex.transfer_time(kChannelH2D, 1e9));
 }
 
 }  // namespace

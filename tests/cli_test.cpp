@@ -106,6 +106,46 @@ TEST(Cli, GenerateInfoScheduleRoundTrip) {
   EXPECT_NE(sched.out.find("comm |"), std::string::npos);
 }
 
+TEST(Cli, GenerateResolvesMachinesInTheRegistry) {
+  // "cascade" is a registry alias of "paper": the same bytes.
+  TempFile paper("gen_paper.trace");
+  TempFile cascade("gen_cascade.trace");
+  for (const TempFile* file : {&paper, &cascade}) {
+    const std::string machine = file == &paper ? "paper" : "cascade";
+    ASSERT_EQ(run({"generate", "--kernel=CCSD", "--seed=4", "--min-tasks=30",
+                   "--max-tasks=40", "--machine=" + machine,
+                   "--out=" + file->str()})
+                  .exit_code,
+              0);
+  }
+  const auto bytes = [](const TempFile& file) {
+    std::ifstream in(file.str(), std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  EXPECT_FALSE(bytes(paper).empty());
+  EXPECT_EQ(bytes(paper), bytes(cascade));
+
+  // A registered machine without compute rates cannot generate; the error
+  // names it and lists the presets that can.
+  TempFile out("gen_nvlink.trace");
+  for (const char* machine : {"nvlink", "summit-node"}) {
+    const CliRun r = run({"generate", "--kernel=HF",
+                          std::string("--machine=") + machine,
+                          "--out=" + out.str()});
+    EXPECT_EQ(r.exit_code, 1) << machine;
+    EXPECT_NE(r.err.find(std::string("machine '") + machine + "'"),
+              std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("no compute rates"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("paper, cascade, pcie-gpu, duplex-pcie"),
+              std::string::npos)
+        << r.err;
+    EXPECT_FALSE(std::filesystem::exists(out.str())) << machine;
+  }
+}
+
 TEST(Cli, GenerateCcsdDagWritesV4AndSolves) {
   TempFile file("dag.trace");
   const CliRun gen = run({"generate", "--kernel=CCSD-DAG", "--seed=3",

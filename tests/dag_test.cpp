@@ -17,6 +17,7 @@
 #include "core/solver.hpp"
 #include "core/validate.hpp"
 #include "milp/milp_solver.hpp"
+#include "model/machine.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 #include "trace/generators.hpp"
@@ -256,22 +257,28 @@ TEST(DagTransforms, WritebackRemapsAndOptionallyDependsOnProducer) {
   tasks.push_back(simple_task(1.0, 1.0, 8.0));
   tasks.push_back(simple_task(1.0, 1.0, 8.0, {0}));
   const Instance inst(std::move(tasks));
-  const ChannelSpec d2h{.name = "D2H", .bandwidth = 8.0, .latency = 0.0};
+  const Machine duplex("duplex",
+                       {affine_channel("H2D", 0.0, 8.0),
+                        affine_channel("D2H", 0.0, 8.0)});
 
   // Default: write-backs stay independent (the historical duplex traces)
   // but the original edges survive the interleaving shift.
-  const Instance loose = with_writeback(inst, d2h, 0.5);
+  const Instance loose = with_writeback(inst, duplex, 0.5);
   ASSERT_EQ(loose.size(), 4u);
   EXPECT_EQ(loose[2].deps, std::vector<TaskId>{0});  // was {0}, 0 stays 0
   EXPECT_TRUE(loose[1].deps.empty());
   EXPECT_TRUE(loose[3].deps.empty());
 
   // depend_on_producer: each write-back waits for its producing task.
-  const Instance tied = with_writeback(inst, d2h, 0.5, true);
+  const Instance tied = with_writeback(inst, duplex, 0.5, true);
   ASSERT_EQ(tied.size(), 4u);
   EXPECT_EQ(tied[1].deps, std::vector<TaskId>{0});  // wb of task 0
   EXPECT_EQ(tied[2].deps, std::vector<TaskId>{0});  // original edge
   EXPECT_EQ(tied[3].deps, std::vector<TaskId>{2});  // wb of (shifted) task 1
+
+  // A single-link machine has no engine to write back on.
+  EXPECT_THROW((void)with_writeback(inst, machine_from_name("paper"), 0.5),
+               std::invalid_argument);
 }
 
 TEST(DagTransforms, CcsdDagGeneratorBuildsChains) {
@@ -279,7 +286,7 @@ TEST(DagTransforms, CcsdDagGeneratorBuildsChains) {
   config.seed = 11;
   config.min_tasks = 40;
   config.max_tasks = 60;
-  config.machine = MachineModel::duplex_pcie();
+  config.machine = machine_from_name("duplex-pcie");
   const Instance inst = generate_ccsd_dag_trace(config);
   EXPECT_TRUE(inst.has_dependencies());
   EXPECT_GE(inst.size(), 40u);
@@ -313,7 +320,7 @@ TEST(DagEdgeFreeParity, HeuristicGoldensOnDuplexCcsdTrace) {
   config.seed = 42;
   config.min_tasks = 24;
   config.max_tasks = 24;
-  config.machine = MachineModel::duplex_pcie();
+  config.machine = machine_from_name("duplex-pcie");
   const Instance inst =
       generate_trace(ChemistryKernel::kCoupledClusterSD, config);
   ASSERT_FALSE(inst.has_dependencies());

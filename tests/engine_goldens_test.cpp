@@ -20,10 +20,10 @@
 #include <vector>
 
 #include "core/solver.hpp"
+#include "model/machine.hpp"
 #include "support/rng.hpp"
 #include "support/text.hpp"
 #include "trace/generators.hpp"
-#include "trace/machine.hpp"
 
 namespace dts {
 namespace {
@@ -58,9 +58,9 @@ struct Trace {
 /// machine, plus one CCSD contraction-chain DAG — about 300 tasks each.
 std::vector<Trace> stock_corpus() {
   std::vector<Trace> corpus;
-  const std::pair<const char*, MachineModel> machines[] = {
-      {"paper", MachineModel::cascade()},
-      {"duplex", MachineModel::duplex_pcie()}};
+  const std::pair<const char*, Machine> machines[] = {
+      {"paper", machine_from_name("paper")},
+      {"duplex", machine_from_name("duplex-pcie")}};
   const std::pair<const char*, ChemistryKernel> kernels[] = {
       {"hf", ChemistryKernel::kHartreeFock},
       {"ccsd", ChemistryKernel::kCoupledClusterSD}};

@@ -67,7 +67,7 @@ TEST(MachineParity, DuplexBindReproducesWritebackTraces) {
   config.seed = 3;
   config.min_tasks = 30;
   config.max_tasks = 40;
-  config.machine = MachineModel::duplex_pcie();
+  config.machine = machine_from_name("duplex-pcie");
   const Instance generated =
       generate_trace(ChemistryKernel::kCoupledClusterSD, config);
   ASSERT_EQ(generated.num_channels(), 2u);

@@ -15,7 +15,6 @@
 #include "model/machine.hpp"
 #include "model/transfer_model.hpp"
 #include "support/rng.hpp"
-#include "trace/machine.hpp"
 
 namespace dts {
 namespace {
@@ -68,40 +67,69 @@ TEST(Machine, ChannelSetSummarizesTheModels) {
   const Machine machine = machine_from_name("duplex-pcie");
   ASSERT_EQ(machine.num_channels(), 2u);
   EXPECT_TRUE(machine.duplex());
-  const ChannelSet channels = machine.channel_set();
-  ASSERT_EQ(channels.size(), 2u);
-  EXPECT_EQ(channels[0].name, "H2D");
-  EXPECT_EQ(channels[1].name, "D2H");
-  // The affine summary reproduces the model for affine machines.
-  EXPECT_DOUBLE_EQ(channels[0].transfer_time(1e6),
-                   machine.transfer_time(kChannelH2D, 1e6));
-  EXPECT_DOUBLE_EQ(channels[1].transfer_time(1e6),
-                   machine.transfer_time(kChannelD2H, 1e6));
+  EXPECT_EQ(machine.channel(kChannelH2D).name, "H2D");
+  EXPECT_EQ(machine.channel(kChannelD2H).name, "D2H");
+  // The affine summary of each channel reproduces the model for affine
+  // machines.
+  for (const ChannelId id : {kChannelH2D, kChannelD2H}) {
+    const TransferModel& model = *machine.channel(id).model;
+    EXPECT_DOUBLE_EQ(affine_transfer_time(model.zero_byte_latency(),
+                                          model.asymptotic_bandwidth(), 1e6),
+                     machine.transfer_time(id, 1e6));
+  }
 }
 
 TEST(Machine, PresetsShareTheMachineModelConstants) {
-  // The registry presets must be exactly the MachineModel constants — one
-  // source of truth for the hardware numbers (and the parity guarantee).
-  const Machine paper = machine_from_name("paper");
-  const MachineModel cascade = MachineModel::cascade();
-  for (double bytes : {0.0, 1.0, 176000.0, 1.8e9}) {
-    EXPECT_EQ(paper.transfer_time(kChannelH2D, bytes),
-              cascade.transfer_time(bytes));
+  // The generating presets carry the paper's hardware constants exactly:
+  // one source of truth for the numbers, and the parity guarantee.
+  for (const char* name : {"paper", "cascade"}) {
+    const Machine cascade = machine_from_name(name);
+    ASSERT_EQ(cascade.num_channels(), 1u) << name;
+    for (double bytes : {0.0, 1.0, 176000.0, 1.8e9}) {
+      EXPECT_EQ(cascade.transfer_time(kChannelH2D, bytes),
+                affine_transfer_time(2.0e-6, 1.2e9, bytes));
+    }
+    EXPECT_EQ(cascade.flop_rate(), 1.2e10);
+    EXPECT_EQ(cascade.memory_bandwidth(), 4.0e9);
   }
+  const Machine pcie = machine_from_name("pcie-gpu");
   const Machine duplex = machine_from_name("duplex-pcie");
-  const MachineModel duplex_model = MachineModel::duplex_pcie();
+  ASSERT_EQ(pcie.num_channels(), 1u);
   for (double bytes : {0.0, 4096.0, 2.0e9}) {
+    EXPECT_EQ(pcie.transfer_time(kChannelH2D, bytes),
+              affine_transfer_time(8.0e-6, 1.2e10, bytes));
     EXPECT_EQ(duplex.transfer_time(kChannelH2D, bytes),
-              duplex_model.transfer_time(bytes));
+              pcie.transfer_time(kChannelH2D, bytes));
     EXPECT_EQ(duplex.transfer_time(kChannelD2H, bytes),
-              duplex_model.d2h_transfer_time(bytes));
+              affine_transfer_time(8.0e-6, 1.1e10, bytes));
   }
+  for (const Machine* gpu : {&pcie, &duplex}) {
+    EXPECT_EQ(gpu->flop_rate(), 7.0e12);
+    EXPECT_EQ(gpu->memory_bandwidth(), 4.0e11);
+  }
+  // Transfer-only presets carry no compute rates.
+  EXPECT_FALSE(machine_from_name("nvlink").has_compute_rates());
+  EXPECT_FALSE(machine_from_name("summit-node").has_compute_rates());
 }
 
 TEST(Machine, RejectsEmptyOrModelLessChannels) {
-  EXPECT_THROW(Machine("m", "", {}), std::invalid_argument);
-  EXPECT_THROW(Machine("m", "", {MachineChannel{"link", nullptr}}),
+  EXPECT_THROW(Machine("m", {}), std::invalid_argument);
+  EXPECT_THROW(Machine("m", {MachineChannel{"link", nullptr}}),
                std::invalid_argument);
+}
+
+TEST(Machine, ValidatesComputeRates) {
+  const std::vector<MachineChannel> link = {affine_channel("link", 1e-6, 1e9)};
+  EXPECT_THROW(Machine("m", link, -1.0, -1.0), std::invalid_argument);
+  EXPECT_THROW(Machine("m", link, 1e9, 0.0), std::invalid_argument);
+  EXPECT_THROW(Machine("m", link, 0.0, 1e9), std::invalid_argument);
+  EXPECT_THROW(Machine("m", link, std::nan(""), 1e9),
+               std::invalid_argument);
+  EXPECT_FALSE(Machine("m", link).has_compute_rates());
+  const Machine computing("m", link, 2e9, 4e9);
+  EXPECT_TRUE(computing.has_compute_rates());
+  EXPECT_DOUBLE_EQ(computing.compute_time(1e9), 0.5);
+  EXPECT_DOUBLE_EQ(computing.streaming_time(1e9), 0.5);
 }
 
 TEST(MachineRegistry, ListsPresetsAndRejectsUnknownNames) {
@@ -143,7 +171,7 @@ TEST(MachineRegistry, DeclaredChannelsMismatchIsCaughtAtMake) {
   static const RegisterMachine reg{
       "model-test-misdeclared", MachineChannels{"H2D+D2H"},
       "declares duplex, builds a single link", [] {
-        return Machine("model-test-misdeclared", "test",
+        return Machine("model-test-misdeclared",
                        {affine_channel("link", 1.0e-6, 2.0e9)});
       }};
   // Listing shows the declaration without building anything...
@@ -164,7 +192,7 @@ TEST(MachineRegistry, CustomMachinesPlugIn) {
   static const RegisterMachine reg{
       "model-test-custom", MachineChannels{"link"}, "a custom test machine",
       [] {
-        return Machine("model-test-custom", "test",
+        return Machine("model-test-custom",
                        {affine_channel("link", 1.0e-6, 2.0e9)});
       }};
   const Machine m = machine_from_name("model-test-custom");
@@ -337,15 +365,15 @@ TEST(Calibrate, RejectsDegenerateInputs) {
 }
 
 TEST(ChannelSpec, DelegatesToTheSharedAffineImplementation) {
-  // Satellite guarantee: trace/machine.hpp, core/channels.hpp and the
-  // model layer share one affine implementation — identical bit patterns.
-  const ChannelSpec spec{"link", 1.2e9, 2.0e-6};
-  const MachineModel model = MachineModel::cascade();
+  // A Machine's affine channels and the model layer share one affine
+  // implementation — identical bit patterns.
+  const MachineChannel link = affine_channel("link", 2.0e-6, 1.2e9);
+  const Machine paper = machine_from_name("paper");
   const AffineTransferModel affine(2.0e-6, 1.2e9);
   for (double bytes : {0.0, 1.0, 42896.0, 176000.0, 1.8e9}) {
     const Time expected = affine_transfer_time(2.0e-6, 1.2e9, bytes);
-    EXPECT_EQ(spec.transfer_time(bytes), expected);
-    EXPECT_EQ(model.transfer_time(bytes), expected);
+    EXPECT_EQ(link.transfer_time(bytes), expected);
+    EXPECT_EQ(paper.transfer_time(kChannelH2D, bytes), expected);
     EXPECT_EQ(affine.transfer_time(bytes), expected);
   }
 }

@@ -143,9 +143,9 @@ TEST(TextCodec, AppendDoubleMatchesPrintfOnIntegersNear2To53And1e17) {
 }
 
 TEST(TextCodec, AppendDoubleMatchesPrintfOnEveryGeneratedNumber) {
-  const MachineModel machines[] = {MachineModel::cascade(),
-                                   MachineModel::pcie_gpu(),
-                                   MachineModel::duplex_pcie()};
+  const Machine machines[] = {machine_from_name("paper"),
+                              machine_from_name("pcie-gpu"),
+                              machine_from_name("duplex-pcie")};
   std::size_t checked = 0;
   const auto check = [&checked](const Instance& inst) {
     const InstanceStats stats = inst.stats();
@@ -159,7 +159,7 @@ TEST(TextCodec, AppendDoubleMatchesPrintfOnEveryGeneratedNumber) {
       checked += 4;
     }
   };
-  for (const MachineModel& machine : machines) {
+  for (const Machine& machine : machines) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       TraceConfig config;
       config.seed = seed;
@@ -386,7 +386,7 @@ TEST(TraceText, WriterIsByteIdenticalToTheLegacyStreamWriter) {
   TraceConfig config;
   config.seed = 9;
   TraceConfig duplex = config;
-  duplex.machine = MachineModel::duplex_pcie();
+  duplex.machine = machine_from_name("duplex-pcie");
   duplex.writeback_fraction = 1.0;
 
   std::vector<Task> mixed(generate_hf_trace(config).tasks());
@@ -423,7 +423,7 @@ TEST(TraceText, ReaderSplitsFieldsOnAnyWhitespaceRun) {
   config.seed = 4;
   config.min_tasks = 30;
   config.max_tasks = 30;
-  config.machine = MachineModel::duplex_pcie();
+  config.machine = machine_from_name("duplex-pcie");
   const Instance inst = generate_ccsd_dag_trace(config);
   const std::string text = written(inst);
 

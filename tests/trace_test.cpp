@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "model/machine.hpp"
 #include "trace/generators.hpp"
 #include "trace/tensor_tasks.hpp"
 #include "trace/trace_io.hpp"
@@ -22,7 +23,7 @@ TEST(TileSpec, ElementsAndBytes) {
 }
 
 TEST(TensorTasks, TransposeIsCommunicationIntensive) {
-  const MachineModel m = MachineModel::cascade();
+  const Machine m = machine_from_name("paper");
   const Task t = make_transpose_task(m, TileSpec{{100, 100}}, "tr");
   EXPECT_FALSE(t.compute_intensive());
   EXPECT_DOUBLE_EQ(t.mem, 80000.0);
@@ -31,16 +32,27 @@ TEST(TensorTasks, TransposeIsCommunicationIntensive) {
 }
 
 TEST(TensorTasks, LargeContractionIsComputeIntensive) {
-  const MachineModel m = MachineModel::cascade();
+  const Machine m = machine_from_name("paper");
   const Task t = make_contraction_task(m, 2000, 2000, 200, "ct");
   EXPECT_TRUE(t.compute_intensive());
   EXPECT_DOUBLE_EQ(t.mem, 8.0 * (2000.0 * 200 + 200 * 2000));
 }
 
 TEST(MachineModel, TransferIncludesLatency) {
-  const MachineModel m = MachineModel::cascade();
-  EXPECT_GT(m.transfer_time(0.0), 0.0);
-  EXPECT_GT(m.transfer_time(1e6), m.transfer_time(1e3));
+  // The paper's machine costs transfers on its one link and computations
+  // through its compute rates.
+  const Machine m = machine_from_name("paper");
+  EXPECT_GT(m.transfer_time(kChannelH2D, 0.0), 0.0);
+  EXPECT_GT(m.transfer_time(kChannelH2D, 1e6),
+            m.transfer_time(kChannelH2D, 1e3));
+  EXPECT_DOUBLE_EQ(m.compute_time(1.2e10), 1.0);
+  EXPECT_DOUBLE_EQ(m.streaming_time(2.0e9), 1.0);
+}
+
+TEST(Generators, RejectMachinesWithoutComputeRates) {
+  TraceConfig config;
+  config.machine = machine_from_name("nvlink");
+  EXPECT_THROW((void)generate_hf_trace(config), std::invalid_argument);
 }
 
 TEST(Generators, Deterministic) {
