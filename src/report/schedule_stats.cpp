@@ -22,6 +22,27 @@ std::vector<std::pair<Time, Time>> busy_intervals(
   return intervals;
 }
 
+/// Merges overlapping intervals of a sorted set in place and returns the
+/// length the set counted more than once. Touching intervals stay apart,
+/// so one engine's (disjoint) transfers come back unchanged and the
+/// double-counted length is exactly zero.
+Time merge_overlaps(std::vector<std::pair<Time, Time>>& intervals) {
+  Time double_counted = 0.0;
+  std::size_t last = 0;
+  for (std::size_t i = 1; i < intervals.size(); ++i) {
+    auto& [start, end] = intervals[last];
+    const auto& [next_start, next_end] = intervals[i];
+    if (next_start < end) {
+      double_counted += std::min(end, next_end) - next_start;
+      end = std::max(end, next_end);
+    } else {
+      intervals[++last] = intervals[i];
+    }
+  }
+  if (!intervals.empty()) intervals.resize(last + 1);
+  return double_counted;
+}
+
 /// Total length of the union of [0, horizon) minus the intervals.
 Time idle_within(const std::vector<std::pair<Time, Time>>& intervals,
                  Time horizon) {
@@ -35,7 +56,7 @@ Time idle_within(const std::vector<std::pair<Time, Time>>& intervals,
   return idle;
 }
 
-/// Overlap length between two sorted interval sets.
+/// Overlap length between two sorted sets of disjoint intervals.
 Time overlap_length(const std::vector<std::pair<Time, Time>>& a,
                     const std::vector<std::pair<Time, Time>>& b) {
   Time total = 0.0;
@@ -57,14 +78,17 @@ ScheduleBreakdown analyze_schedule(const Instance& inst,
   if (inst.empty()) return out;
   out.makespan = sched.makespan(inst);
 
-  const auto comm = busy_intervals(inst, sched, &TaskTimes::comm_start,
-                                   &Task::comm);
+  // Transfers on distinct engines may run at once: the link counts as
+  // busy while any engine is, so overlapping transfers are merged first.
+  auto comm = busy_intervals(inst, sched, &TaskTimes::comm_start,
+                             &Task::comm);
   const auto comp = busy_intervals(inst, sched, &TaskTimes::comp_start,
                                    &Task::comp);
   for (const Task& t : inst) {
     out.link_busy += t.comm;
     out.proc_busy += t.comp;
   }
+  out.link_busy -= merge_overlaps(comm);
   out.link_idle = idle_within(comm, out.makespan);
   out.proc_idle = idle_within(comp, out.makespan);
 

@@ -13,7 +13,9 @@ namespace dts {
 
 struct ScheduleBreakdown {
   Time makespan = 0.0;
-  Time link_busy = 0.0;        ///< sum of communication times
+  Time link_busy = 0.0;        ///< time at least one copy engine is busy
+                               ///< (the sum of communication times on a
+                               ///< single link)
   Time link_idle = 0.0;        ///< makespan - last comm end + internal gaps
   Time proc_busy = 0.0;        ///< sum of computation times
   Time proc_idle = 0.0;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/simulate.hpp"
+#include "core/solver.hpp"
+#include "model/machine.hpp"
 #include "test_util.hpp"
+#include "trace/generators.hpp"
 
 namespace dts {
 namespace {
@@ -64,6 +67,49 @@ TEST(ScheduleStats, StarvationDetectsDataWait) {
   const Schedule s = simulate_order(inst, inst.submission_order(), 4.0);
   const ScheduleBreakdown b = analyze_schedule(inst, s);
   EXPECT_DOUBLE_EQ(b.proc_starved, 4.0);
+}
+
+TEST(ScheduleStats, ConcurrentEnginesCountOnceOnTheLink) {
+  // A fetch on H2D and a write-back on D2H both transfer during [0,4):
+  // the link is busy 4 units, not 8, and the processor starves all 4.
+  std::vector<Task> tasks(2);
+  tasks[0].comm = 4.0;
+  tasks[0].comp = 1.0;
+  tasks[0].mem = 1.0;
+  tasks[1].comm = 4.0;
+  tasks[1].mem = 1.0;
+  tasks[1].channel = kChannelD2H;
+  const Instance inst(std::move(tasks));
+  const Schedule s = simulate_order(inst, inst.submission_order(), 2.0);
+  ASSERT_DOUBLE_EQ(s[1].comm_start, 0.0);
+  const ScheduleBreakdown b = analyze_schedule(inst, s);
+  EXPECT_DOUBLE_EQ(b.makespan, 5.0);
+  EXPECT_DOUBLE_EQ(b.link_busy, 4.0);
+  EXPECT_DOUBLE_EQ(b.link_idle, 1.0);
+  EXPECT_DOUBLE_EQ(b.link_utilization(), 0.8);
+  EXPECT_DOUBLE_EQ(b.overlap, 0.0);
+  EXPECT_DOUBLE_EQ(b.proc_starved, 4.0);
+}
+
+TEST(ScheduleStats, DuplexWritebackScheduleStaysWithinBounds) {
+  // Duplex HF with every fetched byte written back, scheduled by LCMR at
+  // 1.5 mc: summing both engines once reported a link utilization of
+  // 118%.
+  TraceConfig config;
+  config.machine = machine_from_name("duplex-pcie");
+  config.writeback_fraction = 1.0;
+  const Instance inst = generate_trace(ChemistryKernel::kHartreeFock, config);
+  ASSERT_EQ(inst.num_channels(), 2u);
+  const SolveRequest request{.instance = inst,
+                             .capacity = 1.5 * inst.min_capacity()};
+  const ScheduleBreakdown b =
+      analyze_schedule(inst, solve(request, "LCMR").schedule);
+  EXPECT_LE(b.link_utilization(), 1.0);
+  EXPECT_NEAR(b.link_busy + b.link_idle, b.makespan, 1e-9 * b.makespan);
+  EXPECT_GE(b.overlap, 0.0);
+  EXPECT_LE(b.overlap, 1.0);
+  EXPECT_GE(b.proc_starved, 0.0);
+  EXPECT_LE(b.proc_starved, b.proc_idle + 1e-9 * b.makespan);
 }
 
 }  // namespace
