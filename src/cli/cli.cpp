@@ -247,8 +247,8 @@ int cmd_generate(const CommandLine& cmd, std::ostream& out) {
   if (const auto machine = cmd.flag("machine")) {
     config.machine = machine_from_name(*machine);
     if (!config.machine.has_compute_rates()) {
-      // Generation costs computations too, so transfer-only machines
-      // (piecewise or link-only presets) cannot drive it.
+      // Generation costs computations too, so transfer-only presets
+      // such as nvlink cannot drive it.
       std::string generating;
       for (const MachineListing& listing : list_machines()) {
         try {

@@ -108,9 +108,8 @@ class MachineRef {
 /// bind() rejects a request whose tasks name engines the machine does
 /// not have. The MachineRef carries either a MachineRegistry name
 /// (resolved at solve() time) or an inline descriptor (used as-is).
-/// Without a machine, solve()
-/// rejects instances carrying time-less (bytes-only) tasks — there is
-/// nothing to cost them with.
+/// Without a machine, solve() rejects instances carrying time-less
+/// (bytes-only) tasks — there is nothing to cost them with.
 struct SolveRequest {
   Instance instance;
   Mem capacity = 0.0;

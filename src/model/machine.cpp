@@ -99,7 +99,7 @@ void register_builtin_machines(MachineRegistry& registry) {
   registry.add("paper", MachineChannels{"link"},
                "the paper's testbed: one process's share of a PNNL Cascade "
                "node (shared FDR link, one-sided transfers)",
-               [] { return cascade_machine("paper"); });
+               paper_machine);
   registry.add("cascade", MachineChannels{"link"},
                "alias of 'paper' (the Cascade testbed)",
                [] { return cascade_machine("cascade"); });
@@ -255,6 +255,8 @@ std::vector<std::string> MachineRegistry::keys() const {
   for (const Entry& entry : entries_) keys.push_back(entry.key);
   return keys;
 }
+
+Machine paper_machine() { return cascade_machine("paper"); }
 
 Machine machine_from_name(std::string_view name) {
   return MachineRegistry::global().make(name);

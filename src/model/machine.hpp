@@ -200,6 +200,11 @@ struct RegisterMachine {
 /// Resolves a preset name in the global registry.
 [[nodiscard]] Machine machine_from_name(std::string_view name);
 
+/// The "paper" preset, built without a registry lookup (no lock, no
+/// factory copy, no declaration audit): TraceConfig's default machine,
+/// constructed once per generated trace.
+[[nodiscard]] Machine paper_machine();
+
 /// Listings of the global registry (CLI `dts machines`, error messages).
 [[nodiscard]] std::vector<MachineListing> list_machines();
 

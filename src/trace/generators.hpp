@@ -41,8 +41,9 @@ struct TraceConfig {
   std::size_t min_tasks = 300;
   std::size_t max_tasks = 800;
   /// The machine whose channels cost the transfers and whose compute
-  /// rates cost the computations; it must carry compute rates.
-  Machine machine = machine_from_name("paper");
+  /// rates cost the computations (HF generation throws
+  /// std::invalid_argument for a machine without them).
+  Machine machine = paper_machine();
   /// Fraction of each task's input footprint written back to the host
   /// when the machine is duplex (see below). HF accumulates one result
   /// tile against two fetched ones; CCSD amplitude slabs return near
