@@ -30,16 +30,14 @@ Machine::Machine(std::string name, std::vector<MachineChannel> channels,
                                   ch.name + "' has no transfer model");
     }
   }
-  for (const double rate : {flop_rate_, memory_bandwidth_}) {
-    if (!(std::isfinite(rate) && rate >= 0.0)) {
-      throw std::invalid_argument("Machine '" + name_ +
-                                  "': compute rates must be finite and "
-                                  "non-negative");
-    }
-  }
-  if ((flop_rate_ > 0.0) != (memory_bandwidth_ > 0.0)) {
+  const auto valid = [](double rate) {
+    return std::isfinite(rate) && rate > 0.0;
+  };
+  if ((flop_rate_ != 0.0 || memory_bandwidth_ != 0.0) &&
+      !(valid(flop_rate_) && valid(memory_bandwidth_))) {
     throw std::invalid_argument("Machine '" + name_ +
-                                "': set both compute rates or neither");
+                                "': compute rates must both be positive and "
+                                "finite, or both zero");
   }
 }
 

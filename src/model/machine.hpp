@@ -56,13 +56,11 @@ struct MachineChannel {
 /// but not generate them.
 class Machine {
  public:
-  Machine() = default;
-
   /// `flop_rate` is the effective dense-compute rate (flop/s) and
   /// `memory_bandwidth` the streaming bandwidth of memory-bound kernels
   /// (bytes/s); both zero means the machine has no compute rates. Throws
   /// std::invalid_argument for an empty channel list, a channel without a
-  /// model, a negative or non-finite rate, or only one rate set.
+  /// model, or rates that are not both zero or both positive and finite.
   Machine(std::string name, std::vector<MachineChannel> channels,
           double flop_rate = 0.0, double memory_bandwidth = 0.0);
 
@@ -84,10 +82,6 @@ class Machine {
     return channels_.at(id).transfer_time(bytes);
   }
 
-  [[nodiscard]] double flop_rate() const noexcept { return flop_rate_; }
-  [[nodiscard]] double memory_bandwidth() const noexcept {
-    return memory_bandwidth_;
-  }
   /// True when the machine carries compute rates (it can generate traces).
   [[nodiscard]] bool has_compute_rates() const noexcept {
     return flop_rate_ > 0.0;

@@ -89,8 +89,8 @@ TEST(Machine, PresetsShareTheMachineModelConstants) {
       EXPECT_EQ(cascade.transfer_time(kChannelH2D, bytes),
                 affine_transfer_time(2.0e-6, 1.2e9, bytes));
     }
-    EXPECT_EQ(cascade.flop_rate(), 1.2e10);
-    EXPECT_EQ(cascade.memory_bandwidth(), 4.0e9);
+    EXPECT_EQ(cascade.compute_time(1e9), 1e9 / 1.2e10);
+    EXPECT_EQ(cascade.streaming_time(1e9), 2.0 * 1e9 / 4.0e9);
   }
   const Machine pcie = machine_from_name("pcie-gpu");
   const Machine duplex = machine_from_name("duplex-pcie");
@@ -104,8 +104,8 @@ TEST(Machine, PresetsShareTheMachineModelConstants) {
               affine_transfer_time(8.0e-6, 1.1e10, bytes));
   }
   for (const Machine* gpu : {&pcie, &duplex}) {
-    EXPECT_EQ(gpu->flop_rate(), 7.0e12);
-    EXPECT_EQ(gpu->memory_bandwidth(), 4.0e11);
+    EXPECT_EQ(gpu->compute_time(1e9), 1e9 / 7.0e12);
+    EXPECT_EQ(gpu->streaming_time(1e9), 2.0 * 1e9 / 4.0e11);
   }
   // Transfer-only presets carry no compute rates.
   EXPECT_FALSE(machine_from_name("nvlink").has_compute_rates());
