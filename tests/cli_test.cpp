@@ -108,24 +108,21 @@ TEST(Cli, GenerateInfoScheduleRoundTrip) {
 
 TEST(Cli, GenerateResolvesMachinesInTheRegistry) {
   // "cascade" is a registry alias of "paper": the same bytes.
-  TempFile paper("gen_paper.trace");
-  TempFile cascade("gen_cascade.trace");
-  for (const TempFile* file : {&paper, &cascade}) {
-    const std::string machine = file == &paper ? "paper" : "cascade";
-    ASSERT_EQ(run({"generate", "--kernel=CCSD", "--seed=4", "--min-tasks=30",
+  const auto generated = [](const std::string& machine) {
+    TempFile file("gen_" + machine + ".trace");
+    EXPECT_EQ(run({"generate", "--kernel=CCSD", "--seed=4", "--min-tasks=30",
                    "--max-tasks=40", "--machine=" + machine,
-                   "--out=" + file->str()})
+                   "--out=" + file.str()})
                   .exit_code,
               0);
-  }
-  const auto bytes = [](const TempFile& file) {
     std::ifstream in(file.str(), std::ios::binary);
     std::ostringstream text;
     text << in.rdbuf();
     return text.str();
   };
-  EXPECT_FALSE(bytes(paper).empty());
-  EXPECT_EQ(bytes(paper), bytes(cascade));
+  const std::string paper = generated("paper");
+  EXPECT_FALSE(paper.empty());
+  EXPECT_EQ(paper, generated("cascade"));
 
   // A registered machine without compute rates cannot generate; the error
   // names it and lists the presets that can.
