@@ -168,24 +168,24 @@ TEST(MachineRegistry, RejectsDuplicateAndEmptyKeys) {
 }
 
 TEST(MachineRegistry, DeclaredChannelsMismatchIsCaughtAtMake) {
-  static const RegisterMachine reg{
-      "model-test-misdeclared", MachineChannels{"H2D+D2H"},
-      "declares duplex, builds a single link", [] {
-        return Machine("model-test-misdeclared",
-                       {affine_channel("link", 1.0e-6, 2.0e9)});
-      }};
+  // A local registry: the misdeclared machine must not leak into the
+  // process-wide one, where any later test building every listed machine
+  // would trip over it.
+  MachineRegistry registry;
+  registry.add("model-test-misdeclared", MachineChannels{"H2D+D2H"},
+               "declares duplex, builds a single link", [] {
+                 return Machine("model-test-misdeclared",
+                                {affine_channel("link", 1.0e-6, 2.0e9)});
+               });
   // Listing shows the declaration without building anything...
-  bool listed = false;
-  for (const MachineListing& row : list_machines()) {
-    if (row.name == "model-test-misdeclared") {
-      listed = true;
-      EXPECT_EQ(row.channels, "H2D+D2H");
-    }
-  }
-  EXPECT_TRUE(listed);
+  const std::vector<MachineListing> rows = registry.listings();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].name, "model-test-misdeclared");
+  EXPECT_EQ(rows[0].channels, "H2D+D2H");
   // ...and the first construction trips the declared-vs-built audit.
-  EXPECT_THROW((void)machine_from_name("model-test-misdeclared"),
+  EXPECT_THROW((void)registry.make("model-test-misdeclared"),
                std::logic_error);
+  EXPECT_FALSE(MachineRegistry::global().contains("model-test-misdeclared"));
 }
 
 TEST(MachineRegistry, CustomMachinesPlugIn) {
