@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/compiled.hpp"
 #include "core/johnson.hpp"
+#include "core/registry.hpp"
 #include "heuristics/dynamic.hpp"
 #include "support/parallel_for.hpp"
 
@@ -67,17 +69,20 @@ int main(int argc, char** argv) {
     TextTable table({"capacity", "criterion", "with idle filter (paper)",
                      "criterion only", "filter gain"});
     for (double factor : {1.0, 1.5, 2.0}) {
-      for (DynamicCriterion crit :
-           {DynamicCriterion::kLargestComm, DynamicCriterion::kSmallestComm,
-            DynamicCriterion::kMaxAcceleration}) {
+      const std::pair<DynamicCriterion, HeuristicId> rules[] = {
+          {DynamicCriterion::kLargestComm, HeuristicId::kLCMR},
+          {DynamicCriterion::kSmallestComm, HeuristicId::kSCMR},
+          {DynamicCriterion::kMaxAcceleration, HeuristicId::kMAMR}};
+      for (const auto& rule : rules) {
+        const DynamicCriterion crit = rule.first;
+        const HeuristicId id = rule.second;
         std::vector<double> with_f(traces.size());
         std::vector<double> without_f(traces.size());
         parallel_for(0, traces.size(), [&](std::size_t t) {
           const Time lower = omim(traces[t]);
           const Mem cap = traces[t].min_capacity() * factor;
           with_f[t] =
-              schedule_dynamic(traces[t], crit, cap).makespan(traces[t]) /
-              lower;
+              run_heuristic(id, traces[t], cap).makespan(traces[t]) / lower;
           without_f[t] = schedule_criterion_only(traces[t], crit, cap)
                              .makespan(traces[t]) /
                          lower;

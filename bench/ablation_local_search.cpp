@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/auto_scheduler.hpp"
 #include "exact/lower_bounds.hpp"
 #include "heuristics/local_search.hpp"
 #include "support/parallel_for.hpp"

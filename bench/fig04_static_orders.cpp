@@ -6,6 +6,7 @@
 
 #include "bench_common.hpp"
 #include "core/johnson.hpp"
+#include "core/simulate.hpp"
 #include "heuristics/static_orders.hpp"
 #include "report/gantt.hpp"
 

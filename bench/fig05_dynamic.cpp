@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "heuristics/dynamic.hpp"
+#include "core/registry.hpp"
 #include "report/gantt.hpp"
 
 int main(int argc, char** argv) {
@@ -18,21 +18,21 @@ int main(int argc, char** argv) {
   std::printf("Fig. 5 — dynamic heuristics on Table 4 (capacity 6):\n\n");
   TextTable table({"heuristic", "realized order", "makespan", "paper"});
   const struct {
-    DynamicCriterion criterion;
+    HeuristicId id;
     const char* expected;
   } rows[] = {
-      {DynamicCriterion::kLargestComm, "23"},
-      {DynamicCriterion::kSmallestComm, "25"},
-      {DynamicCriterion::kMaxAcceleration, "24"},
+      {HeuristicId::kLCMR, "23"},
+      {HeuristicId::kSCMR, "25"},
+      {HeuristicId::kMAMR, "24"},
   };
   for (const auto& row : rows) {
-    const Schedule s = schedule_dynamic(inst, row.criterion, kCapacity);
+    const Schedule s = run_heuristic(row.id, inst, kCapacity);
     std::string order_str;
     for (TaskId id : s.comm_order()) order_str += static_cast<char>('A' + id);
-    table.add_row({std::string(to_acronym(row.criterion)), order_str,
+    table.add_row({std::string(name_of(row.id)), order_str,
                    format_fixed(s.makespan(inst), 0), row.expected});
     std::printf("%s (order %s), makespan %.0f:\n%s\n",
-                std::string(to_acronym(row.criterion)).c_str(),
+                std::string(name_of(row.id)).c_str(),
                 order_str.c_str(), s.makespan(inst),
                 render_gantt(inst, s, {.width = 60, .show_legend = false})
                     .c_str());

@@ -2,63 +2,14 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "core/compiled.hpp"
 #include "core/job.hpp"
-#include "core/johnson.hpp"
-#include "heuristics/bin_packing.hpp"
-#include "heuristics/corrections.hpp"
-#include "heuristics/dynamic.hpp"
-#include "heuristics/gilmore_gomory.hpp"
-#include "heuristics/static_orders.hpp"
 
 namespace dts {
 
 namespace {
-
-/// Computes the heuristic's processing order restricted to `ids` by
-/// building the subset instance and mapping positions back to real ids.
-std::vector<TaskId> order_for_batch(HeuristicId id, const Instance& inst,
-                                    std::span<const TaskId> ids, Mem capacity) {
-  const Instance sub = inst.subset(ids);
-  std::vector<TaskId> local;
-  switch (id) {
-    case HeuristicId::kOS:
-      local = sub.submission_order();
-      break;
-    case HeuristicId::kOOSIM:
-      local = static_order(sub, StaticOrderPolicy::kJohnson);
-      break;
-    case HeuristicId::kIOCMS:
-      local = static_order(sub, StaticOrderPolicy::kIncreasingComm);
-      break;
-    case HeuristicId::kDOCPS:
-      local = static_order(sub, StaticOrderPolicy::kDecreasingComp);
-      break;
-    case HeuristicId::kIOCCS:
-      local = static_order(sub, StaticOrderPolicy::kIncreasingCommPlusComp);
-      break;
-    case HeuristicId::kDOCCS:
-      local = static_order(sub, StaticOrderPolicy::kDecreasingCommPlusComp);
-      break;
-    case HeuristicId::kGG:
-      local = gilmore_gomory_order(sub);
-      break;
-    case HeuristicId::kBP:
-      local = bin_packing_order(sub, capacity);
-      break;
-    default:
-      throw std::logic_error("order_for_batch: not a static heuristic");
-  }
-  // Internal edges survive subset(); repair the policy's order against
-  // them (identity on edge-free batches).
-  if (sub.has_dependencies()) local = legalize_order(sub, local);
-  std::vector<TaskId> global(local.size());
-  for (std::size_t k = 0; k < local.size(); ++k) global[k] = ids[local[k]];
-  return global;
-}
 
 /// Batch boundaries walk this sequence. On a DAG the topological order
 /// replaces raw submission so a predecessor always lands in an earlier
@@ -67,82 +18,6 @@ std::vector<TaskId> order_for_batch(HeuristicId id, const Instance& inst,
 std::vector<TaskId> batch_sequence(const Instance& inst) {
   return inst.has_dependencies() ? inst.topological_order()
                                  : inst.submission_order();
-}
-
-}  // namespace
-
-namespace {
-
-[[noreturn]] void throw_unissued_pred(TaskId id, TaskId dep) {
-  throw std::invalid_argument("schedule_in_batches: task " +
-                              std::to_string(id) +
-                              " issued before its predecessor " +
-                              std::to_string(dep));
-}
-
-[[noreturn]] void throw_never_fits(const CompiledInstance& ci, TaskId id,
-                                   Mem capacity) {
-  throw std::invalid_argument(
-      "schedule_in_batches: task " + std::to_string(id) + " requires " +
-      std::to_string(ci.mem(id)) + " bytes but capacity is " +
-      std::to_string(capacity));
-}
-
-/// Issues `order` verbatim on `engine`: each task waits for memory and
-/// for its predecessors' computation ends, read from `sched` (so edges
-/// into earlier batches sharing it are honored).
-void issue_in_order(const CompiledInstance& ci, std::span<const TaskId> order,
-                    Engine& engine, Schedule& sched) {
-  for (const TaskId id : order) {
-    Time ready = 0.0;
-    for (const TaskId dep : ci.deps(id)) {
-      if (!sched[dep].scheduled()) throw_unissued_pred(id, dep);
-      ready = std::max(ready, sched[dep].comp_start + ci.comp(dep));
-    }
-    while (!engine.fits(ci.mem(id))) {
-      if (!engine.advance_to_next_release()) {
-        throw_never_fits(ci, id, engine.capacity());
-      }
-    }
-    const TaskTimes tt = engine.start(id, ready);
-    sched.set(id, tt.comm_start, tt.comp_start);
-  }
-}
-
-/// Schedules one batch with `id`, continuing from `engine`. `ci` is the
-/// compiled form of `inst`, built once per solve so every branch steps
-/// the engine over the SoA arrays instead of recompiling (or chasing Task
-/// records) per batch.
-void run_batch(HeuristicId id, const Instance& inst,
-               const CompiledInstance& ci, std::span<const TaskId> ids,
-               Mem capacity, Engine& engine, Schedule& sched) {
-  switch (info(id).category) {
-    case HeuristicCategory::kBaseline:
-    case HeuristicCategory::kStatic: {
-      const std::vector<TaskId> order = order_for_batch(id, inst, ids, capacity);
-      issue_in_order(ci, order, engine, sched);
-      break;
-    }
-    case HeuristicCategory::kDynamic: {
-      const DynamicCriterion crit =
-          id == HeuristicId::kLCMR   ? DynamicCriterion::kLargestComm
-          : id == HeuristicId::kSCMR ? DynamicCriterion::kSmallestComm
-                                     : DynamicCriterion::kMaxAcceleration;
-      execute_dynamic(ci, ids, crit, engine, sched);
-      break;
-    }
-    case HeuristicCategory::kCorrected: {
-      const DynamicCriterion crit =
-          id == HeuristicId::kOOLCMR   ? DynamicCriterion::kLargestComm
-          : id == HeuristicId::kOOSCMR ? DynamicCriterion::kSmallestComm
-                                       : DynamicCriterion::kMaxAcceleration;
-      // Base order: Johnson restricted to this batch.
-      const std::vector<TaskId> base =
-          order_for_batch(HeuristicId::kOOSIM, inst, ids, capacity);
-      execute_corrected(ci, base, crit, engine, sched);
-      break;
-    }
-  }
 }
 
 }  // namespace
@@ -160,7 +35,7 @@ Schedule schedule_in_batches(HeuristicId id, const Instance& inst, Mem capacity,
   for (std::size_t lo = 0; lo < submission.size(); lo += batch_size) {
     const std::size_t hi = std::min(lo + batch_size, submission.size());
     const std::span<const TaskId> ids(&submission[lo], hi - lo);
-    run_batch(id, inst, compiled, ids, capacity, engine, sched);
+    run_heuristic_on(id, inst, compiled, ids, engine, sched);
   }
   return sched;
 }
@@ -205,8 +80,8 @@ BatchAutoResult schedule_in_batches_auto(
     const auto evaluate = [&](std::size_t k) {
       Trial& trial = trials[k];
       trial.engine.reset(compiled, capacity, &carried);
-      run_batch(candidates[k], inst, compiled, ids, capacity, trial.engine,
-                trial.schedule);
+      run_heuristic_on(candidates[k], inst, compiled, ids, trial.engine,
+                       trial.schedule);
     };
     if (executor && candidates.size() > 1) {
       executor->for_each(candidates.size(), evaluate);

@@ -355,6 +355,32 @@ void Engine::prepare_deps() {
   }
 }
 
+// Flattened like issue(): every static-order heuristic run steps through
+// here.
+// dts-lint: hot-path
+[[gnu::flatten]] void Engine::issue_in_order(std::span<const TaskId> order,
+                                             Schedule& sched) {
+  const CompiledInstance& ci = *ci_;
+  const std::size_t n_tasks = ci.size();
+  const bool dag = track_deps_;
+  for (const TaskId id : order) {
+    if (id >= n_tasks) throw_unknown_task(id, n_tasks);
+    Time ready = 0.0;
+    if (dag) {
+      for (const TaskId dep : ci.deps(id)) {
+        if (!sched[dep].scheduled()) throw_unissued_pred(id, dep);
+        ready = std::max(ready, sched[dep].comp_start + ci.comp(dep));
+      }
+    }
+    const Mem m = ci.mem(id);
+    while (!fits(m)) {
+      if (!advance_to_next_release()) throw_never_fits(id, m, capacity_);
+    }
+    const TaskTimes tt = start(id, ready);
+    sched.set(id, tt.comm_start, tt.comp_start);
+  }
+}
+
 Time evaluate_order(const CompiledInstance& ci, std::span<const TaskId> order,
                     Mem capacity, Engine& engine,
                     const Engine::Snapshot* initial,

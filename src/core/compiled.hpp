@@ -37,8 +37,10 @@
 ///    every candidate evaluation.
 ///  * `Engine` — the engine state with a step API (`fits`, `start`,
 ///    `advance_to_next_release`, `snapshot`) that the list schedulers
-///    drive one decision at a time. Buffers persist across resets, so a
-///    warm engine runs with zero heap allocation.
+///    drive one decision at a time, and `issue_in_order`, the same steps
+///    over a fixed order on a live engine (the static heuristics).
+///    Buffers persist across resets, so a warm engine runs with zero heap
+///    allocation.
 ///  * `evaluate_order()` — the admission loop around the same `start`
 ///    step for a fixed order: the makespan without building a `Schedule`
 ///    (the inner kernel of local search, batch-auto trials and the exact
@@ -238,6 +240,14 @@ class Engine {
   /// releasing its memory. Returns false (and leaves time unchanged) when
   /// no task is in flight.
   bool advance_to_next_release();
+
+  /// Steps `order` verbatim from the current state, each task waiting for
+  /// memory and for its predecessors' computation ends as recorded in
+  /// `sched`, and records each start there: a static order on a live
+  /// engine, whose earlier tasks (a previous batch) share `sched`. Throws
+  /// std::invalid_argument when a task can never fit or a predecessor is
+  /// not in `sched` yet.
+  void issue_in_order(std::span<const TaskId> order, Schedule& sched);
 
   /// The engine state as a value; reset(ci, capacity, &snap) restores it.
   [[nodiscard]] Snapshot snapshot() const;

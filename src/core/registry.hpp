@@ -1,10 +1,12 @@
 #pragma once
 
 /// \file registry.hpp
-/// Uniform access to every scheduling heuristic of the paper, keyed by the
-/// acronyms used in its figures. The benches, the auto-scheduler and the
-/// batch runtime all drive heuristics through this registry so new
-/// strategies plug into every experiment automatically.
+/// The one home of the paper's 14 heuristics, keyed by the acronyms used
+/// in its figures: their metadata, what each one computes (a static
+/// order, a dynamic selection criterion, or both) and how it runs on the
+/// timing engine, over a whole trace or batch by batch (core/batch.hpp),
+/// plus the auto-scheduler's best-of fold. The solver adapters, the batch
+/// runtime and the benches all run heuristics through here.
 
 #include <optional>
 #include <span>
@@ -15,6 +17,10 @@
 #include "core/schedule.hpp"
 
 namespace dts {
+
+class CompiledInstance;  // compiled.hpp
+class Engine;            // compiled.hpp
+class Executor;          // job.hpp
 
 /// All heuristics evaluated in the paper (Figs. 7, 9-13).
 enum class HeuristicId {
@@ -67,13 +73,55 @@ struct HeuristicInfo {
 [[nodiscard]] std::optional<HeuristicId> heuristic_from_name(
     std::string_view name) noexcept;
 
-/// Runs the heuristic on a fresh engine. Throws std::invalid_argument when
-/// some task cannot fit in `capacity` at all.
+/// Runs heuristic `id` over the tasks `ids` of `inst` (compiled as `ci`)
+/// on the live `engine`, writing their start times into `sched`. The one
+/// dispatch from a heuristic to its order and selection criterion:
+/// static orders are computed over `ids` alone (on `inst` itself when
+/// `ids` is every task in id order, otherwise on the renumbered subset),
+/// repaired against the dependency edges among `ids`, and issued in
+/// order; each transfer waits for its predecessors' computation ends
+/// recorded in `sched`, so edges into tasks scheduled earlier on the same
+/// schedule are honored. Throws std::invalid_argument when a task can
+/// never fit or waits on a predecessor that was never scheduled.
+void run_heuristic_on(HeuristicId id, const Instance& inst,
+                      const CompiledInstance& ci, std::span<const TaskId> ids,
+                      Engine& engine, Schedule& sched);
+
+/// Runs the heuristic over the whole instance on a fresh engine. Throws
+/// std::invalid_argument when some task cannot fit in `capacity` at all.
 [[nodiscard]] Schedule run_heuristic(HeuristicId id, const Instance& inst,
                                      Mem capacity);
 
 /// Convenience: makespan of run_heuristic.
 [[nodiscard]] Time heuristic_makespan(HeuristicId id, const Instance& inst,
                                       Mem capacity);
+
+/// The paper's closing perspective: a runtime that exposes the heuristics
+/// and selects the best one automatically. Scheduling is simulation, so
+/// the auto-scheduler runs every candidate and keeps the best schedule.
+struct HeuristicOutcome {
+  HeuristicId id;
+  Time makespan = kInfiniteTime;
+};
+
+struct AutoScheduleResult {
+  HeuristicId best = HeuristicId::kOS;
+  Schedule schedule;  ///< best schedule found
+  Time makespan = kInfiniteTime;
+  std::vector<HeuristicOutcome> outcomes;  ///< every candidate, in order
+};
+
+/// Runs every candidate on the whole instance and keeps the first one
+/// with the strictly smallest makespan (ties go to the earlier
+/// candidate). `executor` (job.hpp) runs the candidates concurrently;
+/// null runs them serially. The winner does not depend on it. Throws
+/// std::invalid_argument if a task exceeds the capacity.
+[[nodiscard]] AutoScheduleResult auto_schedule(
+    const Instance& inst, Mem capacity,
+    std::span<const HeuristicId> candidates, Executor* executor = nullptr);
+
+/// Serial fold over the whole registry.
+[[nodiscard]] AutoScheduleResult auto_schedule(const Instance& inst,
+                                               Mem capacity);
 
 }  // namespace dts

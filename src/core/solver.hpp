@@ -27,10 +27,11 @@
 /// capability is a compile error, not a silent "any".
 ///
 /// Names are parameterized with ':' — "auto-batch:16" is the base key
-/// "auto-batch" with argument "16". The legacy free functions
-/// (run_heuristic, auto_schedule, schedule_in_batches, ...) remain the
-/// underlying implementations; solve() reproduces their makespans
-/// bit-for-bit (tests/solver_test.cpp).
+/// "auto-batch" with argument "16". The registered solvers are thin
+/// adapters (solvers_builtin.cpp): what each paper heuristic computes and
+/// the auto fold live in core/registry.hpp, the batch runtimes in
+/// core/batch.hpp, and solve() returns exactly their schedules
+/// (tests/solver_test.cpp).
 
 #include <atomic>
 #include <chrono>

@@ -2,8 +2,10 @@
 /// Adapters that put every strategy of the library behind the unified
 /// Solver interface: the 14 paper heuristics, the auto-scheduler (full and
 /// batched), local search, the duplex-aware balance order, the exact
-/// solvers and the window heuristic. Each adapter delegates to the legacy
-/// free function, so solve() reproduces the legacy makespans bit-for-bit.
+/// solvers and the window heuristic. Each adapter translates the request
+/// and options for the free function that implements the strategy — the
+/// heuristics and the auto fold live in core/registry.hpp, the batch
+/// runtime in core/batch.hpp — and fills a SolveResult from its answer.
 
 #include <algorithm>
 #include <memory>
@@ -11,7 +13,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/auto_scheduler.hpp"
 #include "core/batch.hpp"
 #include "core/job.hpp"
 #include "core/registry.hpp"
@@ -100,10 +101,11 @@ void fill_batch_outcomes(const std::vector<HeuristicId>& candidates,
 }
 
 /// The paper's envisioned runtime: evaluate every candidate, keep the
-/// best. Candidate evaluation optionally fans out over
-/// support/parallel_for; the reduction scans candidates in display order
-/// with a strict-less comparison, so the winner is identical to the serial
-/// auto_schedule fold.
+/// best, over the whole trace (auto_schedule, core/registry.hpp) or batch
+/// by batch (schedule_in_batches_auto, core/batch.hpp). With
+/// parallel_candidates the candidates run on the options' executor, or on
+/// support/parallel_for threads when none is set; both folds pick the
+/// same winner as a serial run.
 class AutoSolver final : public Solver {
  public:
   AutoSolver(std::vector<HeuristicId> candidates, std::string name,
@@ -134,37 +136,27 @@ class AutoSolver final : public Solver {
  private:
   [[nodiscard]] SolveResult run_full(const SolveRequest& request,
                                      const SolveOptions& options) const {
-    SolveResult result;
-    std::vector<Schedule> schedules(candidates_.size());
-    std::vector<Time> makespans(candidates_.size(), kInfiniteTime);
-    const auto evaluate = [&](std::size_t k) {
-      schedules[k] =
-          run_heuristic(candidates_[k], request.instance, request.capacity);
-      makespans[k] = makespan_of(request, schedules[k]);
-    };
-    // parallel_candidates stays the master switch for candidate fan-out;
-    // the executor only changes *where* the concurrency runs.
-    if (options.parallel_candidates && candidates_.size() > 1) {
-      if (options.executor) {
-        options.executor->for_each(candidates_.size(), evaluate);
-      } else {
-        parallel_for(0, candidates_.size(), evaluate);
+    /// Fans the candidates out over support/parallel_for threads.
+    struct ThreadExecutor final : Executor {
+      void for_each(std::size_t n,
+                    const std::function<void(std::size_t)>& fn) override {
+        parallel_for(0, n, fn);
       }
-    } else {
-      for (std::size_t k = 0; k < candidates_.size(); ++k) evaluate(k);
+    } threads;
+    Executor* executor = nullptr;
+    if (options.parallel_candidates) {
+      executor = options.executor != nullptr ? options.executor : &threads;
     }
-    std::size_t best = 0;
-    for (std::size_t k = 0; k < candidates_.size(); ++k) {
-      result.outcomes.push_back(CandidateOutcome{
-          std::string(name_of(candidates_[k])), makespans[k], 0});
-      if (makespans[k] < makespans[best]) best = k;
+    AutoScheduleResult res = auto_schedule(request.instance, request.capacity,
+                                           candidates_, executor);
+    SolveResult result;
+    for (const HeuristicOutcome& o : res.outcomes) {
+      result.outcomes.push_back(
+          CandidateOutcome{std::string(name_of(o.id)), o.makespan, 0});
     }
-    if (!candidates_.empty()) {
-      result.winner = std::string(name_of(candidates_[best]));
-      result.schedule = std::move(schedules[best]);
-      result.makespan = makespans[best];
-    }
-    if (request.instance.empty()) result.makespan = 0.0;
+    result.winner = std::string(name_of(res.best));
+    result.schedule = std::move(res.schedule);
+    result.makespan = res.makespan;
     result.evaluations = candidates_.size();
     return result;
   }

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/simulate.hpp"
-
 namespace dts {
 
 std::vector<std::vector<TaskId>> first_fit_bins(const Instance& inst,
@@ -53,12 +51,6 @@ std::vector<TaskId> bin_packing_order(const Instance& inst, Mem capacity) {
     order.insert(order.end(), bin.begin(), bin.end());
   }
   return order;
-}
-
-Schedule schedule_bin_packing(const Instance& inst, Mem capacity) {
-  std::vector<TaskId> order = bin_packing_order(inst, capacity);
-  if (inst.has_dependencies()) order = legalize_order(inst, order);
-  return simulate_order(inst, order, capacity);
 }
 
 }  // namespace dts

@@ -25,7 +25,4 @@ namespace dts {
 [[nodiscard]] std::vector<TaskId> bin_packing_order(const Instance& inst,
                                                     Mem capacity);
 
-/// BP sequence executed under the same capacity.
-[[nodiscard]] Schedule schedule_bin_packing(const Instance& inst, Mem capacity);
-
 }  // namespace dts

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/johnson.hpp"
 #include "heuristics/candidate_index.hpp"
 
 namespace dts {
@@ -46,14 +45,8 @@ void execute_corrected(const CompiledInstance& ci,
     return;
   }
 
-  // DAG: ready floors vary per task, so every correction scans the
-  // pending tasks whose predecessors are all scheduled.
-  std::vector<TaskId> pending(base_order.begin(), base_order.end());
-  std::vector<TaskId> fitting;
-  std::vector<Time> floors;  // aligned with `fitting`
-  fitting.reserve(pending.size());
-  floors.reserve(pending.size());
-
+  detail::ReadyPicker picker{{base_order.begin(), base_order.end()}, {}, {}};
+  std::vector<TaskId>& pending = picker.pending;
   while (!pending.empty()) {
     const TaskId head = pending.front();
     Time head_ready = 0.0;
@@ -67,35 +60,7 @@ void execute_corrected(const CompiledInstance& ci,
     }
     // The head is blocked by memory or by an unscheduled predecessor:
     // dynamic correction over the runnable fitting tasks.
-    fitting.clear();
-    floors.clear();
-    bool any_ready = false;
-    for (TaskId id : pending) {
-      Time ready = 0.0;
-      if (!detail::deps_ready(ci, out, id, ready)) continue;
-      any_ready = true;
-      if (engine.fits(ci.mem(id))) {
-        fitting.push_back(id);
-        floors.push_back(ready);
-      }
-    }
-    if (fitting.empty()) {
-      if (!any_ready) {
-        detail::throw_unready_pending("execute_corrected", ci, out, pending);
-      }
-      if (!engine.advance_to_next_release()) {
-        throw std::invalid_argument(
-            "execute_corrected: a pending task exceeds the memory capacity");
-      }
-      continue;
-    }
-    const TaskId chosen =
-        pick_candidate(ci, engine, fitting, criterion, floors);
-    const std::size_t k = static_cast<std::size_t>(
-        std::find(fitting.begin(), fitting.end(), chosen) - fitting.begin());
-    const TaskTimes tt = engine.start(chosen, floors[k]);
-    out.set(chosen, tt.comm_start, tt.comp_start);
-    pending.erase(std::find(pending.begin(), pending.end(), chosen));
+    picker.step("execute_corrected", ci, criterion, engine, out);
   }
 }
 
@@ -112,13 +77,6 @@ Schedule schedule_corrected_with_order(const Instance& inst,
   Schedule sched(inst.size());
   execute_corrected(ci, base_order, criterion, engine, sched);
   return sched;
-}
-
-Schedule schedule_corrected(const Instance& inst, DynamicCriterion criterion,
-                            Mem capacity) {
-  std::vector<TaskId> base = johnson_order(inst);
-  if (inst.has_dependencies()) base = legalize_order(inst, base);
-  return schedule_corrected_with_order(inst, base, criterion, capacity);
 }
 
 }  // namespace dts

@@ -49,15 +49,11 @@ void execute_corrected(const CompiledInstance& ci,
                        Schedule& out, SelectionStats* stats = nullptr);
 
 /// Corrected policy on a fresh engine with an explicit base order (the
-/// paper's Fig. 6 examples feed a specific OMIM order).
+/// paper's Fig. 6 examples feed a specific OMIM order). The paper's
+/// OOLCMR / OOSCMR / OOMAMR run it over the Johnson order through
+/// run_heuristic (core/registry.hpp).
 [[nodiscard]] Schedule schedule_corrected_with_order(
     const Instance& inst, std::span<const TaskId> base_order,
     DynamicCriterion criterion, Mem capacity);
-
-/// Corrected policy with the Johnson (OMIM) base order — the paper's
-/// OOLCMR / OOSCMR / OOMAMR heuristics.
-[[nodiscard]] Schedule schedule_corrected(const Instance& inst,
-                                          DynamicCriterion criterion,
-                                          Mem capacity);
 
 }  // namespace dts

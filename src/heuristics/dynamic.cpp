@@ -73,6 +73,10 @@ bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
   return true;
 }
 
+namespace {
+
+/// Cold error funnel for the cross-batch deadlock: every pending task
+/// waits on a predecessor that is neither pending nor scheduled.
 [[noreturn]] void throw_unready_pending(const char* who,
                                         const CompiledInstance& ci,
                                         const Schedule& out,
@@ -88,6 +92,39 @@ bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
     }
   }
   throw std::logic_error(std::string(who) + ": no pending task is ready");
+}
+
+}  // namespace
+
+void ReadyPicker::step(const char* who, const CompiledInstance& ci,
+                       DynamicCriterion criterion, Engine& engine,
+                       Schedule& out) {
+  fitting.clear();
+  floors.clear();
+  bool any_ready = false;
+  for (TaskId id : pending) {
+    Time ready = 0.0;
+    if (!deps_ready(ci, out, id, ready)) continue;
+    any_ready = true;
+    if (engine.fits(ci.mem(id))) {
+      fitting.push_back(id);
+      floors.push_back(ready);
+    }
+  }
+  if (fitting.empty()) {
+    if (!any_ready) throw_unready_pending(who, ci, out, pending);
+    if (!engine.advance_to_next_release()) {
+      throw std::invalid_argument(
+          std::string(who) + ": a pending task exceeds the memory capacity");
+    }
+    return;
+  }
+  const TaskId chosen = pick_candidate(ci, engine, fitting, criterion, floors);
+  const std::size_t k = static_cast<std::size_t>(
+      std::find(fitting.begin(), fitting.end(), chosen) - fitting.begin());
+  const TaskTimes tt = engine.start(chosen, floors[k]);
+  out.set(chosen, tt.comm_start, tt.comp_start);
+  pending.erase(std::find(pending.begin(), pending.end(), chosen));
 }
 
 }  // namespace detail
@@ -114,55 +151,10 @@ void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
     return;
   }
 
-  // DAG: ready floors vary per task, so every pick scans the pending
-  // tasks whose predecessors are all scheduled.
-  std::vector<TaskId> pending(ids.begin(), ids.end());
-  std::vector<TaskId> fitting;
-  std::vector<Time> floors;  // aligned with `fitting`
-  fitting.reserve(pending.size());
-  floors.reserve(pending.size());
-
-  while (!pending.empty()) {
-    fitting.clear();
-    floors.clear();
-    bool any_ready = false;
-    for (TaskId id : pending) {
-      Time ready = 0.0;
-      if (!detail::deps_ready(ci, out, id, ready)) continue;
-      any_ready = true;
-      if (engine.fits(ci.mem(id))) {
-        fitting.push_back(id);
-        floors.push_back(ready);
-      }
-    }
-    if (fitting.empty()) {
-      if (!any_ready) {
-        detail::throw_unready_pending("execute_dynamic", ci, out, pending);
-      }
-      if (!engine.advance_to_next_release()) {
-        throw std::invalid_argument(
-            "execute_dynamic: a pending task exceeds the memory capacity");
-      }
-      continue;
-    }
-    const TaskId chosen =
-        pick_candidate(ci, engine, fitting, criterion, floors);
-    const std::size_t k = static_cast<std::size_t>(
-        std::find(fitting.begin(), fitting.end(), chosen) - fitting.begin());
-    const TaskTimes tt = engine.start(chosen, floors[k]);
-    out.set(chosen, tt.comm_start, tt.comp_start);
-    pending.erase(std::find(pending.begin(), pending.end(), chosen));
+  detail::ReadyPicker picker{{ids.begin(), ids.end()}, {}, {}};
+  while (!picker.pending.empty()) {
+    picker.step("execute_dynamic", ci, criterion, engine, out);
   }
-}
-
-Schedule schedule_dynamic(const Instance& inst, DynamicCriterion criterion,
-                          Mem capacity) {
-  const CompiledInstance ci(inst);
-  Engine engine(ci, capacity);
-  Schedule sched(inst.size());
-  const std::vector<TaskId> ids = inst.submission_order();
-  execute_dynamic(ci, ids, criterion, engine, sched);
-  return sched;
 }
 
 }  // namespace dts

@@ -123,26 +123,34 @@ void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
                      DynamicCriterion criterion, Engine& engine,
                      Schedule& out, SelectionStats* stats = nullptr);
 
-/// Convenience: run on a fresh engine over all tasks.
-[[nodiscard]] Schedule schedule_dynamic(const Instance& inst,
-                                        DynamicCriterion criterion,
-                                        Mem capacity);
-
 namespace detail {
 
 /// Predecessor readiness of `id` against the starts recorded in `out`:
 /// false when a predecessor is unscheduled, otherwise raises `ready` to
-/// the latest predecessor computation end. Shared by the dynamic and
-/// corrected executors (DAG instances only).
+/// the latest predecessor computation end (DAG instances only).
 bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
                 Time& ready);
 
-/// Cold error funnel for the cross-batch deadlock: every pending task
-/// waits on a predecessor that is neither pending nor scheduled.
-[[noreturn]] void throw_unready_pending(const char* who,
-                                        const CompiledInstance& ci,
-                                        const Schedule& out,
-                                        std::span<const TaskId> pending);
+/// The selection loop of the dynamic and corrected executors on a DAG
+/// instance, where ready floors vary per task so every pick scans the
+/// pending tasks.
+struct ReadyPicker {
+  /// Tasks not started yet, in tie-breaking priority order.
+  std::vector<TaskId> pending;
+
+  /// One step: among the pending tasks whose predecessors are all
+  /// scheduled in `out` and that fit now, starts the one pick_candidate
+  /// prefers at its ready floor and removes it from `pending`. When no
+  /// ready task fits, advances `engine` to the next release instead.
+  /// Throws std::invalid_argument, naming `who`, when no pending task is
+  /// ready (a predecessor outside this run was never scheduled) or a
+  /// ready task can never fit.
+  void step(const char* who, const CompiledInstance& ci,
+            DynamicCriterion criterion, Engine& engine, Schedule& out);
+
+  std::vector<TaskId> fitting;  ///< step() scratch
+  std::vector<Time> floors;     ///< step() scratch, aligned with `fitting`
+};
 
 }  // namespace detail
 

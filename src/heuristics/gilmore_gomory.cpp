@@ -5,8 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/simulate.hpp"
-
 namespace dts {
 
 namespace {
@@ -221,12 +219,6 @@ std::vector<TaskId> gilmore_gomory_order(const Instance& inst) {
   }
   assert(order.size() == n);
   return order;
-}
-
-Schedule schedule_gilmore_gomory(const Instance& inst, Mem capacity) {
-  std::vector<TaskId> order = gilmore_gomory_order(inst);
-  if (inst.has_dependencies()) order = legalize_order(inst, order);
-  return simulate_order(inst, order, capacity);
 }
 
 }  // namespace dts

@@ -46,9 +46,4 @@ namespace dts {
 [[nodiscard]] Time no_wait_makespan(const Instance& inst,
                                     std::span<const TaskId> order);
 
-/// The GG heuristic of the paper: GG sequence, executed as a normal
-/// (wait-allowed) permutation schedule under `capacity`.
-[[nodiscard]] Schedule schedule_gilmore_gomory(const Instance& inst,
-                                               Mem capacity);
-
 }  // namespace dts

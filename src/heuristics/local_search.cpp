@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/auto_scheduler.hpp"
 #include "core/compiled.hpp"
+#include "core/registry.hpp"
 #include "core/simulate.hpp"
 #include "support/rng.hpp"
 

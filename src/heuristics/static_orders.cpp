@@ -37,13 +37,6 @@ std::vector<TaskId> static_order(const Instance& inst,
   return order;
 }
 
-Schedule schedule_static(const Instance& inst, StaticOrderPolicy policy,
-                         Mem capacity) {
-  std::vector<TaskId> order = static_order(inst, policy);
-  if (inst.has_dependencies()) order = legalize_order(inst, order);
-  return simulate_order(inst, order, capacity);
-}
-
 std::string_view to_acronym(StaticOrderPolicy policy) noexcept {
   switch (policy) {
     case StaticOrderPolicy::kSubmission: return "OS";

@@ -21,7 +21,6 @@
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
-#include "core/simulate.hpp"
 
 namespace dts {
 
@@ -38,10 +37,6 @@ enum class StaticOrderPolicy {
 /// involved at this stage).
 [[nodiscard]] std::vector<TaskId> static_order(const Instance& inst,
                                                StaticOrderPolicy policy);
-
-/// Executes the policy's order under `capacity` on a fresh engine.
-[[nodiscard]] Schedule schedule_static(const Instance& inst,
-                                       StaticOrderPolicy policy, Mem capacity);
 
 /// Paper acronym for the policy (e.g. "IOCMS").
 [[nodiscard]] std::string_view to_acronym(StaticOrderPolicy policy) noexcept;

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "core/auto_scheduler.hpp"
 #include "core/johnson.hpp"
 #include "core/recommend.hpp"
+#include "core/registry.hpp"
 #include "core/validate.hpp"
 #include "test_util.hpp"
 
@@ -21,7 +21,7 @@ TEST(AutoScheduler, PicksTheBestCandidate) {
           << name_of(res.best) << " vs " << name_of(o.id);
     }
     EXPECT_TRUE(testing::feasible(inst, res.schedule, capacity));
-    EXPECT_GE(res.ratio_to_optimal(), 1.0 - 1e-9);
+    EXPECT_GE(res.makespan / omim(inst), 1.0 - 1e-9);
   }
 }
 
@@ -47,7 +47,10 @@ TEST(AutoScheduler, TieGoesToEarlierCandidate) {
 TEST(AutoScheduler, EmptyInstance) {
   const AutoScheduleResult res = auto_schedule(Instance{}, 1.0);
   EXPECT_DOUBLE_EQ(res.makespan, 0.0);
-  EXPECT_DOUBLE_EQ(res.ratio_to_optimal(), 1.0);
+  ASSERT_EQ(res.outcomes.size(), all_heuristics().size());
+  for (const HeuristicOutcome& o : res.outcomes) {
+    EXPECT_DOUBLE_EQ(o.makespan, 0.0) << name_of(o.id);
+  }
 }
 
 TEST(Recommend, UnconstrainedCapacityFavorsJohnson) {

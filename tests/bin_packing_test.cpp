@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "core/registry.hpp"
 #include "test_util.hpp"
 #include "trace/generators.hpp"
 
@@ -125,14 +126,14 @@ TEST(BinPackingSchedule, FeasibleUnderCapacity) {
   for (int iter = 0; iter < 100; ++iter) {
     const Instance inst = testing::random_instance(rng, 15);
     const Mem capacity = testing::random_capacity(rng, inst);
-    const Schedule s = schedule_bin_packing(inst, capacity);
+    const Schedule s = run_heuristic(HeuristicId::kBP, inst, capacity);
     EXPECT_TRUE(testing::feasible(inst, s, capacity));
   }
 }
 
 TEST(BinPackingSchedule, EmptyInstance) {
   const Instance inst;
-  const Schedule s = schedule_bin_packing(inst, 5.0);
+  const Schedule s = run_heuristic(HeuristicId::kBP, inst, 5.0);
   EXPECT_EQ(s.size(), 0u);
 }
 

@@ -4,6 +4,8 @@
 
 #include "core/bounds.hpp"
 #include "core/johnson.hpp"
+#include "core/registry.hpp"
+#include "core/simulate.hpp"
 #include "heuristics/static_orders.hpp"
 #include "test_util.hpp"
 
@@ -44,10 +46,8 @@ TEST(Corrections, FeasibleAndBounded) {
   for (int iter = 0; iter < 100; ++iter) {
     const Instance inst = testing::random_instance(rng, 12);
     const Mem capacity = testing::random_capacity(rng, inst);
-    for (DynamicCriterion c :
-         {DynamicCriterion::kLargestComm, DynamicCriterion::kSmallestComm,
-          DynamicCriterion::kMaxAcceleration}) {
-      const Schedule s = schedule_corrected(inst, c, capacity);
+    for (HeuristicId id : heuristics_in(HeuristicCategory::kCorrected)) {
+      const Schedule s = run_heuristic(id, inst, capacity);
       EXPECT_TRUE(testing::feasible(inst, s, capacity));
       const Bounds b = compute_bounds(inst);
       EXPECT_GE(s.makespan(inst) + 1e-9, b.omim_lower);
@@ -65,10 +65,8 @@ TEST(Corrections, EqualsOosimWhenNoCorrectionNeeded) {
     const InstanceStats stats = inst.stats();
     const Mem capacity = stats.total_mem;  // everything fits at once
     const Time oosim = makespan_of_order(inst, johnson_order(inst), capacity);
-    for (DynamicCriterion c :
-         {DynamicCriterion::kLargestComm, DynamicCriterion::kSmallestComm,
-          DynamicCriterion::kMaxAcceleration}) {
-      EXPECT_DOUBLE_EQ(schedule_corrected(inst, c, capacity).makespan(inst),
+    for (HeuristicId id : heuristics_in(HeuristicCategory::kCorrected)) {
+      EXPECT_DOUBLE_EQ(run_heuristic(id, inst, capacity).makespan(inst),
                        oosim);
     }
   }
@@ -84,9 +82,8 @@ TEST(Corrections, BaseOrderSizeMismatchThrows) {
 
 TEST(Corrections, ThrowsWhenTaskExceedsCapacity) {
   const Instance inst = Instance::from_comm_comp({{5, 1}, {1, 1}});
-  EXPECT_THROW(
-      (void)schedule_corrected(inst, DynamicCriterion::kLargestComm, 4.0),
-      std::invalid_argument);
+  EXPECT_THROW((void)run_heuristic(HeuristicId::kOOLCMR, inst, 4.0),
+               std::invalid_argument);
 }
 
 TEST(Corrections, Acronyms) {

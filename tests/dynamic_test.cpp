@@ -4,6 +4,7 @@
 
 #include "core/bounds.hpp"
 #include "core/johnson.hpp"
+#include "core/registry.hpp"
 #include "test_util.hpp"
 
 namespace dts {
@@ -77,10 +78,8 @@ TEST(ScheduleDynamic, FeasibleAndWithinBounds) {
   for (int iter = 0; iter < 100; ++iter) {
     const Instance inst = testing::random_instance(rng, 12);
     const Mem capacity = testing::random_capacity(rng, inst);
-    for (DynamicCriterion c :
-         {DynamicCriterion::kLargestComm, DynamicCriterion::kSmallestComm,
-          DynamicCriterion::kMaxAcceleration}) {
-      const Schedule s = schedule_dynamic(inst, c, capacity);
+    for (HeuristicId id : heuristics_in(HeuristicCategory::kDynamic)) {
+      const Schedule s = run_heuristic(id, inst, capacity);
       EXPECT_TRUE(testing::feasible(inst, s, capacity));
       const Bounds b = compute_bounds(inst);
       EXPECT_GE(s.makespan(inst) + 1e-9, b.omim_lower);
@@ -92,15 +91,14 @@ TEST(ScheduleDynamic, FeasibleAndWithinBounds) {
 TEST(ScheduleDynamic, ProducesPermutationSchedules) {
   Rng rng(16);
   const Instance inst = testing::random_instance(rng, 10);
-  const Schedule s = schedule_dynamic(inst, DynamicCriterion::kLargestComm,
-                                      inst.min_capacity() * 1.5);
+  const Schedule s =
+      run_heuristic(HeuristicId::kLCMR, inst, inst.min_capacity() * 1.5);
   EXPECT_TRUE(s.is_permutation_schedule());
 }
 
 TEST(ScheduleDynamic, ThrowsWhenTaskExceedsCapacity) {
   const Instance inst = Instance::from_comm_comp({{5, 1}});
-  EXPECT_THROW(
-      (void)schedule_dynamic(inst, DynamicCriterion::kLargestComm, 4.0),
+  EXPECT_THROW((void)run_heuristic(HeuristicId::kLCMR, inst, 4.0),
       std::invalid_argument);
 }
 
@@ -110,8 +108,7 @@ TEST(ScheduleDynamic, InfiniteCapacityOptimalWhenAllComputeIntensive) {
   // makespan must be within the bounds and >= OMIM.
   const Instance inst =
       Instance::from_comm_comp({{1, 4}, {2, 5}, {3, 6}, {4, 7}});
-  const Schedule s =
-      schedule_dynamic(inst, DynamicCriterion::kSmallestComm, kInfiniteMem);
+  const Schedule s = run_heuristic(HeuristicId::kSCMR, inst, kInfiniteMem);
   EXPECT_DOUBLE_EQ(s.makespan(inst), omim(inst))
       << "SCMR equals Johnson when all tasks are compute intensive and "
          "memory is unbounded";
@@ -119,8 +116,7 @@ TEST(ScheduleDynamic, InfiniteCapacityOptimalWhenAllComputeIntensive) {
 
 TEST(ScheduleDynamic, EmptyInstance) {
   const Instance inst;
-  const Schedule s =
-      schedule_dynamic(inst, DynamicCriterion::kLargestComm, 1.0);
+  const Schedule s = run_heuristic(HeuristicId::kLCMR, inst, 1.0);
   EXPECT_EQ(s.size(), 0u);
 }
 

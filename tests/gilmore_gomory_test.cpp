@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/registry.hpp"
 #include "test_util.hpp"
 
 namespace dts {
@@ -106,7 +107,7 @@ TEST(GilmoreGomory, ScheduleFeasibleUnderCapacity) {
   for (int iter = 0; iter < 50; ++iter) {
     const Instance inst = testing::random_instance(rng, 10);
     const Mem capacity = testing::random_capacity(rng, inst);
-    const Schedule s = schedule_gilmore_gomory(inst, capacity);
+    const Schedule s = run_heuristic(HeuristicId::kGG, inst, capacity);
     EXPECT_TRUE(testing::feasible(inst, s, capacity));
   }
 }

@@ -10,12 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "core/johnson.hpp"
+#include "core/registry.hpp"
 #include "core/simulate.hpp"
 #include "exact/branch_bound.hpp"
 #include "exact/exhaustive.hpp"
 #include "heuristics/corrections.hpp"
 #include "heuristics/dynamic.hpp"
-#include "heuristics/static_orders.hpp"
 #include "test_util.hpp"
 
 namespace dts {
@@ -58,8 +58,7 @@ TEST(Fig4StaticOrders, JohnsonInfiniteMemoryMakespan12) {
 
 TEST(Fig4StaticOrders, OosimMakespan15) {
   const Instance inst = table3_instance();
-  const Schedule s =
-      schedule_static(inst, StaticOrderPolicy::kJohnson, kTable3Capacity);
+  const Schedule s = run_heuristic(HeuristicId::kOOSIM, inst, kTable3Capacity);
   EXPECT_TRUE(feasible(inst, s, kTable3Capacity));
   EXPECT_DOUBLE_EQ(s.makespan(inst), 15.0);
   expect_times(s, B, 0, 1);
@@ -70,8 +69,7 @@ TEST(Fig4StaticOrders, OosimMakespan15) {
 
 TEST(Fig4StaticOrders, IocmsMakespan16) {
   const Instance inst = table3_instance();
-  const Schedule s = schedule_static(inst, StaticOrderPolicy::kIncreasingComm,
-                                     kTable3Capacity);
+  const Schedule s = run_heuristic(HeuristicId::kIOCMS, inst, kTable3Capacity);
   EXPECT_TRUE(feasible(inst, s, kTable3Capacity));
   EXPECT_DOUBLE_EQ(s.makespan(inst), 16.0);
   expect_times(s, B, 0, 1);
@@ -82,8 +80,7 @@ TEST(Fig4StaticOrders, IocmsMakespan16) {
 
 TEST(Fig4StaticOrders, DocpsMakespan14) {
   const Instance inst = table3_instance();
-  const Schedule s = schedule_static(inst, StaticOrderPolicy::kDecreasingComp,
-                                     kTable3Capacity);
+  const Schedule s = run_heuristic(HeuristicId::kDOCPS, inst, kTable3Capacity);
   EXPECT_TRUE(feasible(inst, s, kTable3Capacity));
   EXPECT_DOUBLE_EQ(s.makespan(inst), 14.0);
   expect_times(s, C, 0, 4);
@@ -94,8 +91,7 @@ TEST(Fig4StaticOrders, DocpsMakespan14) {
 
 TEST(Fig4StaticOrders, IoccsMakespan16) {
   const Instance inst = table3_instance();
-  const Schedule s = schedule_static(
-      inst, StaticOrderPolicy::kIncreasingCommPlusComp, kTable3Capacity);
+  const Schedule s = run_heuristic(HeuristicId::kIOCCS, inst, kTable3Capacity);
   EXPECT_TRUE(feasible(inst, s, kTable3Capacity));
   EXPECT_DOUBLE_EQ(s.makespan(inst), 16.0);
   expect_times(s, D, 0, 2);
@@ -106,8 +102,7 @@ TEST(Fig4StaticOrders, IoccsMakespan16) {
 
 TEST(Fig4StaticOrders, DoccsMakespan17) {
   const Instance inst = table3_instance();
-  const Schedule s = schedule_static(
-      inst, StaticOrderPolicy::kDecreasingCommPlusComp, kTable3Capacity);
+  const Schedule s = run_heuristic(HeuristicId::kDOCCS, inst, kTable3Capacity);
   EXPECT_TRUE(feasible(inst, s, kTable3Capacity));
   EXPECT_DOUBLE_EQ(s.makespan(inst), 17.0);
   expect_times(s, C, 0, 4);
@@ -120,8 +115,7 @@ TEST(Fig4StaticOrders, DoccsMakespan17) {
 
 TEST(Fig5Dynamic, LcmrMakespan23) {
   const Instance inst = table4_instance();
-  const Schedule s =
-      schedule_dynamic(inst, DynamicCriterion::kLargestComm, kTable4Capacity);
+  const Schedule s = run_heuristic(HeuristicId::kLCMR, inst, kTable4Capacity);
   EXPECT_TRUE(feasible(inst, s, kTable4Capacity));
   EXPECT_DOUBLE_EQ(s.makespan(inst), 23.0);
   expect_times(s, B, 0, 1);   // min induced idle beats the LCMR criterion
@@ -132,8 +126,7 @@ TEST(Fig5Dynamic, LcmrMakespan23) {
 
 TEST(Fig5Dynamic, ScmrMakespan25) {
   const Instance inst = table4_instance();
-  const Schedule s =
-      schedule_dynamic(inst, DynamicCriterion::kSmallestComm, kTable4Capacity);
+  const Schedule s = run_heuristic(HeuristicId::kSCMR, inst, kTable4Capacity);
   EXPECT_TRUE(feasible(inst, s, kTable4Capacity));
   EXPECT_DOUBLE_EQ(s.makespan(inst), 25.0);
   expect_times(s, B, 0, 1);
@@ -144,8 +137,7 @@ TEST(Fig5Dynamic, ScmrMakespan25) {
 
 TEST(Fig5Dynamic, MamrMakespan24) {
   const Instance inst = table4_instance();
-  const Schedule s = schedule_dynamic(inst, DynamicCriterion::kMaxAcceleration,
-                                      kTable4Capacity);
+  const Schedule s = run_heuristic(HeuristicId::kMAMR, inst, kTable4Capacity);
   EXPECT_TRUE(feasible(inst, s, kTable4Capacity));
   EXPECT_DOUBLE_EQ(s.makespan(inst), 24.0);
   expect_times(s, B, 0, 1);

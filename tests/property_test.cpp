@@ -7,7 +7,6 @@
 
 #include <tuple>
 
-#include "core/auto_scheduler.hpp"
 #include "core/bounds.hpp"
 #include "core/johnson.hpp"
 #include "core/registry.hpp"

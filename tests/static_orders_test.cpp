@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/johnson.hpp"
+#include "core/simulate.hpp"
 #include "test_util.hpp"
 
 namespace dts {
@@ -83,7 +84,7 @@ TEST(StaticOrders, SchedulesFeasibleUnderCapacity) {
           StaticOrderPolicy::kDecreasingComp,
           StaticOrderPolicy::kIncreasingCommPlusComp,
           StaticOrderPolicy::kDecreasingCommPlusComp}) {
-      const Schedule s = schedule_static(inst, p, capacity);
+      const Schedule s = simulate_order(inst, static_order(inst, p), capacity);
       EXPECT_TRUE(testing::feasible(inst, s, capacity));
     }
   }
