@@ -18,6 +18,12 @@ ones that otherwise live only in reviewers' heads:
                            exactly one defining home (their compiled-first
                            body); the raw-Instance overloads only compile
                            and delegate, so DAG gating can never fork.
+  heuristic-dispatch-one-home
+                           a `case HeuristicId::` label appears only in
+                           src/core/registry.cpp: what each paper
+                           heuristic computes is decided in one switch,
+                           which the whole-trace and the batch runtimes
+                           share.
   no-unordered-containers  result-affecting code (src/core, src/exact,
                            src/heuristics, src/milp) never uses
                            std::unordered_{map, set}: iteration order is
@@ -445,6 +451,21 @@ def check_executor_one_home(path: str, raw: str, code: str):
                    if logic else ""))
 
 
+HEURISTIC_DISPATCH_HOME = "src/core/registry.cpp"
+
+
+def check_heuristic_dispatch_one_home(path: str, raw: str, code: str):
+    """HeuristicId switches live in core/registry.cpp only."""
+    if not path.startswith("src/") or path == HEURISTIC_DISPATCH_HOME:
+        return
+    for m in re.finditer(r"\bcase\s+HeuristicId\s*::", code):
+        yield Finding(
+            "heuristic-dispatch-one-home", path, line_of(code, m.start()),
+            "`case HeuristicId::` outside " + HEURISTIC_DISPATCH_HOME +
+            " — dispatch on a paper heuristic through run_heuristic_on, "
+            "the one home of what each heuristic computes")
+
+
 NUMBER_TEXT_DIRS = ("src/trace/", "src/service/")
 NUMBER_TEXT_PATTERNS = (
     # (pattern, what, scanned text: literals kept or blanked)
@@ -501,6 +522,7 @@ RULES = {
     "no-naked-new": check_naked_new,
     "hot-path-noalloc": check_hot_path_noalloc,
     "executor-one-home": check_executor_one_home,
+    "heuristic-dispatch-one-home": check_heuristic_dispatch_one_home,
     "number-text-one-home": check_number_text_one_home,
     "trailing-whitespace": check_whitespace,  # also emits tabs/crlf/newline
 }
