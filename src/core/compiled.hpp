@@ -89,13 +89,6 @@ class CompiledInstance {
     return comp_[id] / comm_[id];
   }
 
-  [[nodiscard]] std::span<const Time> comms() const noexcept { return comm_; }
-  [[nodiscard]] std::span<const Time> comps() const noexcept { return comp_; }
-  [[nodiscard]] std::span<const Mem> mems() const noexcept { return mem_; }
-  [[nodiscard]] std::span<const ChannelId> channels() const noexcept {
-    return channel_;
-  }
-
   /// Ids of the tasks whose transfer runs on `ch`, in submission order
   /// (same contents as Instance::tasks_on_channel, zero-allocation view).
   [[nodiscard]] std::span<const TaskId> tasks_on_channel(ChannelId ch) const;

@@ -38,22 +38,12 @@ namespace dts {
 /// iterations finished. fn must be safe to call concurrently for distinct
 /// i. SolverPool implements this over its workers with the calling thread
 /// participating, so a pool job may fan its own subtasks without risking
-/// deadlock; SerialExecutor is the trivial single-threaded implementation.
+/// deadlock.
 class Executor {
  public:
   virtual ~Executor() = default;
   virtual void for_each(std::size_t n,
                         const std::function<void(std::size_t)>& fn) = 0;
-};
-
-/// The do-it-inline executor; useful as a stand-in where an Executor* is
-/// required but concurrency is not wanted.
-class SerialExecutor final : public Executor {
- public:
-  void for_each(std::size_t n,
-                const std::function<void(std::size_t)>& fn) override {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
 };
 
 /// Lifecycle of a job. kDone means the solver ran to natural completion;
