@@ -3,14 +3,35 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <stdexcept>
+#include <fstream>
 
 #include "core/johnson.hpp"
 #include "core/solver.hpp"
 #include "report/csv.hpp"
 #include "support/parallel_for.hpp"
+#include "support/text.hpp"
 
 namespace dts::bench {
+
+namespace {
+
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "%s; --help lists the options\n", message.c_str());
+  std::exit(2);
+}
+
+/// The whole of `text` as an unsigned decimal, or a usage error naming
+/// `flag`: no sign, no trailing characters, no wrap past 2^64 - 1.
+std::uint64_t uint_flag(std::string_view flag, const std::string& text) {
+  const std::optional<std::uint64_t> value = parse_uint(text);
+  if (!value) {
+    usage_error("invalid value for " + std::string(flag) + ": '" + text +
+                "'");
+  }
+  return *value;
+}
+
+}  // namespace
 
 Options Options::parse(int argc, char** argv) {
   Options options;
@@ -21,23 +42,97 @@ Options Options::parse(int argc, char** argv) {
       return std::nullopt;
     };
     if (const auto traces = value_of("--traces=")) {
-      options.traces = static_cast<std::size_t>(std::stoull(*traces));
+      options.traces = uint_flag("--traces", *traces);
+      if (options.traces == 0) {
+        usage_error("invalid value for --traces: '0' (at least 1 trace)");
+      }
     } else if (const auto seed = value_of("--seed=")) {
-      options.seed = std::stoull(*seed);
+      options.seed = uint_flag("--seed", *seed);
     } else if (const auto dir = value_of("--csv-dir=")) {
       options.csv_dir = *dir;
+    } else if (const auto json = value_of("--json=")) {
+      options.json = *json;
     } else if (arg == "--quick") {
       options.traces = 25;
+      options.quick = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "options: --traces=N (default 150)  --seed=S  --csv-dir=PATH "
-          "(empty disables)  --quick (25 traces)\n");
+          "(empty disables)  --quick (25 traces)  --json=FILE (CI benches; "
+          "default BENCH_<bench>.json)\n");
       std::exit(0);
     } else {
-      throw std::invalid_argument("unknown option: " + arg);
+      usage_error("unknown option: " + arg);
     }
   }
   return options;
+}
+
+namespace {
+
+void append_json_string(std::string& out, std::string_view text) {
+  out += '"';
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  out += '"';
+}
+
+void append_member_name(std::string& fields, std::string_view name) {
+  if (!fields.empty()) fields += ", ";
+  append_json_string(fields, name);
+  fields += ": ";
+}
+
+}  // namespace
+
+void Row::exact(std::string_view name, double value) {
+  append_member_name(exact_fields, name);
+  append_double(exact_fields, value);
+}
+
+void Row::exact(std::string_view name, std::uint64_t value) {
+  append_member_name(exact_fields, name);
+  append_uint(exact_fields, value);
+}
+
+void Row::exact(std::string_view name, std::string_view text) {
+  append_member_name(exact_fields, name);
+  append_json_string(exact_fields, text);
+}
+
+void Row::timing(std::string_view name, double value) {
+  append_member_name(timing_fields, name);
+  append_double(timing_fields, value);
+}
+
+bool write_rows(const Options& options, std::string_view bench,
+                const std::vector<Row>& rows) {
+  std::string text = "{\n  \"bench\": ";
+  append_json_string(text, bench);
+  text += ",\n  \"rows\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    text += "    {\"workload\": ";
+    append_json_string(text, rows[i].workload);
+    text += ", \"exact\": {" + rows[i].exact_fields + "}, \"timings\": {" +
+            rows[i].timing_fields + "}}";
+    text += i + 1 < rows.size() ? ",\n" : "\n";
+  }
+  text += "  ]\n}\n";
+
+  const std::string path = options.json.empty()
+                               ? "BENCH_" + std::string(bench) + ".json"
+                               : options.json;
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
+  return true;
 }
 
 std::vector<double> capacity_factors() {

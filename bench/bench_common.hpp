@@ -2,11 +2,14 @@
 
 /// Shared machinery for the figure-regeneration harnesses: command-line
 /// knobs, the (trace x capacity x heuristic) ratio grids of the paper's
-/// evaluation, boxplot table rendering, and CSV export.
+/// evaluation, boxplot table rendering, CSV export, and the one JSON row
+/// writer of the CI benches.
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/registry.hpp"
@@ -16,16 +19,49 @@
 
 namespace dts::bench {
 
-/// Common knobs: --traces=N (default 150, the paper's process count),
-/// --seed=S (default 1), --csv-dir=PATH (default ./bench_csv; empty
-/// disables CSV output), --quick (25 traces).
+/// Common knobs: --traces=N (default 150, the paper's process count; at
+/// least 1), --seed=S (default 1), --csv-dir=PATH (default ./bench_csv;
+/// empty disables CSV output), --quick (25 traces, and the smaller
+/// workloads of the throughput benches), --json=FILE (where write_rows
+/// puts a CI bench's rows). A malformed value or an unknown option exits
+/// with status 2 and a message naming the flag.
 struct Options {
   std::size_t traces = 150;
   std::uint64_t seed = 1;
   std::string csv_dir = "bench_csv";
+  std::string json;  ///< empty: BENCH_<bench>.json
+  bool quick = false;
 
   static Options parse(int argc, char** argv);
 };
+
+/// One row of a CI bench's JSON: a workload label, unique within the
+/// bench, and two kinds of value that tools/check_bench_baseline.py
+/// judges by different rules.
+struct Row {
+  explicit Row(std::string workload_label)
+      : workload(std::move(workload_label)) {}
+
+  /// A deterministic value (a makespan or ratio at %.17g, a count, a
+  /// name): the guard requires it to equal the baseline's.
+  void exact(std::string_view name, double value);
+  void exact(std::string_view name, std::uint64_t value);
+  void exact(std::string_view name, std::string_view text);
+  /// A machine-dependent rate, higher is better: the guard fails it only
+  /// far below the baseline's.
+  void timing(std::string_view name, double value);
+
+  std::string workload;
+  std::string exact_fields;   ///< rendered `"name": value` members
+  std::string timing_fields;  ///< rendered `"name": value` members
+};
+
+/// Writes `rows` to options.json, or BENCH_<bench>.json when that is
+/// empty, as {"bench": <bench>, "rows": [{"workload": ..., "exact": {...},
+/// "timings": {...}}, ...]}. Returns false, after saying why on stderr,
+/// when the file cannot be written.
+[[nodiscard]] bool write_rows(const Options& options, std::string_view bench,
+                              const std::vector<Row>& rows);
 
 /// The paper's capacity grid: mc..2mc in increments of 0.125 mc.
 [[nodiscard]] std::vector<double> capacity_factors();

@@ -12,16 +12,14 @@
 /// the paper's nine capacity factors mc..2mc. One JSON row per
 /// (kernel, factor): the exact median makespan, the proved fraction
 /// (expected 1.0 — the bench exits nonzero otherwise), and the best
-/// heuristic by median ratio-to-exact. CI runs --quick and guards the
-/// deterministic makespan columns against
-/// bench/baselines/fig7_duplex_quick.json via
-/// tools/check_bench_baseline.py.
+/// heuristic by median ratio-to-exact. CI runs --quick and guards every
+/// row against bench/baselines/fig7_duplex_quick.json via
+/// tools/check_bench_baseline.py; all of a row's values are exact.
 ///
 ///   bench_fig7_duplex [--quick] [--traces=N] [--seed=S] [--csv-dir=P]
-///                     [--json=FILE]   (default BENCH_fig7_duplex.json)
+///   rows: BENCH_fig7_duplex.json, or the file bench::Options names
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -30,38 +28,8 @@
 #include "report/stats.hpp"
 #include "trace/generators.hpp"
 
-namespace {
-
-/// Strips a --json=FILE argument before bench::Options sees it.
-std::string take_json_flag(int& argc, char** argv) {
-  std::string json = "BENCH_fig7_duplex.json";
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json = arg.substr(7);
-    } else {
-      argv[w++] = argv[i];
-    }
-  }
-  argc = w;
-  return json;
-}
-
-struct Fig7Row {
-  std::string kernel;
-  double factor = 1.0;
-  double exact_median = 0.0;       ///< median proved-optimal makespan
-  double proved_fraction = 0.0;    ///< fraction of traces milp closed
-  std::string best_heuristic;      ///< lowest median ratio-to-exact
-  double best_median = 0.0;        ///< that heuristic's median makespan
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace dts;
-  const std::string json_path = take_json_flag(argc, argv);
   const bench::Options options = bench::Options::parse(argc, argv);
 
   // Fetch + write-back pairs on the duplex machine: 2 fetches -> 4 tasks,
@@ -74,7 +42,7 @@ int main(int argc, char** argv) {
   config.machine = machine_from_name("duplex-pcie");
 
   const std::vector<HeuristicId> ids = all_heuristic_ids();
-  std::vector<Fig7Row> rows;
+  std::vector<bench::Row> rows;
   bool all_proved = true;
 
   for (ChemistryKernel kernel : {ChemistryKernel::kHartreeFock,
@@ -91,10 +59,6 @@ int main(int argc, char** argv) {
     TextTable table(std::move(headers));
 
     for (double factor : bench::capacity_factors()) {
-      Fig7Row row;
-      row.kernel = std::string(to_string(kernel));
-      row.factor = factor;
-
       std::vector<double> exact;
       std::size_t proved = 0;
       std::vector<std::vector<double>> ratios(ids.size());
@@ -113,28 +77,37 @@ int main(int argc, char** argv) {
                                   : 1.0);
         }
       }
-      row.exact_median = summarize(exact).median;
-      row.proved_fraction =
+      const double exact_median = summarize(exact).median;
+      const double proved_fraction =
           traces.empty() ? 1.0
                          : static_cast<double>(proved) /
                                static_cast<double>(traces.size());
       all_proved = all_proved && proved == traces.size();
 
       std::vector<std::string> cells{format_fixed(factor, 3) + " mc",
-                                     format_fixed(row.exact_median, 6),
-                                     format_fixed(row.proved_fraction, 2)};
+                                     format_fixed(exact_median, 6),
+                                     format_fixed(proved_fraction, 2)};
+      std::string best_heuristic;  // lowest median ratio-to-exact
       double best_ratio = 0.0;
       for (std::size_t h = 0; h < ids.size(); ++h) {
         const double median_ratio = summarize(ratios[h]).median;
         cells.push_back(format_fixed(median_ratio, 4));
-        if (row.best_heuristic.empty() || median_ratio < best_ratio) {
+        if (best_heuristic.empty() || median_ratio < best_ratio) {
           best_ratio = median_ratio;
-          row.best_heuristic = std::string(name_of(ids[h]));
-          row.best_median = median_ratio * row.exact_median;
+          best_heuristic = std::string(name_of(ids[h]));
         }
       }
       table.add_row(std::move(cells));
-      rows.push_back(row);
+
+      bench::Row& row = rows.emplace_back(std::string(to_string(kernel)) +
+                                          "/" + format_fixed(factor, 3) +
+                                          "mc");
+      row.exact("traces", std::uint64_t{traces.size()});
+      row.exact("milp_median_makespan_seconds", exact_median);
+      row.exact("proved_fraction", proved_fraction);
+      row.exact("best_heuristic", best_heuristic);
+      row.exact("best_heuristic_median_makespan_seconds",
+                best_ratio * exact_median);
       std::printf(".");
       std::fflush(stdout);
     }
@@ -145,28 +118,7 @@ int main(int argc, char** argv) {
                            table);
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"fig7_duplex\",\n  \"traces_per_kernel\": "
-       << options.traces << ",\n  \"rows\": [\n";
-  json.precision(12);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Fig7Row& row = rows[i];
-    json << "    {\"kernel\": \"" << row.kernel
-         << "\", \"capacity_factor\": " << row.factor
-         << ", \"milp_median_makespan_seconds\": " << row.exact_median
-         << ", \"proved_fraction\": " << row.proved_fraction
-         << ", \"best_heuristic\": \"" << row.best_heuristic
-         << "\", \"best_heuristic_median_makespan_seconds\": "
-         << row.best_median << "}" << (i + 1 < rows.size() ? "," : "")
-         << "\n";
-  }
-  json << "  ]\n}\n";
-  std::printf("wrote %s (%zu rows)\n", json_path.c_str(), rows.size());
-
+  if (!bench::write_rows(options, "fig7_duplex", rows)) return 1;
   if (!all_proved) {
     std::fprintf(stderr,
                  "FAIL: milp left traces unproven — the corpus must stay "

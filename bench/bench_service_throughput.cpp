@@ -15,17 +15,16 @@
 /// direct dts::solve() of the same request — a cache that serves
 /// different bytes fails the bench, it does not get a throughput row.
 /// The acceptance bar warm_cold_speedup >= 10 is enforced here with a
-/// hard exit, and the ratio is additionally baseline-guarded in CI via
-/// tools/check_bench_baseline.py (it is machine-robust: both passes run
+/// hard exit. CI guards every row via tools/check_bench_baseline.py: the
+/// shape and request counts and the median makespan exactly, the rates
+/// and the speedup laxly (the speedup is machine-robust: both passes run
 /// on the same machine seconds apart).
 ///
 ///   bench_service_throughput [--quick] [--traces=N] [--seed=S]
-///                            [--json=FILE] (default
-///                            BENCH_service_throughput.json)
+///   rows: BENCH_service_throughput.json, or the file bench::Options names
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -41,24 +40,7 @@ using namespace dts;
 
 constexpr double kRequiredSpeedup = 10.0;
 
-std::string take_json_flag(int& argc, char** argv) {
-  std::string json = "BENCH_service_throughput.json";
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json = arg.substr(7);
-    } else {
-      argv[w++] = argv[i];
-    }
-  }
-  argc = w;
-  return json;
-}
-
 struct ServiceRow {
-  std::string kernel;
-  std::string mode = "service";
   std::size_t distinct = 0;       ///< Distinct shapes (cold solves).
   std::uint64_t requests = 0;     ///< Warm-stream requests (all hits).
   double cold_requests_per_sec = 0.0;
@@ -184,24 +166,20 @@ bool measure(const std::vector<Instance>& shapes, std::uint64_t repeats,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = take_json_flag(argc, argv);
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") quick = true;
-  }
   const bench::Options options = bench::Options::parse(argc, argv);
 
   // Duplicate-heavy mix: a handful of distinct shapes, many repeats.
-  const std::size_t distinct = quick ? 6 : 16;
-  const std::uint64_t repeats = quick ? 200 : 500;
+  const std::size_t distinct = options.quick ? 6 : 16;
+  const std::uint64_t repeats = options.quick ? 200 : 500;
 
   std::printf("solver-service throughput — %zu distinct shapes/kernel, "
               "%llu warm repeats each, warm==cold checked bitwise\n\n",
               distinct, static_cast<unsigned long long>(repeats));
 
-  std::vector<ServiceRow> rows;
+  std::vector<bench::Row> rows;
   TextTable table({"kernel", "mode", "distinct", "requests", "cold req/s",
                    "warm req/s", "speedup", "median makespan"});
+  bool fast_enough = true;
 
   for (ChemistryKernel kernel : {ChemistryKernel::kHartreeFock,
                                  ChemistryKernel::kCoupledClusterSD}) {
@@ -209,16 +187,31 @@ int main(int argc, char** argv) {
     corpus_options.traces = distinct;
     const std::vector<Instance> shapes = bench::corpus(kernel, corpus_options);
 
+    const std::string kernel_name(to_string(kernel));
     ServiceRow row;
-    row.kernel = std::string(to_string(kernel));
     if (!measure(shapes, repeats, row)) {
       std::fprintf(stderr,
                    "cached responses are not bitwise identical to fresh "
                    "solves on %s — refusing to report throughput\n",
-                   row.kernel.c_str());
+                   kernel_name.c_str());
       return 1;
     }
-    rows.push_back(row);
+    if (row.warm_cold_speedup < kRequiredSpeedup) {
+      std::fprintf(stderr,
+                   "warm/cold speedup %.2fx on %s is below the required "
+                   "%.0fx — the cache is not earning its keep\n",
+                   row.warm_cold_speedup, kernel_name.c_str(),
+                   kRequiredSpeedup);
+      fast_enough = false;
+    }
+
+    bench::Row& out = rows.emplace_back(kernel_name);
+    out.exact("distinct", std::uint64_t{row.distinct});
+    out.exact("requests", row.requests);
+    out.exact("median_makespan_seconds", row.median_makespan_seconds);
+    out.timing("cold_requests_per_sec", row.cold_requests_per_sec);
+    out.timing("warm_requests_per_sec", row.warm_requests_per_sec);
+    out.timing("warm_cold_speedup", row.warm_cold_speedup);
 
     char distinct_text[16], req_text[24], cold_text[24], warm_text[24],
         speedup_text[16], ms_text[32];
@@ -233,44 +226,11 @@ int main(int argc, char** argv) {
                   row.warm_cold_speedup);
     std::snprintf(ms_text, sizeof ms_text, "%.6g s",
                   row.median_makespan_seconds);
-    table.add_row({row.kernel, row.mode, distinct_text, req_text, cold_text,
+    table.add_row({kernel_name, "service", distinct_text, req_text, cold_text,
                    warm_text, speedup_text, ms_text});
   }
 
-  std::printf("%s", table.to_ascii().c_str());
-
-  for (const ServiceRow& row : rows) {
-    if (row.warm_cold_speedup < kRequiredSpeedup) {
-      std::fprintf(stderr,
-                   "\nwarm/cold speedup %.2fx on %s is below the required "
-                   "%.0fx — the cache is not earning its keep\n",
-                   row.warm_cold_speedup, row.kernel.c_str(),
-                   kRequiredSpeedup);
-      return 1;
-    }
-  }
-
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"service_throughput\",\n  \"distinct_shapes\": "
-       << distinct << ",\n  \"warm_repeats\": " << repeats
-       << ",\n  \"rows\": [\n";
-  json.precision(12);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ServiceRow& row = rows[i];
-    json << "    {\"kernel\": \"" << row.kernel << "\", \"mode\": \""
-         << row.mode << "\", \"distinct\": " << row.distinct
-         << ", \"requests\": " << row.requests
-         << ", \"cold_requests_per_sec\": " << row.cold_requests_per_sec
-         << ", \"warm_requests_per_sec\": " << row.warm_requests_per_sec
-         << ", \"warm_cold_speedup\": " << row.warm_cold_speedup
-         << ", \"median_makespan_seconds\": " << row.median_makespan_seconds
-         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s (%zu rows)\n", json_path.c_str(), rows.size());
-  return 0;
+  std::printf("%s\n", table.to_ascii().c_str());
+  if (!fast_enough) return 1;
+  return bench::write_rows(options, "service_throughput", rows) ? 0 : 1;
 }

@@ -16,17 +16,16 @@
 ///  * end-to-end local-search solves/second over the corpus, plus the
 ///    median solved makespan (deterministic, baseline-guarded tightly).
 ///
-/// Output lands in BENCH_solve_throughput.json; CI guards the columns via
-/// tools/check_bench_baseline.py (throughput columns use the asymmetric
-/// lower-is-regression rule with a lax tolerance, the makespan column the
-/// strict one).
+/// Output lands in BENCH_solve_throughput.json; CI guards every row via
+/// tools/check_bench_baseline.py: the median task count, the candidate
+/// count and the median makespan exactly, the rates and the speedup
+/// laxly (higher is better).
 ///
 ///   bench_solve_throughput [--quick] [--traces=N] [--seed=S]
-///                          [--json=FILE]  (default BENCH_solve_throughput.json)
+///   rows: BENCH_solve_throughput.json, or the file bench::Options names
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -41,24 +40,7 @@ namespace {
 
 using namespace dts;
 
-std::string take_json_flag(int& argc, char** argv) {
-  std::string json = "BENCH_solve_throughput.json";
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json = arg.substr(7);
-    } else {
-      argv[w++] = argv[i];
-    }
-  }
-  argc = w;
-  return json;
-}
-
 struct ThroughputRow {
-  std::string kernel;
-  std::string mode;  // "single" or "duplex"
   std::size_t median_tasks = 0;
   std::uint64_t candidates = 0;
   double legacy_candidate_evals_per_sec = 0.0;
@@ -191,18 +173,13 @@ bool measure(const std::vector<Instance>& corpus, ThroughputRow& row,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = take_json_flag(argc, argv);
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") quick = true;
-  }
   const bench::Options options = bench::Options::parse(argc, argv);
 
   std::printf("solve-engine throughput — %zu traces/kernel, legacy vs "
               "fast-path candidate scoring\n\n",
               options.traces);
 
-  std::vector<ThroughputRow> rows;
+  std::vector<bench::Row> rows;
   TextTable table({"kernel", "mode", "median n", "candidates", "legacy evals/s",
                    "fastpath evals/s", "speedup", "solves/s",
                    "median makespan"});
@@ -220,17 +197,28 @@ int main(int argc, char** argv) {
         corpus = bench::corpus(kernel, options);
       }
 
+      const std::string kernel_name(to_string(kernel));
+      const std::string mode = duplex ? "duplex" : "single";
       ThroughputRow row;
-      row.kernel = std::string(to_string(kernel));
-      row.mode = duplex ? "duplex" : "single";
-      if (!measure(corpus, row, quick)) {
+      if (!measure(corpus, row, options.quick)) {
         std::fprintf(stderr,
                      "fast path disagrees with the reference engine on "
                      "%s/%s — refusing to report throughput\n",
-                     row.kernel.c_str(), row.mode.c_str());
+                     kernel_name.c_str(), mode.c_str());
         return 1;
       }
-      rows.push_back(row);
+
+      bench::Row& out = rows.emplace_back(kernel_name + "/" + mode);
+      out.exact("traces", std::uint64_t{options.traces});
+      out.exact("median_tasks", std::uint64_t{row.median_tasks});
+      out.exact("candidates", row.candidates);
+      out.exact("median_makespan_seconds", row.median_makespan_seconds);
+      out.timing("legacy_candidate_evals_per_sec",
+                 row.legacy_candidate_evals_per_sec);
+      out.timing("fastpath_candidate_evals_per_sec",
+                 row.fastpath_candidate_evals_per_sec);
+      out.timing("candidate_eval_speedup", row.candidate_eval_speedup);
+      out.timing("solves_per_sec", row.solves_per_sec);
 
       char n_text[16], cand_text[24], legacy_text[24], fast_text[24],
           speedup_text[16], solve_text[16], ms_text[32];
@@ -247,36 +235,11 @@ int main(int argc, char** argv) {
                     row.solves_per_sec);
       std::snprintf(ms_text, sizeof ms_text, "%.6g s",
                     row.median_makespan_seconds);
-      table.add_row({row.kernel, row.mode, n_text, cand_text, legacy_text,
+      table.add_row({kernel_name, mode, n_text, cand_text, legacy_text,
                      fast_text, speedup_text, solve_text, ms_text});
     }
   }
 
-  std::printf("%s", table.to_ascii().c_str());
-
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"solve_throughput\",\n  \"traces_per_kernel\": "
-       << options.traces << ",\n  \"rows\": [\n";
-  json.precision(12);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ThroughputRow& row = rows[i];
-    json << "    {\"kernel\": \"" << row.kernel << "\", \"mode\": \""
-         << row.mode << "\", \"median_tasks\": " << row.median_tasks
-         << ", \"candidates\": " << row.candidates
-         << ", \"legacy_candidate_evals_per_sec\": "
-         << row.legacy_candidate_evals_per_sec
-         << ", \"fastpath_candidate_evals_per_sec\": "
-         << row.fastpath_candidate_evals_per_sec
-         << ", \"candidate_eval_speedup\": " << row.candidate_eval_speedup
-         << ", \"solves_per_sec\": " << row.solves_per_sec
-         << ", \"median_makespan_seconds\": " << row.median_makespan_seconds
-         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s (%zu rows)\n", json_path.c_str(), rows.size());
-  return 0;
+  std::printf("%s\n", table.to_ascii().c_str());
+  return bench::write_rows(options, "solve_throughput", rows) ? 0 : 1;
 }
