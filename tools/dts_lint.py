@@ -44,6 +44,11 @@ ones that otherwise live only in reviewers' heads:
                            std::cout/cerr or pay for their static init.
   no-naked-new             no naked new/delete in src/ — ownership goes
                            through containers and smart pointers.
+  bench-row-one-home       under bench/, only bench/bench_common.cpp reads
+                           --json= and opens a std::ofstream: every CI
+                           bench parses its flags through bench::Options
+                           and writes its rows through bench::write_rows,
+                           the one row shape the baseline guard reads.
   number-text-one-home     src/trace/ and src/service/ format and parse
                            numbers only through the number-text codec
                            (src/support/text.*): no "%.17g" printf
@@ -466,6 +471,26 @@ def check_heuristic_dispatch_one_home(path: str, raw: str, code: str):
             "the one home of what each heuristic computes")
 
 
+BENCH_ROW_HOME = "bench/bench_common.cpp"
+
+
+def check_bench_row_one_home(path: str, raw: str, code: str):
+    """A CI bench's flags and JSON rows go through bench_common."""
+    if not path.startswith("bench/") or path == BENCH_ROW_HOME:
+        return
+    literals = strip_comments_and_strings(raw, keep_strings=True)
+    found = [(m.start(), "a --json= flag parser", literals)
+             for m in re.finditer(r'"--json=', literals)]
+    found += [(m.start(), "a std::ofstream", code)
+              for m in re.finditer(r"\bstd::ofstream\b", code)]
+    for offset, what, text in sorted(found):
+        yield Finding(
+            "bench-row-one-home", path, line_of(text, offset),
+            f"{what} outside {BENCH_ROW_HOME} — take flags from "
+            "bench::Options and write rows with bench::write_rows, the one "
+            "home of a CI bench's output")
+
+
 NUMBER_TEXT_DIRS = ("src/trace/", "src/service/")
 NUMBER_TEXT_PATTERNS = (
     # (pattern, what, scanned text: literals kept or blanked)
@@ -523,6 +548,7 @@ RULES = {
     "hot-path-noalloc": check_hot_path_noalloc,
     "executor-one-home": check_executor_one_home,
     "heuristic-dispatch-one-home": check_heuristic_dispatch_one_home,
+    "bench-row-one-home": check_bench_row_one_home,
     "number-text-one-home": check_number_text_one_home,
     "trailing-whitespace": check_whitespace,  # also emits tabs/crlf/newline
 }
