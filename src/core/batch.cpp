@@ -35,7 +35,7 @@ Schedule schedule_in_batches(HeuristicId id, const Instance& inst, Mem capacity,
   for (std::size_t lo = 0; lo < submission.size(); lo += batch_size) {
     const std::size_t hi = std::min(lo + batch_size, submission.size());
     const std::span<const TaskId> ids(&submission[lo], hi - lo);
-    run_heuristic_on(id, inst, compiled, ids, engine, sched);
+    run_heuristic_on(id, inst.subset(ids), compiled, ids, engine, sched);
   }
   return sched;
 }
@@ -76,11 +76,12 @@ BatchAutoResult schedule_in_batches_auto(
   for (std::size_t lo = 0; lo < submission.size(); lo += batch_size) {
     const std::size_t hi = std::min(lo + batch_size, submission.size());
     const std::span<const TaskId> ids(&submission[lo], hi - lo);
+    const Instance scope = inst.subset(ids);
 
     const auto evaluate = [&](std::size_t k) {
       Trial& trial = trials[k];
       trial.engine.reset(compiled, capacity, &carried);
-      run_heuristic_on(candidates[k], inst, compiled, ids, trial.engine,
+      run_heuristic_on(candidates[k], scope, compiled, ids, trial.engine,
                        trial.schedule);
     };
     if (executor && candidates.size() > 1) {

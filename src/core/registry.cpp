@@ -1,7 +1,6 @@
 #include "core/registry.hpp"
 
 #include <array>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 
@@ -95,64 +94,51 @@ std::optional<HeuristicId> heuristic_from_name(std::string_view name) noexcept {
 
 namespace {
 
-/// A static order over every task of an instance.
-using OrderFn = std::function<std::vector<TaskId>(const Instance&)>;
-
-/// `order_of`'s order restricted to `ids`, repaired against the edges
-/// among them (identity on edge-free tasks). The whole instance in id
-/// order is ordered in place; any other selection on its renumbered
-/// subset, mapped back to real ids.
-std::vector<TaskId> order_over(const OrderFn& order_of, const Instance& inst,
+/// `order`, an order over `scope`, repaired against its edges (identity
+/// on edge-free tasks) and mapped to real ids: scope task k is `ids[k]`.
+std::vector<TaskId> real_order(const Instance& scope,
+                               std::vector<TaskId> order,
                                std::span<const TaskId> ids) {
-  bool whole = ids.size() == inst.size();
-  for (std::size_t k = 0; whole && k < ids.size(); ++k) whole = ids[k] == k;
-  std::optional<Instance> subset;
-  if (!whole) subset = inst.subset(ids);
-  const Instance& scope = whole ? inst : *subset;
-  std::vector<TaskId> order = order_of(scope);
   if (scope.has_dependencies()) order = legalize_order(scope, order);
-  if (!whole) {
-    for (TaskId& id : order) id = ids[id];
-  }
+  for (TaskId& id : order) id = ids[id];
   return order;
 }
 
 }  // namespace
 
-void run_heuristic_on(HeuristicId id, const Instance& inst,
+void run_heuristic_on(HeuristicId id, const Instance& scope,
                       const CompiledInstance& ci, std::span<const TaskId> ids,
                       Engine& engine, Schedule& sched) {
   using C = DynamicCriterion;
   using P = StaticOrderPolicy;
-  const auto policy = [](P p) -> OrderFn {
-    return [p](const Instance& scope) { return static_order(scope, p); };
-  };
   // What each heuristic is (§4.1-4.4): a static order issued verbatim, a
   // dynamic selection, or the Johnson order with dynamic corrections.
-  const auto in_order = [&](const OrderFn& order_of) {
-    engine.issue_in_order(order_over(order_of, inst, ids), sched);
+  const auto in_order = [&](std::vector<TaskId> order) {
+    engine.issue_in_order(real_order(scope, std::move(order), ids), sched);
+  };
+  const auto static_in_order = [&](P policy) {
+    in_order(static_order(scope, policy));
   };
   const auto dynamic = [&](C criterion) {
     execute_dynamic(ci, ids, criterion, engine, sched);
   };
   const auto corrected = [&](C criterion) {
-    execute_corrected(ci, order_over(policy(P::kJohnson), inst, ids),
-                      criterion, engine, sched);
+    execute_corrected(
+        ci, real_order(scope, static_order(scope, P::kJohnson), ids),
+        criterion, engine, sched);
   };
   switch (id) {
-    case HeuristicId::kOS: return in_order(policy(P::kSubmission));
-    case HeuristicId::kOOSIM: return in_order(policy(P::kJohnson));
-    case HeuristicId::kIOCMS: return in_order(policy(P::kIncreasingComm));
-    case HeuristicId::kDOCPS: return in_order(policy(P::kDecreasingComp));
+    case HeuristicId::kOS: return static_in_order(P::kSubmission);
+    case HeuristicId::kOOSIM: return static_in_order(P::kJohnson);
+    case HeuristicId::kIOCMS: return static_in_order(P::kIncreasingComm);
+    case HeuristicId::kDOCPS: return static_in_order(P::kDecreasingComp);
     case HeuristicId::kIOCCS:
-      return in_order(policy(P::kIncreasingCommPlusComp));
+      return static_in_order(P::kIncreasingCommPlusComp);
     case HeuristicId::kDOCCS:
-      return in_order(policy(P::kDecreasingCommPlusComp));
-    case HeuristicId::kGG: return in_order(gilmore_gomory_order);
+      return static_in_order(P::kDecreasingCommPlusComp);
+    case HeuristicId::kGG: return in_order(gilmore_gomory_order(scope));
     case HeuristicId::kBP:
-      return in_order([capacity = engine.capacity()](const Instance& scope) {
-        return bin_packing_order(scope, capacity);
-      });
+      return in_order(bin_packing_order(scope, engine.capacity()));
     case HeuristicId::kLCMR: return dynamic(C::kLargestComm);
     case HeuristicId::kSCMR: return dynamic(C::kSmallestComm);
     case HeuristicId::kMAMR: return dynamic(C::kMaxAcceleration);

@@ -73,17 +73,18 @@ struct HeuristicInfo {
 [[nodiscard]] std::optional<HeuristicId> heuristic_from_name(
     std::string_view name) noexcept;
 
-/// Runs heuristic `id` over the tasks `ids` of `inst` (compiled as `ci`)
-/// on the live `engine`, writing their start times into `sched`. The one
-/// dispatch from a heuristic to its order and selection criterion:
-/// static orders are computed over `ids` alone (on `inst` itself when
-/// `ids` is every task in id order, otherwise on the renumbered subset),
-/// repaired against the dependency edges among `ids`, and issued in
-/// order; each transfer waits for its predecessors' computation ends
-/// recorded in `sched`, so edges into tasks scheduled earlier on the same
-/// schedule are honored. Throws std::invalid_argument when a task can
-/// never fit or waits on a predecessor that was never scheduled.
-void run_heuristic_on(HeuristicId id, const Instance& inst,
+/// Runs heuristic `id` over the tasks `ids` of the instance compiled as
+/// `ci` on the live `engine`, writing their start times into `sched`.
+/// `scope` holds those tasks alone, task k being `ids[k]` (the instance
+/// itself when `ids` is every task in id order, otherwise its subset()).
+/// The one dispatch from a heuristic to its order and selection
+/// criterion: static orders are computed over `scope`, repaired against
+/// its dependency edges, and issued in order; each transfer waits for
+/// its predecessors' computation ends recorded in `sched`, so edges into
+/// tasks scheduled earlier on the same schedule are honored. Throws
+/// std::invalid_argument when a task can never fit or waits on a
+/// predecessor that was never scheduled.
+void run_heuristic_on(HeuristicId id, const Instance& scope,
                       const CompiledInstance& ci, std::span<const TaskId> ids,
                       Engine& engine, Schedule& sched);
 
