@@ -135,9 +135,8 @@ def run_self_test():
 
     def expect(name, result, fails, improvements=0, new_values=0):
         if failed(result) != fails:
-            failures.append(
-                f"{name}: expected fail={fails}, got "
-                f"{result['changed'] + result['regressions'] + result['missing']}")
+            got = result["changed"] + result["regressions"] + result["missing"]
+            failures.append(f"{name}: expected fail={fails}, got {got}")
         if len(result["improvements"]) != improvements:
             failures.append(f"{name}: expected {improvements} improvement "
                             f"note(s), got {result['improvements']}")
