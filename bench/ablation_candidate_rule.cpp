@@ -16,7 +16,6 @@
 #include "core/johnson.hpp"
 #include "core/registry.hpp"
 #include "heuristics/dynamic.hpp"
-#include "support/parallel_for.hpp"
 
 namespace {
 
@@ -78,7 +77,7 @@ int main(int argc, char** argv) {
         const HeuristicId id = rule.second;
         std::vector<double> with_f(traces.size());
         std::vector<double> without_f(traces.size());
-        parallel_for(0, traces.size(), [&](std::size_t t) {
+        bench::pool().for_each(traces.size(), [&](std::size_t t) {
           const Time lower = omim(traces[t]);
           const Mem cap = traces[t].min_capacity() * factor;
           with_f[t] =

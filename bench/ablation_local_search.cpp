@@ -10,7 +10,6 @@
 #include "bench_common.hpp"
 #include "exact/lower_bounds.hpp"
 #include "heuristics/local_search.hpp"
-#include "support/parallel_for.hpp"
 
 int main(int argc, char** argv) {
   using namespace dts;
@@ -26,7 +25,7 @@ int main(int argc, char** argv) {
       std::vector<double> heuristic_r(traces.size());
       std::vector<double> improved_r(traces.size());
       std::vector<double> bound_gap(traces.size());
-      parallel_for(0, traces.size(), [&](std::size_t t) {
+      bench::pool().for_each(traces.size(), [&](std::size_t t) {
         const Mem capacity = traces[t].min_capacity() * factor;
         const CapacityAwareBounds lb =
             capacity_aware_bounds(traces[t], capacity);

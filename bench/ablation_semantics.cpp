@@ -10,7 +10,6 @@
 
 #include "bench_common.hpp"
 #include "core/johnson.hpp"
-#include "support/parallel_for.hpp"
 
 int main(int argc, char** argv) {
   using namespace dts;
@@ -26,7 +25,7 @@ int main(int argc, char** argv) {
            {HeuristicId::kOOSIM, HeuristicId::kLCMR, HeuristicId::kOOMAMR}) {
         std::vector<double> open_r(traces.size());
         std::vector<double> closed_r(traces.size());
-        parallel_for(0, traces.size(), [&](std::size_t t) {
+        bench::pool().for_each(traces.size(), [&](std::size_t t) {
           const Time lower = omim(traces[t]);
           const Mem mc = traces[t].min_capacity();
           // Closed-interval emulation: shave one epsilon-task off the

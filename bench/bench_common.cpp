@@ -8,7 +8,6 @@
 #include "core/johnson.hpp"
 #include "core/solver.hpp"
 #include "report/csv.hpp"
-#include "support/parallel_for.hpp"
 #include "support/text.hpp"
 
 namespace dts::bench {
@@ -135,6 +134,11 @@ bool write_rows(const Options& options, std::string_view bench,
   return true;
 }
 
+SolverPool& pool() {
+  static SolverPool crew;
+  return crew;
+}
+
 std::vector<double> capacity_factors() {
   std::vector<double> factors;
   for (int k = 0; k <= 8; ++k) factors.push_back(1.0 + 0.125 * k);
@@ -147,7 +151,7 @@ std::vector<RatioCell> ratio_grid(const std::vector<Instance>& traces,
   // Per-trace OMIM and mc, computed once.
   std::vector<Time> omims(traces.size());
   std::vector<Mem> mcs(traces.size());
-  parallel_for(0, traces.size(), [&](std::size_t t) {
+  pool().for_each(traces.size(), [&](std::size_t t) {
     omims[t] = omim(traces[t]);
     mcs[t] = traces[t].min_capacity();
   });
@@ -164,7 +168,7 @@ std::vector<RatioCell> ratio_grid(const std::vector<Instance>& traces,
   // so the solve() calls skip them.
   SolveOptions options;
   options.compute_bounds = false;
-  parallel_for(0, traces.size(), [&](std::size_t t) {
+  pool().for_each(traces.size(), [&](std::size_t t) {
     SolveRequest request;
     request.instance = traces[t];
     for (std::size_t fi = 0; fi < factors.size(); ++fi) {

@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/pool.hpp"
 #include "core/registry.hpp"
 #include "report/stats.hpp"
 #include "report/table.hpp"
@@ -63,6 +64,13 @@ struct Row {
 [[nodiscard]] bool write_rows(const Options& options, std::string_view bench,
                               const std::vector<Row>& rows);
 
+/// The bench process's one worker crew, started on first use with one
+/// worker per hardware thread. Per-trace loops fan out with
+/// pool().for_each; a solve inside such a loop that fans out itself
+/// (auto) takes &pool() as SolveOptions::executor, so nested fan-out
+/// shares the crew instead of oversubscribing the machine.
+[[nodiscard]] SolverPool& pool();
+
 /// The paper's capacity grid: mc..2mc in increments of 0.125 mc.
 [[nodiscard]] std::vector<double> capacity_factors();
 
@@ -74,7 +82,7 @@ struct RatioCell {
 };
 
 /// Evaluates `ids` over `traces` for every factor in `factors`, in
-/// parallel over traces. Each trace uses its own mc. Ratios are
+/// parallel over traces on pool(). Each trace uses its own mc. Ratios are
 /// makespan / OMIM of that trace.
 [[nodiscard]] std::vector<RatioCell> ratio_grid(
     const std::vector<Instance>& traces, const std::vector<double>& factors,

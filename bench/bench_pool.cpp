@@ -18,7 +18,6 @@
 #include "bench_common.hpp"
 #include "core/pool.hpp"
 #include "report/table.hpp"
-#include "support/parallel_for.hpp"
 #include "trace/generators.hpp"
 
 namespace {
@@ -93,7 +92,7 @@ int main(int argc, char** argv) {
 
   std::cout << "SolverPool throughput: " << jobs.size() << " "
             << (config.with_ccsd ? "HF+CCSD" : "HF") << " traces, solver "
-            << config.solver << ", " << parallel_workers()
+            << config.solver << ", " << bench::pool().worker_count()
             << " hardware workers available\n";
 
   std::vector<std::size_t> worker_counts;

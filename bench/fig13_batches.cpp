@@ -9,7 +9,6 @@
 #include "bench_common.hpp"
 #include "core/johnson.hpp"
 #include "core/solver.hpp"
-#include "support/parallel_for.hpp"
 
 namespace {
 
@@ -28,7 +27,7 @@ int main(int argc, char** argv) {
 
     std::vector<Time> omims(traces.size());
     std::vector<Mem> mcs(traces.size());
-    parallel_for(0, traces.size(), [&](std::size_t t) {
+    bench::pool().for_each(traces.size(), [&](std::size_t t) {
       omims[t] = omim(traces[t]);
       mcs[t] = traces[t].min_capacity();
     });
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
         std::vector<double> best(traces.size());
         SolveOptions solve_options;
         solve_options.compute_bounds = false;
-        parallel_for(0, traces.size(), [&](std::size_t t) {
+        bench::pool().for_each(traces.size(), [&](std::size_t t) {
           SolveRequest request;
           request.instance = traces[t];
           request.capacity = mcs[t] * factor;

@@ -6,19 +6,27 @@
 #include <utility>
 
 #include "support/contract.hpp"
-#include "support/parallel_for.hpp"
 
 namespace dts {
 
 using Clock = std::chrono::steady_clock;
 
+namespace {
+
+/// The crew size SolverPoolOptions::workers = 0 asks for: one worker per
+/// hardware thread, clamped to [1, 64].
+std::size_t hardware_workers() noexcept {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return std::clamp<std::size_t>(hw == 0 ? 1 : hw, 1, 64);
+}
+
+}  // namespace
+
 SolverPool::SolverPool(const SolverPoolOptions& options) : options_(options) {
   if (options.queue_capacity == 0) {
     throw std::invalid_argument("SolverPool: queue_capacity must be >= 1");
   }
-  const std::size_t n =
-      std::max<std::size_t>(1, options.workers ? options.workers
-                                               : parallel_workers());
+  const std::size_t n = options.workers ? options.workers : hardware_workers();
   workers_.reserve(n);
   try {
     for (std::size_t i = 0; i < n; ++i) {
@@ -172,11 +180,12 @@ void SolverPool::run_job(const std::shared_ptr<detail::JobState>& job) {
   SolveOptions options = request.options;
   options.cancel = job->token();
   if (!options.executor) {
-    // Route solver-internal fan-out (auto candidates, window enumeration)
-    // through this crew instead of letting each job spawn its own
-    // parallel_for threads: N running jobs x hardware threads would
-    // oversubscribe the machine the pool is supposed to manage. Results
-    // are identical either way; an explicitly set executor is respected.
+    // Route solver-internal fan-out (auto candidates, window and
+    // exhaustive enumeration) through this crew instead of letting each
+    // job start a pool of its own: N running jobs x hardware threads
+    // would oversubscribe the machine the pool is supposed to manage.
+    // Results are identical either way; an explicitly set executor is
+    // respected.
     options.executor = this;
   }
   if (job->deadline()) {

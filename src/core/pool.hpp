@@ -24,12 +24,13 @@
 ///     solvers' own cancellation latency: the destructor cancels queued
 ///     and running work, then joins.
 ///
-/// The pool is also an Executor: solvers may fan internal subtasks
-/// (batch-auto candidate trials, exhaustive window enumeration) across
-/// the same workers via SolveOptions::executor. Jobs that leave the
-/// executor unset get this pool installed automatically — inner fan-out
-/// shares the crew instead of spawning per-job parallel_for threads, so
-/// N concurrent jobs never oversubscribe the machine. Subtasks bypass
+/// The pool is also an Executor, and the library's only one: solvers fan
+/// internal subtasks (auto and batch-auto candidate trials, exhaustive
+/// and window enumeration) across the same workers via
+/// SolveOptions::executor. Jobs that leave the executor unset get this
+/// pool installed automatically — inner fan-out shares the crew instead
+/// of starting a crew per job, so N concurrent jobs never oversubscribe
+/// the machine. Subtasks bypass
 /// the job queue and its capacity bound, and the calling thread
 /// participates, so fan-out from inside a pool job cannot deadlock.
 
@@ -66,7 +67,8 @@ enum class SubmitStatus {
 };
 
 struct SolverPoolOptions {
-  /// Worker threads; 0 means parallel_workers() (hardware concurrency).
+  /// Worker threads; 0 means one per hardware thread (clamped to
+  /// [1, 64]).
   std::size_t workers = 0;
   /// Upper bound on *queued* (not yet running) jobs. submit() blocks while
   /// the queue is full — natural producer backpressure; try_submit()

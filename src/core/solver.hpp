@@ -165,19 +165,22 @@ struct SolveOptions {
   std::size_t max_no_improve = 2000;
   /// Seed for randomized solvers (local search neighborhood order).
   std::uint64_t seed = 1;
-  /// Evaluate independent candidates of the auto-scheduler with
-  /// support/parallel_for. The winner is identical either way (the
-  /// reduction is deterministic); this only buys wall time.
+  /// Evaluate the independent candidates of auto and auto-batch
+  /// concurrently: on `executor` when one is set, otherwise (whole-trace
+  /// auto only) on a SolverPool the call starts for itself. The winner is
+  /// identical either way (the reduction is deterministic); this only
+  /// buys wall time.
   bool parallel_candidates = true;
   /// Optional fan-out surface (job.hpp) for solver-internal parallelism:
   /// auto/batch-auto candidate trials (still gated by
   /// parallel_candidates, which remains the on/off switch) and the
-  /// exhaustive window enumeration run their independent subtasks
-  /// through it. SolverPool is an Executor, so a service can share one
+  /// exhaustive and window enumerations run their independent subtasks
+  /// through it. SolverPool is the Executor, so a service can share one
   /// worker crew between whole jobs and their inner fan-out; pool jobs
   /// that leave this unset get the pool installed automatically. Null
-  /// means the solver's built-in behavior (parallel_for or serial).
-  /// Results are identical either way.
+  /// means the solver's built-in behavior: whole-trace auto starts a
+  /// pool of its own, everything else runs serially. Results are
+  /// identical either way.
   Executor* executor = nullptr;
   /// Fill SolveResult::bounds (OMIM + capacity-aware bounds). Sweeps that
   /// already track bounds per trace disable this to skip the recompute.

@@ -14,7 +14,7 @@
 #include <utility>
 
 #include "core/batch.hpp"
-#include "core/job.hpp"
+#include "core/pool.hpp"
 #include "core/registry.hpp"
 #include "core/solver.hpp"
 #include "exact/branch_bound.hpp"
@@ -24,7 +24,6 @@
 #include "heuristics/duplex_balance.hpp"
 #include "heuristics/local_search.hpp"
 #include "milp/milp_solver.hpp"
-#include "support/parallel_for.hpp"
 
 namespace dts {
 
@@ -103,9 +102,10 @@ void fill_batch_outcomes(const std::vector<HeuristicId>& candidates,
 /// The paper's envisioned runtime: evaluate every candidate, keep the
 /// best, over the whole trace (auto_schedule, core/registry.hpp) or batch
 /// by batch (schedule_in_batches_auto, core/batch.hpp). With
-/// parallel_candidates the candidates run on the options' executor, or on
-/// support/parallel_for threads when none is set; both folds pick the
-/// same winner as a serial run.
+/// parallel_candidates the candidates run on the options' executor; with
+/// none set, a whole-trace run starts a SolverPool of its own and a
+/// batched run stays serial. Both folds pick the same winner as a serial
+/// run.
 class AutoSolver final : public Solver {
  public:
   AutoSolver(std::vector<HeuristicId> candidates, std::string name,
@@ -122,8 +122,9 @@ class AutoSolver final : public Solver {
                                 const SolveOptions& options) const override {
     if (!request.instance.empty() &&
         definitely_less(request.capacity, request.instance.min_capacity())) {
-      // parallel_for fail-fast would turn this user error into an abort;
-      // surface it as the invalid_argument the legacy entry points throw.
+      // Checked up front so the message names the cause, as the legacy
+      // entry points' invalid_argument does, instead of the first
+      // candidate's "never fits" from the engine.
       throw std::invalid_argument(
           "auto: a task exceeds the memory capacity");
     }
@@ -136,16 +137,15 @@ class AutoSolver final : public Solver {
  private:
   [[nodiscard]] SolveResult run_full(const SolveRequest& request,
                                      const SolveOptions& options) const {
-    /// Fans the candidates out over support/parallel_for threads.
-    struct ThreadExecutor final : Executor {
-      void for_each(std::size_t n,
-                    const std::function<void(std::size_t)>& fn) override {
-        parallel_for(0, n, fn);
-      }
-    } threads;
+    // With no executor given, the candidates run on a pool of this call's
+    // own, which rethrows a candidate's exception to the caller.
+    std::optional<SolverPool> local;
     Executor* executor = nullptr;
     if (options.parallel_candidates) {
-      executor = options.executor != nullptr ? options.executor : &threads;
+      executor = options.executor;
+      if (executor == nullptr && candidates_.size() > 1) {
+        executor = &local.emplace();
+      }
     }
     AutoScheduleResult res = auto_schedule(request.instance, request.capacity,
                                            candidates_, executor);
@@ -381,10 +381,11 @@ class ExhaustiveSolver final : public Solver {
   }
 
   [[nodiscard]] SolveResult run(const SolveRequest& request,
-                                const SolveOptions& /*options*/) const override {
+                                const SolveOptions& options) const override {
     reject_batch(request, name());
     ExhaustiveOptions search;
     search.max_n = max_n_;
+    search.executor = options.executor;
     ExhaustiveResult res =
         best_common_order(request.instance, request.capacity, search);
     SolveResult result;

@@ -20,6 +20,7 @@
 #include "core/validate.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
+#include "trace/generators.hpp"
 
 namespace dts {
 namespace {
@@ -367,40 +368,54 @@ TEST(SolverPool, ForEachRunsEveryIndexExactlyOnce) {
   pool.shutdown(DrainMode::kDrain);
 }
 
+/// Solves `inst` at 1.5 mc once serially and once with `pool` as the
+/// executor, and expects the same winner, makespan and schedule.
+void expect_pool_matches_serial(SolverPool& pool, const Instance& inst,
+                                const char* solver) {
+  const SolveRequest request{.instance = inst,
+                             .capacity = 1.5 * inst.min_capacity()};
+  SolveOptions serial;
+  serial.parallel_candidates = false;
+  serial.compute_bounds = false;
+  const SolveResult expected = solve(request, solver, serial);
+  // parallel_candidates stays on (the default): it gates candidate
+  // fan-out, and the executor branch is what this test exercises.
+  SolveOptions pooled;
+  pooled.compute_bounds = false;
+  pooled.executor = &pool;
+  const SolveResult actual = solve(request, solver, pooled);
+  EXPECT_EQ(actual.winner, expected.winner) << solver;
+  EXPECT_EQ(actual.makespan, expected.makespan) << solver;
+  ASSERT_EQ(actual.schedule.size(), expected.schedule.size());
+  for (TaskId i = 0; i < expected.schedule.size(); ++i) {
+    EXPECT_EQ(actual.schedule[i].comm_start, expected.schedule[i].comm_start)
+        << solver << "/" << i;
+    EXPECT_EQ(actual.schedule[i].comp_start, expected.schedule[i].comp_start)
+        << solver << "/" << i;
+  }
+}
+
 TEST(SolverPool, PoolAsSolverExecutorMatchesSerialResults) {
-  // SolveOptions::executor fans batch-auto candidate trials and the
-  // window enumeration across the pool; results must be identical to the
-  // serial path.
+  // SolveOptions::executor fans auto and batch-auto candidate trials and
+  // the exhaustive and window enumerations across the pool; results must
+  // be identical to the serial path. The CCSD-DAG batch covers the losing
+  // trials taking the winner's engine and schedule entries while trials
+  // run concurrently.
   Rng rng(17);
   const Instance inst = testing::random_instance(rng, 18);
-  const Mem capacity = 1.5 * inst.min_capacity();
-  const SolveRequest request{.instance = inst, .capacity = capacity};
+  const Instance small = testing::random_instance(rng, 9);
+  const Instance dag = generate_ccsd_dag_trace(
+      TraceConfig{.seed = 5, .min_tasks = 40, .max_tasks = 40});
+  ASSERT_TRUE(dag.has_dependencies());
 
   SolverPoolOptions pool_options;
   pool_options.workers = 3;
   SolverPool pool(pool_options);
-  for (const char* solver : {"auto", "auto-batch:6", "window:6"}) {
-    // parallel_candidates stays on (the default): it gates candidate
-    // fan-out, and the executor branch is what this test exercises.
-    SolveOptions serial;
-    serial.compute_bounds = false;
-    const SolveResult expected = solve(request, solver, serial);
-    SolveOptions pooled;
-    pooled.compute_bounds = false;
-    pooled.executor = &pool;
-    const SolveResult actual = solve(request, solver, pooled);
-    EXPECT_EQ(actual.winner, expected.winner) << solver;
-    EXPECT_EQ(actual.makespan, expected.makespan) << solver;
-    ASSERT_EQ(actual.schedule.size(), expected.schedule.size());
-    for (TaskId i = 0; i < expected.schedule.size(); ++i) {
-      EXPECT_EQ(actual.schedule[i].comm_start,
-                expected.schedule[i].comm_start)
-          << solver << "/" << i;
-      EXPECT_EQ(actual.schedule[i].comp_start,
-                expected.schedule[i].comp_start)
-          << solver << "/" << i;
-    }
-  }
+  expect_pool_matches_serial(pool, inst, "auto");
+  expect_pool_matches_serial(pool, inst, "auto-batch:6");
+  expect_pool_matches_serial(pool, inst, "window:6");
+  expect_pool_matches_serial(pool, small, "exhaustive");
+  expect_pool_matches_serial(pool, dag, "auto-batch:4");
   pool.shutdown(DrainMode::kDrain);
 }
 

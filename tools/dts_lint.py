@@ -55,6 +55,13 @@ ones that otherwise live only in reviewers' heads:
                            formats, no stream precision(17), no
                            std::istringstream tokenizing — one exact,
                            locale-free home for round-trip number text.
+  fan-out-one-home         src/ and bench/ start no threads of their own:
+                           no std::thread, std::jthread, std::async or
+                           parallel_for outside SolverPool
+                           (src/core/pool.*) and the socket server's
+                           connection threads (src/service/serve.*) —
+                           work fans out through an Executor, so nested
+                           fan-out shares one crew.
   hot-path-noalloc         functions marked `// dts-lint: hot-path` in
                            src/core/ and src/heuristics/ (the
                            candidate-scoring and -selection inner loops)
@@ -517,6 +524,23 @@ def check_number_text_one_home(path: str, raw: str, code: str):
                 "home for round-trip number text")
 
 
+FAN_OUT_HOMES = ("src/core/pool.hpp", "src/core/pool.cpp",
+                 "src/service/serve.hpp", "src/service/serve.cpp")
+FAN_OUT_RE = re.compile(r"\bstd::(?:thread|jthread|async)\b|\bparallel_for\b")
+
+
+def check_fan_out_one_home(path: str, raw: str, code: str):
+    """Library and bench threads are started by SolverPool only."""
+    if not path.startswith(("src/", "bench/")) or path in FAN_OUT_HOMES:
+        return
+    for m in FAN_OUT_RE.finditer(code):
+        yield Finding(
+            "fan-out-one-home", path, line_of(code, m.start()),
+            f"`{m.group(0)}` outside src/core/pool — fan work out through "
+            "an Executor (SolverPool::for_each; bench::pool() in benches), "
+            "the one home of the library's worker threads")
+
+
 def check_whitespace(path: str, raw: str, code: str):
     lines = raw.split("\n")
     for idx, line in enumerate(lines, start=1):
@@ -550,6 +574,7 @@ RULES = {
     "heuristic-dispatch-one-home": check_heuristic_dispatch_one_home,
     "bench-row-one-home": check_bench_row_one_home,
     "number-text-one-home": check_number_text_one_home,
+    "fan-out-one-home": check_fan_out_one_home,
     "trailing-whitespace": check_whitespace,  # also emits tabs/crlf/newline
 }
 
