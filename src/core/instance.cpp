@@ -1,9 +1,11 @@
 #include "core/instance.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 namespace dts {
 
@@ -181,15 +183,21 @@ Instance Instance::subset(std::span<const TaskId> ids) const {
   for (TaskId id : ids) tasks.push_back(tasks_.at(id));
   if (has_dependencies_) {
     // Remap internal edges to local ids; drop edges leaving the subset —
-    // the caller owns cross-boundary readiness (window ready times).
-    std::vector<TaskId> local(tasks_.size(), kInvalidTask);
+    // the caller owns cross-boundary readiness (window ready times). The
+    // (id, local id) table covers the subset only, so a batch of a DAG
+    // batch walk costs O((b + e) log b), not O(n).
+    std::vector<std::pair<TaskId, TaskId>> local;
+    local.reserve(ids.size());
     for (std::size_t pos = 0; pos < ids.size(); ++pos) {
-      local[ids[pos]] = static_cast<TaskId>(pos);
+      local.emplace_back(ids[pos], static_cast<TaskId>(pos));
     }
+    std::sort(local.begin(), local.end());
     for (Task& t : tasks) {
       std::vector<TaskId> kept;
       for (const TaskId dep : t.deps) {
-        if (local[dep] != kInvalidTask) kept.push_back(local[dep]);
+        const auto it = std::lower_bound(local.begin(), local.end(),
+                                         std::pair<TaskId, TaskId>(dep, 0));
+        if (it != local.end() && it->first == dep) kept.push_back(it->second);
       }
       t.deps = std::move(kept);
     }

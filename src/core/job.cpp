@@ -24,10 +24,7 @@ JobState::JobState(std::uint64_t id, JobRequest request,
 
 void JobState::arm_deadline(std::chrono::steady_clock::time_point now) {
   if (!request_.deadline_seconds) return;
-  deadline_ = now + std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(
-                            *request_.deadline_seconds));
+  deadline_ = deadline_after(now, *request_.deadline_seconds);
 }
 
 JobStatus JobState::status() const {

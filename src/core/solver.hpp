@@ -33,6 +33,7 @@
 /// core/batch.hpp, and solve() returns exactly their schedules
 /// (tests/solver_test.cpp).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -187,15 +188,29 @@ struct SolveOptions {
   bool compute_bounds = true;
 };
 
+/// The instant `seconds` after `now`, or nullopt when the steady clock
+/// cannot represent it (an infinite budget, or one of ~292 years or
+/// more): such a budget means no deadline. A negative budget has already
+/// expired at `now`.
+[[nodiscard]] inline std::optional<std::chrono::steady_clock::time_point>
+deadline_after(std::chrono::steady_clock::time_point now, double seconds) {
+  using Clock = std::chrono::steady_clock;
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double>(seconds))
+                           .count();
+  const auto room = (Clock::time_point::max() - now).count();
+  if (!(ticks < static_cast<double>(room))) return std::nullopt;
+  return now + Clock::duration(static_cast<Clock::rep>(std::max(ticks, 0.0)));
+}
+
 /// Deadline + cancellation token, bound at solver entry. Cheap to poll.
 class StopCondition {
  public:
   explicit StopCondition(const SolveOptions& options)
       : cancel_(options.cancel) {
     if (options.time_limit_seconds) {
-      deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(*options.time_limit_seconds));
+      deadline_ = deadline_after(std::chrono::steady_clock::now(),
+                                 *options.time_limit_seconds);
     }
   }
 

@@ -30,18 +30,15 @@ namespace dts {
 [[nodiscard]] std::string_view to_corrected_acronym(DynamicCriterion c) noexcept;
 
 /// Runs the corrected policy over `base_order` on `engine` (reset on
-/// `ci`), writing start times into `out`. The one home of the correction
-/// loop and its DAG gating (tools/dts_lint.py `executor-one-home`):
-/// correction scoring reads the SoA arrays (core/compiled.hpp). Repeated
-/// callers compile once and reuse.
+/// `ci`), writing start times into `out`. On a DAG instance the head is
+/// followed, at its predecessors' latest computation end, only once they
+/// are all scheduled. The one home of the correction loop
+/// (tools/dts_lint.py `executor-one-home`). Repeated callers compile once
+/// and reuse.
 ///
-/// Cost. On a dependency-free instance one CandidateIndex
-/// (heuristics/candidate_index.hpp) over `base_order` answers the head of
-/// the order in amortized O(1) and every correction in O(log n) — O(n log n)
-/// per run — returning exactly the task the linear pick_candidate scan
-/// would; its exactness guard sends a correction whose minimum idle is
-/// tolerance-tied with a different idle to that scan, run over the tied
-/// tasks only. DAG instances keep the O(n) scan per correction. `stats`
+/// Cost. One CandidateIndex (heuristics/candidate_index.hpp) over
+/// `base_order` answers the head of the order in amortized O(1) and every
+/// correction exactly as execute_dynamic answers a pick. `stats`
 /// (optional) accumulates the index's work counters.
 void execute_corrected(const CompiledInstance& ci,
                        std::span<const TaskId> base_order,

@@ -1,8 +1,6 @@
 #include "heuristics/dynamic.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "heuristics/candidate_index.hpp"
 
@@ -61,100 +59,19 @@ TaskId pick_candidate(const CompiledInstance& ci, const Engine& engine,
   return best;
 }
 
-namespace detail {
-
-bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
-                Time& ready) {
-  for (const TaskId dep : ci.deps(id)) {
-    const TaskTimes& pred = out[dep];
-    if (!pred.scheduled()) return false;
-    ready = std::max(ready, pred.comp_start + ci.comp(dep));
-  }
-  return true;
-}
-
-namespace {
-
-/// Cold error funnel for the cross-batch deadlock: every pending task
-/// waits on a predecessor that is neither pending nor scheduled.
-[[noreturn]] void throw_unready_pending(const char* who,
-                                        const CompiledInstance& ci,
-                                        const Schedule& out,
-                                        std::span<const TaskId> pending) {
-  for (const TaskId id : pending) {
-    for (const TaskId dep : ci.deps(id)) {
-      if (!out[dep].scheduled()) {
-        throw std::invalid_argument(
-            std::string(who) + ": task " + std::to_string(id) +
-            " waits on predecessor " + std::to_string(dep) +
-            " which is neither scheduled nor pending here");
-      }
-    }
-  }
-  throw std::logic_error(std::string(who) + ": no pending task is ready");
-}
-
-}  // namespace
-
-void ReadyPicker::step(const char* who, const CompiledInstance& ci,
-                       DynamicCriterion criterion, Engine& engine,
-                       Schedule& out) {
-  fitting.clear();
-  floors.clear();
-  bool any_ready = false;
-  for (TaskId id : pending) {
-    Time ready = 0.0;
-    if (!deps_ready(ci, out, id, ready)) continue;
-    any_ready = true;
-    if (engine.fits(ci.mem(id))) {
-      fitting.push_back(id);
-      floors.push_back(ready);
-    }
-  }
-  if (fitting.empty()) {
-    if (!any_ready) throw_unready_pending(who, ci, out, pending);
-    if (!engine.advance_to_next_release()) {
-      throw std::invalid_argument(
-          std::string(who) + ": a pending task exceeds the memory capacity");
-    }
-    return;
-  }
-  const TaskId chosen = pick_candidate(ci, engine, fitting, criterion, floors);
-  const std::size_t k = static_cast<std::size_t>(
-      std::find(fitting.begin(), fitting.end(), chosen) - fitting.begin());
-  const TaskTimes tt = engine.start(chosen, floors[k]);
-  out.set(chosen, tt.comm_start, tt.comp_start);
-  pending.erase(std::find(pending.begin(), pending.end(), chosen));
-}
-
-}  // namespace detail
-
 void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
                      DynamicCriterion criterion, Engine& engine,
                      Schedule& out, SelectionStats* stats) {
-  if (!ci.has_dependencies()) {
-    CandidateIndex index(ci, ids, criterion);
-    while (!index.empty()) {
-      const std::size_t pos = index.pick(engine);
-      if (pos == CandidateIndex::npos) {
-        if (!engine.advance_to_next_release()) {
-          throw std::invalid_argument(
-              "execute_dynamic: a pending task exceeds the memory capacity");
-        }
-        continue;
-      }
-      const TaskTimes tt = engine.start(ids[pos]);
-      out.set(ids[pos], tt.comm_start, tt.comp_start);
-      index.remove(pos);
+  CandidateIndex index(ci, ids, criterion, out);
+  while (!index.empty()) {
+    const std::size_t pos = index.pick(engine);
+    if (pos == CandidateIndex::npos) {
+      index.wait("execute_dynamic", engine);
+    } else {
+      index.start(pos, engine);
     }
-    if (stats != nullptr) *stats += index.stats();
-    return;
   }
-
-  detail::ReadyPicker picker{{ids.begin(), ids.end()}, {}, {}};
-  while (!picker.pending.empty()) {
-    picker.step("execute_dynamic", ci, criterion, engine, out);
-  }
+  if (stats != nullptr) *stats += index.stats();
 }
 
 }  // namespace dts

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "core/compiled.hpp"
 #include "core/instance.hpp"
@@ -64,8 +63,8 @@ enum class DynamicCriterion {
 /// so the induced-idle score matches what issuing it would actually do on
 /// a DAG instance; empty means no floors (the paper's model).
 ///
-/// This linear scan is the DAG executors' selection, the indexed
-/// selection's near-tie fallback and its test reference.
+/// This linear scan is the indexed selection's near-tie fallback and its
+/// test reference.
 [[nodiscard]] TaskId pick_candidate(const CompiledInstance& ci,
                                     const Engine& engine,
                                     std::span<const TaskId> candidates,
@@ -79,7 +78,8 @@ enum class DynamicCriterion {
 struct SelectionStats {
   std::uint64_t picks = 0;           ///< dynamic picks answered
   std::uint64_t fallback_picks = 0;  ///< picks the near-tie guard rescanned
-  /// Segment-tree nodes touched plus binary-search steps.
+  /// Segment-tree nodes touched, binary-search steps and tasks visited in
+  /// the list of eligible tasks floored after their channel's start.
   std::uint64_t nodes_visited = 0;
   /// Tasks the near-tie fallback scans visited (their tie clusters).
   std::uint64_t fallback_scanned = 0;
@@ -106,52 +106,18 @@ struct SelectionStats {
 /// when every pending task waits on a predecessor outside `ids` that was
 /// never scheduled.
 ///
-/// The one home of the scheduling loop and its DAG gating
-/// (tools/dts_lint.py `executor-one-home` keeps it that way): candidate
-/// scoring reads the SoA arrays. Repeated callers (the batch scheduler)
-/// compile once and reuse.
+/// The one home of the dynamic scheduling loop (tools/dts_lint.py
+/// `executor-one-home` keeps it that way). Repeated callers (the batch
+/// scheduler) compile once and reuse.
 ///
-/// Cost. On a dependency-free instance every pick is answered by one
-/// CandidateIndex (heuristics/candidate_index.hpp) in O(log n) — O(n log n)
-/// per run — and returns exactly the task the linear pick_candidate scan
-/// would: an exactness guard sends a pick whose minimum idle is
-/// tolerance-tied with a different idle to that scan, run over the tied
-/// tasks only. DAG instances (ready floors vary per task) keep the O(n)
-/// scan per pick. `stats` (optional) accumulates the index's work
-/// counters.
+/// Cost. One CandidateIndex (heuristics/candidate_index.hpp) answers
+/// every pick in O(log n), plus a scan of the few eligible tasks whose
+/// predecessors finish after their channel frees, and returns exactly the
+/// task the linear pick_candidate scan would (a pick whose minimum idle
+/// is tolerance-tied with another idle goes to that scan, over the tied
+/// tasks only). `stats` (optional) accumulates the index's work counters.
 void execute_dynamic(const CompiledInstance& ci, std::span<const TaskId> ids,
                      DynamicCriterion criterion, Engine& engine,
                      Schedule& out, SelectionStats* stats = nullptr);
-
-namespace detail {
-
-/// Predecessor readiness of `id` against the starts recorded in `out`:
-/// false when a predecessor is unscheduled, otherwise raises `ready` to
-/// the latest predecessor computation end (DAG instances only).
-bool deps_ready(const CompiledInstance& ci, const Schedule& out, TaskId id,
-                Time& ready);
-
-/// The selection loop of the dynamic and corrected executors on a DAG
-/// instance, where ready floors vary per task so every pick scans the
-/// pending tasks.
-struct ReadyPicker {
-  /// Tasks not started yet, in tie-breaking priority order.
-  std::vector<TaskId> pending;
-
-  /// One step: among the pending tasks whose predecessors are all
-  /// scheduled in `out` and that fit now, starts the one pick_candidate
-  /// prefers at its ready floor and removes it from `pending`. When no
-  /// ready task fits, advances `engine` to the next release instead.
-  /// Throws std::invalid_argument, naming `who`, when no pending task is
-  /// ready (a predecessor outside this run was never scheduled) or a
-  /// ready task can never fit.
-  void step(const char* who, const CompiledInstance& ci,
-            DynamicCriterion criterion, Engine& engine, Schedule& out);
-
-  std::vector<TaskId> fitting;  ///< step() scratch
-  std::vector<Time> floors;     ///< step() scratch, aligned with `fitting`
-};
-
-}  // namespace detail
 
 }  // namespace dts

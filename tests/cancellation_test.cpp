@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 
 #include "core/registry.hpp"
 #include "core/solver.hpp"
@@ -104,6 +105,29 @@ TEST(Cancellation, ShortDeadlineStopsLocalSearchPromptly) {
   EXPECT_TRUE(res.cancelled);
   EXPECT_LT(elapsed, 5.0);
   EXPECT_TRUE(validate_schedule(inst, res.schedule, capacity).ok());
+}
+
+TEST(Cancellation, UnrepresentableTimeLimitMeansNoLimit) {
+  // Budgets past what the steady clock can count from now (infinity,
+  // 1e10 s) are no limit: local search runs its whole iteration budget,
+  // exactly as without one.
+  const Instance inst = wide_instance(20);
+  const Mem capacity = 1.25 * inst.min_capacity();
+  SolveOptions unlimited;
+  unlimited.max_iterations = 500;
+  const SolveResult expected =
+      solve({.instance = inst, .capacity = capacity}, "local-search",
+            unlimited);
+  ASSERT_GT(expected.evaluations, 0u);
+  for (const double limit : {std::numeric_limits<double>::infinity(), 1e10}) {
+    SolveOptions options = unlimited;
+    options.time_limit_seconds = limit;
+    const SolveResult res = solve({.instance = inst, .capacity = capacity},
+                                  "local-search", options);
+    EXPECT_FALSE(res.cancelled) << limit;
+    EXPECT_EQ(res.evaluations, expected.evaluations) << limit;
+    EXPECT_EQ(res.makespan, expected.makespan) << limit;
+  }
 }
 
 TEST(Cancellation, MidRunTokenKeepsTheWindowPrefixOptimized) {

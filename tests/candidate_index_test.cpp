@@ -1,12 +1,15 @@
 /// Differential suite for the indexed candidate selection
 /// (heuristics/candidate_index.hpp): the dynamic and corrected executors
 /// must emit bit-for-bit the schedules of the linear reference kept below
-/// — the pre-index loop that rescans every pending task per pick with the
-/// SoA pick_candidate — on chemistry traces at three time scales, the
-/// duplex CCSD trace, a capacity sweep, integer-tie instances and the same
-/// instances with ~1e-12 comm jitter (which drives the near-tie
-/// fallback), plus the auto-selecting batch runtime (subset ids, carried
-/// state). A second suite guards the work counters' scaling exponent.
+/// — the loop that rescans every eligible pending task per pick with the
+/// SoA pick_candidate, each floored at its predecessors' ends — on
+/// chemistry traces at three time scales, the duplex CCSD trace, CCSD-DAG
+/// contraction chains (whole and in batches of 16, on one and two
+/// channels, at three time scales), a capacity sweep, integer-tie
+/// instances and the same instances with ~1e-12 comm jitter (which drives
+/// the near-tie fallback), plus the auto-selecting batch runtime (subset
+/// ids, carried state). A second suite guards the work counters' scaling
+/// exponent.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -40,21 +44,41 @@ constexpr DynamicCriterion kCriteria[] = {DynamicCriterion::kLargestComm,
                                           DynamicCriterion::kSmallestComm,
                                           DynamicCriterion::kMaxAcceleration};
 
-/// The linear reference: every pick rescans the pending tasks that fit
-/// and runs pick_candidate over them in pending order. `corrected` follows
-/// the head of `order` while it fits (paper §4.3); otherwise it is the
-/// dynamic policy (§4.2) with `order` as the tie-breaking priority.
+/// Whether every predecessor of `id` is scheduled in `out`; `floor` is
+/// then the latest predecessor computation end.
+bool eligible(const CompiledInstance& ci, const Schedule& out, TaskId id,
+              Time& floor) {
+  floor = 0.0;
+  for (const TaskId dep : ci.deps(id)) {
+    if (!out[dep].scheduled()) return false;
+    floor = std::max(floor, out[dep].comp_start + ci.comp(dep));
+  }
+  return true;
+}
+
+/// The linear reference: every pick rescans the pending tasks that are
+/// eligible and fit and runs pick_candidate over them in pending order,
+/// each floored at its predecessors' ends. `corrected` follows the head
+/// of `order` while it is eligible and fits (paper §4.3); otherwise it is
+/// the dynamic policy (§4.2) with `order` as the tie-breaking priority.
 void reference_execute(const CompiledInstance& ci,
                        std::span<const TaskId> order, DynamicCriterion c,
                        bool corrected, Engine& state, Schedule& out) {
   std::vector<TaskId> pending(order.begin(), order.end());
   std::vector<TaskId> fitting;
+  std::vector<Time> floors;
   while (!pending.empty()) {
     TaskId chosen = pending.front();
-    if (!corrected || !state.fits(ci.mem(chosen))) {
+    Time floor = 0.0;
+    if (!corrected || !eligible(ci, out, chosen, floor) ||
+        !state.fits(ci.mem(chosen))) {
       fitting.clear();
+      floors.clear();
       for (const TaskId id : pending) {
-        if (state.fits(ci.mem(id))) fitting.push_back(id);
+        if (eligible(ci, out, id, floor) && state.fits(ci.mem(id))) {
+          fitting.push_back(id);
+          floors.push_back(floor);
+        }
       }
       if (fitting.empty()) {
         if (!state.advance_to_next_release()) {
@@ -62,9 +86,11 @@ void reference_execute(const CompiledInstance& ci,
         }
         continue;
       }
-      chosen = pick_candidate(ci, state, fitting, c);
+      chosen = pick_candidate(ci, state, fitting, c, floors);
+      floor = floors[static_cast<std::size_t>(
+          std::find(fitting.begin(), fitting.end(), chosen) - fitting.begin())];
     }
-    const TaskTimes tt = state.start(chosen);
+    const TaskTimes tt = state.start(chosen, floor);
     out.set(chosen, tt.comm_start, tt.comp_start);
     pending.erase(std::find(pending.begin(), pending.end(), chosen));
   }
@@ -100,13 +126,21 @@ bool bit_equal(Time a, Time b) {
   return ::testing::AssertionSuccess();
 }
 
+/// The corrected heuristics' base order, as run_heuristic builds it: the
+/// Johnson order, repaired against the edges on a DAG.
+std::vector<TaskId> corrected_order(const Instance& inst) {
+  std::vector<TaskId> order = johnson_order(inst);
+  if (inst.has_dependencies()) order = legalize_order(inst, order);
+  return order;
+}
+
 /// Runs the six dynamic/corrected heuristics both ways on a fresh engine
 /// and expects identical schedules; accumulates the index's counters.
 void expect_six_identical(const Instance& inst, Mem capacity,
                           const std::string& label, SelectionStats& stats) {
   const CompiledInstance ci(inst);
   const std::vector<TaskId> submission = inst.submission_order();
-  const std::vector<TaskId> johnson = johnson_order(inst);
+  const std::vector<TaskId> johnson = corrected_order(inst);
   for (const bool corrected : {false, true}) {
     const std::vector<TaskId>& order = corrected ? johnson : submission;
     for (const DynamicCriterion c : kCriteria) {
@@ -169,16 +203,23 @@ TEST(CandidateIndex, CcsdSingleAndDuplex) {
 
 /// Integer durations and footprints over 1-3 channels: exact idle ties
 /// everywhere. `jitter` perturbs each comm by a relative ~1e-12, turning
-/// exact ties into tolerance ties the index must hand to the scan.
-Instance integer_tie_instance(Rng& rng, std::size_t channels, bool jitter) {
+/// exact ties into tolerance ties the index must hand to the scan. `dag`
+/// gives about a third of the tasks a predecessor among the earlier
+/// ones, so ties also meet predecessor floors.
+Instance integer_tie_instance(Rng& rng, std::size_t channels, bool jitter,
+                              bool dag = false) {
   std::vector<Task> tasks(30 + rng.index(30));
-  for (Task& t : tasks) {
+  for (std::size_t k = 0; k < tasks.size(); ++k) {
+    Task& t = tasks[k];
     t.comm = static_cast<Time>(rng.index(6));
     t.comp = static_cast<Time>(rng.index(6));
     t.mem = static_cast<Mem>(1 + rng.index(5));
     t.channel = static_cast<ChannelId>(rng.index(channels));
     if (jitter && rng.chance(0.5)) {
       t.comm *= 1.0 + 1e-12 * static_cast<double>(1 + rng.index(9));
+    }
+    if (dag && k > 0 && rng.chance(0.35)) {
+      t.deps.push_back(static_cast<TaskId>(rng.index(k)));
     }
   }
   return Instance(std::move(tasks));
@@ -202,6 +243,23 @@ TEST(CandidateIndex, IntegerTiesAndJitteredNearTies) {
   EXPECT_GT(exact.picks, 0u);
   EXPECT_GT(jittered.fallback_picks, 0u)
       << "the jittered instances must exercise the near-tie fallback";
+}
+
+TEST(CandidateIndex, IntegerTiesAndJitteredNearTiesOnDags) {
+  SelectionStats jittered;
+  for (const bool jitter : {false, true}) {
+    Rng rng(92);
+    for (int iter = 0; iter < 20; ++iter) {
+      SelectionStats stats;
+      const Instance inst = integer_tie_instance(
+          rng, 1 + static_cast<std::size_t>(iter % 3), jitter, true);
+      sweep_capacities(inst,
+                       std::string(jitter ? "jittered" : "integer") +
+                           " DAG #" + std::to_string(iter),
+                       jitter ? jittered : stats);
+    }
+  }
+  EXPECT_GT(jittered.fallback_picks, 0u);
 }
 
 /// Per-batch order of a static heuristic, restricted to `ids` (the batch
@@ -232,9 +290,21 @@ std::vector<TaskId> static_batch_order(HeuristicId id, const Instance& inst,
       break;
     default: throw std::logic_error("not a static heuristic");
   }
+  if (sub.has_dependencies()) local = legalize_order(sub, local);
   std::vector<TaskId> global;
   for (const TaskId k : local) global.push_back(ids[k]);
   return global;
+}
+
+/// The selection criterion of a dynamic or corrected heuristic.
+DynamicCriterion criterion_of(HeuristicId h) {
+  if (h == HeuristicId::kLCMR || h == HeuristicId::kOOLCMR) {
+    return DynamicCriterion::kLargestComm;
+  }
+  if (h == HeuristicId::kSCMR || h == HeuristicId::kOOSCMR) {
+    return DynamicCriterion::kSmallestComm;
+  }
+  return DynamicCriterion::kMaxAcceleration;
 }
 
 /// The auto-selecting batch runtime with the linear reference in place of
@@ -259,12 +329,7 @@ Schedule reference_auto_batch(const Instance& inst, Mem capacity) {
       if (cat == HeuristicCategory::kDynamic ||
           cat == HeuristicCategory::kCorrected) {
         const bool corrected = cat == HeuristicCategory::kCorrected;
-        const DynamicCriterion c =
-            h == HeuristicId::kLCMR || h == HeuristicId::kOOLCMR
-                ? DynamicCriterion::kLargestComm
-            : h == HeuristicId::kSCMR || h == HeuristicId::kOOSCMR
-                ? DynamicCriterion::kSmallestComm
-                : DynamicCriterion::kMaxAcceleration;
+        const DynamicCriterion c = criterion_of(h);
         const std::vector<TaskId> order =
             corrected
                 ? static_batch_order(HeuristicId::kOOSIM, inst, ids, capacity)
@@ -322,6 +387,90 @@ TEST(CandidateIndex, AutoBatchMatchesTheLinearReference) {
   }
 }
 
+constexpr HeuristicId kSelecting[] = {
+    HeuristicId::kLCMR,   HeuristicId::kSCMR,   HeuristicId::kMAMR,
+    HeuristicId::kOOLCMR, HeuristicId::kOOSCMR, HeuristicId::kOOMAMR};
+
+/// schedule_in_batches for one dynamic or corrected heuristic with the
+/// linear reference in place of the indexed executors: batches of
+/// `batch_size` along the topological order, one live engine, and one
+/// schedule in which later batches read their predecessors' ends.
+Schedule reference_in_batches(HeuristicId h, const Instance& inst,
+                              Mem capacity, std::size_t batch_size) {
+  const CompiledInstance ci(inst);
+  const std::vector<TaskId> sequence = inst.topological_order();
+  Engine state(ci, capacity);
+  Schedule out(inst.size());
+  const bool corrected = info(h).category == HeuristicCategory::kCorrected;
+  const DynamicCriterion c = criterion_of(h);
+  for (std::size_t lo = 0; lo < sequence.size(); lo += batch_size) {
+    const std::span<const TaskId> ids(
+        &sequence[lo], std::min(batch_size, sequence.size() - lo));
+    const std::vector<TaskId> order =
+        corrected ? static_batch_order(HeuristicId::kOOSIM, inst, ids, capacity)
+                  : std::vector<TaskId>(ids.begin(), ids.end());
+    reference_execute(ci, order, c, corrected, state, out);
+  }
+  return out;
+}
+
+/// Contraction chains: eligibility, predecessor floors and the list of
+/// tasks floored after their channel's start, over whole traces and
+/// batches of 16 that read earlier batches' ends from the schedule.
+TEST(CandidateIndex, CcsdDagWholeTraceAndBatches) {
+  SelectionStats stats;
+  for (const char* machine : {"paper", "duplex-pcie"}) {
+    const Instance dag =
+        generate_ccsd_dag_trace(trace_config(1, machine_from_name(machine)));
+    ASSERT_TRUE(dag.has_dependencies());
+    for (const double s : {1.0, 1e-3, 1e3}) {
+      const Instance inst = scale_times(dag, s, s);
+      const std::string label =
+          std::string("CCSD-DAG ") + machine + " x" + std::to_string(s);
+      sweep_capacities(inst, label, stats);
+      for (const double f : {1.125, 1.5, 3.0}) {
+        const Mem capacity = f * inst.min_capacity();
+        for (const HeuristicId h : kSelecting) {
+          EXPECT_TRUE(identical(reference_in_batches(h, inst, capacity, 16),
+                                schedule_in_batches(h, inst, capacity, 16)))
+              << label << " x" << f << " mc, batches of 16, " << info(h).name;
+        }
+      }
+    }
+  }
+  EXPECT_GT(stats.picks, 0u);
+}
+
+/// A run whose task waits on a predecessor outside it that was never
+/// scheduled schedules what it can, then names both.
+TEST(CandidateIndex, UnscheduledOutsidePredecessorIsNamed) {
+  std::vector<Task> tasks(3);
+  for (Task& t : tasks) {
+    t.comm = 1.0;
+    t.comp = 1.0;
+    t.mem = 1.0;
+  }
+  tasks[1].deps = {0};
+  const Instance inst(std::move(tasks));
+  const CompiledInstance ci(inst);
+  const std::vector<TaskId> ids = {1, 2};
+  for (const bool corrected : {false, true}) {
+    Engine state(ci, 4.0);
+    Schedule out(inst.size());
+    try {
+      indexed_execute(ci, ids, DynamicCriterion::kLargestComm, corrected,
+                      state, out);
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string(corrected ? "execute_corrected" : "execute_dynamic") +
+                    ": task 1 waits on predecessor 0 which is neither "
+                    "scheduled nor pending here");
+    }
+    EXPECT_TRUE(out[2].scheduled());
+  }
+}
+
 // --------------------------------------------------- complexity guard
 
 /// Least-squares slope of log(work) over log(n).
@@ -340,28 +489,39 @@ double loglog_slope(const std::vector<double>& n,
   return (k * sxy - sx * sy) / (k * sxx - sx * sx);
 }
 
+using Generator = std::function<Instance(const TraceConfig&)>;
+
+Generator kernel_traces(ChemistryKernel kernel) {
+  return [kernel](TraceConfig config) {
+    // A duplex trace adds one write-back per fetched task.
+    const std::size_t per_task = config.machine.duplex() ? 2 : 1;
+    config.min_tasks /= per_task;
+    config.max_tasks /= per_task;
+    return generate_trace(kernel, config);
+  };
+}
+
 /// Deterministic complexity guard: the index's work counter (tree nodes
-/// visited plus fallback candidates scanned) over all six heuristics at
+/// visited, floored tasks visited and fallback candidates scanned) over
+/// all six heuristics at
 /// 1.5 mc must scale no worse than n^1.2 from n = 1k to 16k tasks. The
 /// linear scan it replaces scales as n^2.
-void expect_subquadratic(ChemistryKernel kernel, Machine machine) {
+void expect_subquadratic(const Generator& generate, Machine machine) {
   if (kAuditsEnabled) {
     GTEST_SKIP() << "audit builds cross-check every pick against the O(n) "
                     "scan; the counters are build-independent and guarded "
                     "by the other builds";
   }
-  // A duplex trace adds one write-back per fetched task.
-  const std::size_t per_task = machine.duplex() ? 2 : 1;
   std::vector<double> sizes;
   std::vector<double> work;
   for (std::size_t n = 1000; n <= 16000; n *= 2) {
-    TraceConfig config{.seed = 5, .min_tasks = n / per_task,
-                       .max_tasks = n / per_task, .machine = machine};
-    const Instance inst = generate_trace(kernel, config);
+    const TraceConfig config{
+        .seed = 5, .min_tasks = n, .max_tasks = n, .machine = machine};
+    const Instance inst = generate(config);
     const CompiledInstance ci(inst);
     const Mem capacity = 1.5 * inst.min_capacity();
     const std::vector<TaskId> submission = inst.submission_order();
-    const std::vector<TaskId> johnson = johnson_order(inst);
+    const std::vector<TaskId> johnson = corrected_order(inst);
     SelectionStats stats;
     for (const DynamicCriterion c : kCriteria) {
       for (const bool corrected : {false, true}) {
@@ -380,22 +540,31 @@ void expect_subquadratic(ChemistryKernel kernel, Machine machine) {
 }
 
 TEST(SelectionScaling, HartreeFockSingleChannel) {
-  expect_subquadratic(ChemistryKernel::kHartreeFock,
+  expect_subquadratic(kernel_traces(ChemistryKernel::kHartreeFock),
                       machine_from_name("paper"));
 }
 
 TEST(SelectionScaling, HartreeFockDuplex) {
-  expect_subquadratic(ChemistryKernel::kHartreeFock,
+  expect_subquadratic(kernel_traces(ChemistryKernel::kHartreeFock),
                       machine_from_name("duplex-pcie"));
 }
 
 TEST(SelectionScaling, CcsdSingleChannel) {
-  expect_subquadratic(ChemistryKernel::kCoupledClusterSD,
+  expect_subquadratic(kernel_traces(ChemistryKernel::kCoupledClusterSD),
                       machine_from_name("paper"));
 }
 
 TEST(SelectionScaling, CcsdDuplex) {
-  expect_subquadratic(ChemistryKernel::kCoupledClusterSD,
+  expect_subquadratic(kernel_traces(ChemistryKernel::kCoupledClusterSD),
+                      machine_from_name("duplex-pcie"));
+}
+
+TEST(SelectionScaling, CcsdDagSingleChannel) {
+  expect_subquadratic(generate_ccsd_dag_trace, machine_from_name("paper"));
+}
+
+TEST(SelectionScaling, CcsdDagDuplex) {
+  expect_subquadratic(generate_ccsd_dag_trace,
                       machine_from_name("duplex-pcie"));
 }
 

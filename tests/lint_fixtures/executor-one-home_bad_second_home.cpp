@@ -1,7 +1,8 @@
 // lint-as: src/core/batch.cpp
-void execute_corrected(const Instance& inst, std::span<const TaskId> ids,
-                       DynamicCriterion criterion, ExecutionState& state,
-                       Schedule& out) {
-  const CompiledInstance ci(inst);
-  execute_corrected(ci, ids, criterion, state, out);
+void execute_corrected(const CompiledInstance& ci,
+                       std::span<const TaskId> base_order,
+                       DynamicCriterion criterion, Engine& engine,
+                       Schedule& out, SelectionStats* stats) {
+  CandidateIndex index(ci, base_order, criterion, out);
+  while (!index.empty()) index.start(index.head(), engine);
 }

@@ -197,6 +197,29 @@ TEST(SolverPool, DeadlineExpiresWhileQueued) {
   pool.shutdown(DrainMode::kDrain);
 }
 
+TEST(SolverPool, UnrepresentableDeadlineMeansNoDeadline) {
+  // 1e10 s is past what the steady clock can count from now: the job
+  // must run to completion, not expire before it starts.
+  SolverPoolOptions options;
+  options.workers = 1;
+  SolverPool pool(options);
+  Rng rng(405);
+  JobRequest job;
+  job.request.instance = testing::random_instance(rng, 20);
+  job.request.capacity = 1.25 * job.request.instance.min_capacity();
+  job.solver = "local-search";
+  job.options = quiet_options();
+  job.options.max_iterations = 200;
+  job.deadline_seconds = 1e10;
+  const JobOutcome& outcome = pool.submit(job).wait();
+  EXPECT_EQ(outcome.status, JobStatus::kDone) << outcome.error;
+  ASSERT_TRUE(outcome.has_result);
+  EXPECT_FALSE(outcome.result.cancelled);
+  EXPECT_EQ(outcome.result.makespan,
+            solve(job.request, job.solver, job.options).makespan);
+  pool.shutdown(DrainMode::kDrain);
+}
+
 TEST(SolverPool, PriorityPolicyRunsHighPriorityFirst) {
   SolverPoolOptions options;
   options.workers = 1;

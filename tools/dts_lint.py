@@ -15,9 +15,11 @@ ones that otherwise live only in reviewers' heads:
                            MachineRegistry::add site a MachineChannels{...}
                            declaration.
   executor-one-home        execute_dynamic / execute_corrected each have
-                           exactly one defining home (their compiled-first
-                           body); the raw-Instance overloads only compile
-                           and delegate, so DAG gating can never fork.
+                           exactly one defining home, and pick_candidate
+                           is called in src/ only from the indexed
+                           selection (heuristics/candidate_index.cpp), so
+                           candidate selection and its DAG gating can
+                           never fork into a second implementation.
   heuristic-dispatch-one-home
                            a `case HeuristicId::` label appears only in
                            src/core/registry.cpp: what each paper
@@ -423,19 +425,21 @@ def check_hot_path_noalloc(path: str, raw: str, code: str):
                     "errors through a cold [[noreturn]] helper")
 
 
-# The compiled-first executors own the scheduling loop and its dependency
-# gating; the raw-Instance overloads are convenience delegators. One home
-# each — a second definition elsewhere, or selection logic creeping back
-# into a delegator, would fork the DAG semantics between two copies.
+# The executors own the scheduling loops, and CandidateIndex owns candidate
+# selection with its DAG gating (eligibility, predecessor floors). One home
+# each: a second executor definition, or a loop elsewhere that calls the
+# linear pick_candidate scan itself, would fork the selection semantics
+# into two copies that only tests keep equal.
 EXECUTOR_HOMES = {
     "execute_dynamic": "src/heuristics/dynamic.cpp",
     "execute_corrected": "src/heuristics/corrections.cpp",
 }
-EXECUTOR_LOGIC_TOKENS = ("pick_candidate", ".start(", "deps_ready")
+SELECTION_HOME = "src/heuristics/candidate_index.cpp"
 
 
 def check_executor_one_home(path: str, raw: str, code: str):
-    """execute_dynamic/execute_corrected: one compiled-first home each."""
+    """One defining home per executor; pick_candidate called only from
+    the indexed selection."""
     for m in re.finditer(r"\bvoid\s+(execute_dynamic|execute_corrected)\s*\(",
                          code):
         name = m.group(1)
@@ -447,20 +451,18 @@ def check_executor_one_home(path: str, raw: str, code: str):
             yield Finding(
                 "executor-one-home", path, line_of(code, m.start()),
                 f"{name} defined outside its home ({EXECUTOR_HOMES[name]}) "
-                "— the scheduling loop and its dependency gating live in "
-                "exactly one place")
-            continue
-        if "CompiledInstance" in params:
-            continue  # the compiled-first body IS the one home
-        body = balanced_extent(code, after, "{", "}")
-        logic = [t for t in EXECUTOR_LOGIC_TOKENS if t in body]
-        if logic or not re.search(name + r"\s*\(\s*ci\b", body):
-            yield Finding(
-                "executor-one-home", path, line_of(code, m.start()),
-                f"raw-Instance {name} overload must only compile the "
-                "instance and delegate to the compiled-first overload"
-                + (f" (found scheduling logic: {', '.join(logic)})"
-                   if logic else ""))
+                "— each scheduling loop lives in exactly one place")
+    if not path.startswith("src/") or path == SELECTION_HOME:
+        return
+    for m in re.finditer(r"\bpick_candidate\s*\(", code):
+        if re.search(r"\bTaskId\s*$", code[max(0, m.start() - 64):m.start()]):
+            continue  # its declaration or definition
+        yield Finding(
+            "executor-one-home", path, line_of(code, m.start()),
+            "pick_candidate called outside " + SELECTION_HOME +
+            " — select candidates through CandidateIndex, the one "
+            "selection implementation (the linear scan is its fallback "
+            "and audit reference)")
 
 
 HEURISTIC_DISPATCH_HOME = "src/core/registry.cpp"
