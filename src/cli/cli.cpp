@@ -578,10 +578,11 @@ int cmd_improve(const CommandLine& cmd, std::ostream& out,
 }
 
 int cmd_solvers(std::ostream& out) {
-  TextTable table({"solver", "arguments", "channels", "deps", "description"});
+  TextTable table({"solver", "arguments", "deps", "description"});
   for (const SolverListing& listing : list_solvers()) {
-    table.add_row({listing.name, listing.params, listing.channels,
-                   listing.deps, listing.description});
+    table.add_row({listing.name, listing.params,
+                   listing.traits.dag ? "any" : "independent",
+                   listing.description});
   }
   out << table.to_ascii();
   return 0;

@@ -1,5 +1,6 @@
 #include "core/solver.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <mutex>
 #include <sstream>
@@ -76,8 +77,8 @@ SolverRegistry& SolverRegistry::global() {
 }
 
 void SolverRegistry::add(std::string key, std::string params,
-                         std::string description, SolverChannels channels,
-                         SolverDeps deps, Factory factory) {
+                         std::string description, SolverTraits traits,
+                         Factory factory) {
   if (key.empty()) throw std::logic_error("solver key must not be empty");
   if (key.find(':') != std::string::npos) {
     throw std::logic_error("solver key '" + key +
@@ -90,20 +91,21 @@ void SolverRegistry::add(std::string key, std::string params,
     }
   }
   entries_.push_back(Entry{std::move(key), std::move(params),
-                           std::move(description),
-                           std::string(to_string(channels)),
-                           std::string(to_string(deps)),
+                           std::move(description), traits,
                            std::move(factory)});
 }
 
 std::unique_ptr<Solver> SolverRegistry::make(std::string_view name) const {
   const SolverSpec spec = SolverSpec::parse(name);
   Factory factory;
+  std::size_t max_args = 0;
   {
     const std::lock_guard<std::mutex> lock(registry_mutex());
     for (const Entry& entry : entries_) {
       if (entry.key == spec.base) {
         factory = entry.factory;
+        max_args = static_cast<std::size_t>(
+            std::count(entry.params.begin(), entry.params.end(), ':'));
         break;
       }
     }
@@ -113,6 +115,20 @@ std::unique_ptr<Solver> SolverRegistry::make(std::string_view name) const {
     message << "unknown solver '" << spec.base << "'; available:";
     for (const std::string& key : keys()) message << " " << key;
     throw std::invalid_argument(message.str());
+  }
+  // The declared arity is checked here, so no factory sees extra arguments.
+  if (spec.args.size() > max_args) {
+    if (max_args == 0) {
+      throw std::invalid_argument("solver '" + spec.base +
+                                  "' takes no ':' arguments (got '" +
+                                  spec.full + "')");
+    }
+    const std::string most = max_args == 1   ? "one argument"
+                             : max_args == 2 ? "two arguments"
+                                             : std::to_string(max_args) +
+                                                   " arguments";
+    throw std::invalid_argument("solver '" + spec.full +
+                                "': expected at most " + most);
   }
   return factory(spec);
 }
@@ -131,19 +147,16 @@ std::vector<SolverListing> SolverRegistry::listings() const {
   rows.reserve(entries_.size());
   for (const Entry& entry : entries_) {
     rows.push_back(SolverListing{entry.key, entry.params, entry.description,
-                                 entry.channels, entry.deps});
+                                 entry.traits});
   }
   return rows;
 }
 
-std::optional<SolverListing> SolverRegistry::listing(
+std::optional<SolverTraits> SolverRegistry::traits(
     std::string_view key) const {
   const std::lock_guard<std::mutex> lock(registry_mutex());
   for (const Entry& entry : entries_) {
-    if (entry.key == key) {
-      return SolverListing{entry.key, entry.params, entry.description,
-                           entry.channels, entry.deps};
-    }
+    if (entry.key == key) return entry.traits;
   }
   return std::nullopt;
 }
@@ -169,21 +182,25 @@ SolveResult solve_bound(const SolveRequest& request, std::string_view solver,
   if (request.batch_size && *request.batch_size == 0) {
     throw std::invalid_argument("solve: batch_size must be > 0");
   }
-  // Central dependency gate: a solver that declared kIndependent never
-  // sees a DAG request — rejecting here (off the declaration, before the
-  // factory runs) means the edges can never be silently ignored.
-  if (request.instance.has_dependencies()) {
-    const SolverSpec spec = SolverSpec::parse(solver);
-    const std::optional<SolverListing> row =
-        SolverRegistry::global().listing(spec.base);
-    if (row && row->deps != "any") {
-      throw std::invalid_argument(
-          "solve: solver '" + spec.base +
-          "' schedules independent task sets only (deps=independent), but "
-          "the instance declares dependency edges");
-    }
+  // The declared traits are enforced here, in the order DAG edges (before
+  // the factory runs), arguments (make), batch window, so no solver ever
+  // sees a request it did not declare. An unknown key gets the defaults
+  // and make() reports it.
+  const SolverRegistry& registry = SolverRegistry::global();
+  const SolverSpec spec = SolverSpec::parse(solver);
+  const SolverTraits traits =
+      registry.traits(spec.base).value_or(SolverTraits{});
+  if (!traits.dag && request.instance.has_dependencies()) {
+    throw std::invalid_argument(
+        "solve: solver '" + spec.base +
+        "' schedules independent task sets only (deps=independent), but "
+        "the instance declares dependency edges");
   }
-  const std::unique_ptr<Solver> impl = SolverRegistry::global().make(solver);
+  const std::unique_ptr<Solver> impl = registry.make(solver);
+  if (request.batch_size && !traits.batch) {
+    throw std::invalid_argument("solver '" + spec.base +
+                                "' does not support a batch window");
+  }
   const auto start = std::chrono::steady_clock::now();
   SolveResult result = impl->run(request, options);
   result.wall_seconds =

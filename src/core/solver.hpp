@@ -16,15 +16,17 @@
 /// edits, no new entry points:
 ///
 ///   namespace { const dts::RegisterSolver reg{
-///       "my-solver", "", "one-line description", dts::SolverChannels::kAny,
-///       dts::SolverDeps::kAny,
+///       "my-solver", "", "one-line description",
+///       dts::SolverTraits{.batch = false, .dag = true},
 ///       [](const dts::SolverSpec&) { return std::make_unique<MySolver>(); }}; }
 ///
-/// Every registration declares its capabilities up front — channel support
-/// (SolverChannels below) and dependency support (SolverDeps below). The
-/// listings, `dts solvers` and the differential suite's per-solver
-/// expectations are derived from these columns, so an undeclared
-/// capability is a compile error, not a silent "any".
+/// Every registration declares what the solver accepts, as data beside
+/// its factory: the `params` usage string defines how many ':' arguments
+/// the name may carry (one per ':', so "[:K[:common|pair]]" allows two),
+/// and SolverTraits (below) whether it honors a batch window and
+/// dependency edges. The registry and solve() enforce these declarations
+/// in one place, before the solver runs, so no adapter re-checks them;
+/// `dts solvers` and the differential suite read the same declarations.
 ///
 /// Names are parameterized with ':' — "auto-batch:16" is the base key
 /// "auto-batch" with argument "16". The registered solvers are thin
@@ -97,8 +99,8 @@ class MachineRef {
 
 /// What to solve: an instance under a memory capacity, optionally through
 /// the batched runtime (the solver only sees `batch_size` tasks at a time,
-/// paper §6.3). Solvers that cannot honor a batch window reject requests
-/// that set one.
+/// paper §6.3). solve() rejects a batch window aimed at a solver whose
+/// SolverTraits do not declare `batch`.
 ///
 /// The copy engines are implied by the instance (tasks' highest channel
 /// id); single-channel requests follow the exact legacy semantics of the
@@ -153,9 +155,9 @@ class CancellationToken {
 /// entry points so solve() is a drop-in replacement.
 struct SolveOptions {
   /// Wall-clock budget measured from solver entry. Long-running solvers
-  /// (branch-bound) stop at the deadline and return their incumbent with
-  /// SolveResult::cancelled set; one-shot heuristics ignore it (they finish
-  /// in microseconds).
+  /// (the exact searches, window, local search) stop at the deadline and
+  /// return their incumbent with SolveResult::cancelled set; one-shot
+  /// heuristics ignore it (they finish in microseconds).
   std::optional<double> time_limit_seconds;
   /// Cooperative cancellation, same semantics as the deadline.
   CancellationToken cancel;
@@ -311,68 +313,29 @@ class Solver {
  public:
   virtual ~Solver() = default;
 
-  /// The name this solver was resolved under (the full spec).
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
   /// Solves the request. Implementations fill winner, schedule, makespan,
   /// evaluations, outcomes, cancelled and detail; solve() adds bounds and
-  /// wall time. Throws std::invalid_argument for requests the solver
-  /// cannot honor (e.g. a batch window on an exact solver).
+  /// wall time. The request already satisfies the solver's declared
+  /// SolverTraits; other unsupported requests throw std::invalid_argument.
   [[nodiscard]] virtual SolveResult run(const SolveRequest& request,
                                         const SolveOptions& options) const = 0;
 };
 
-/// Channel capability a solver declares when it registers: every
-/// registration site states explicitly whether the strategy handles any
-/// channel count or models one link only (tools/dts_lint.py enforces the
-/// declaration is present at the site). The differential suite derives
-/// its per-solver expectations from this column, so a wrong declaration
-/// fails CI rather than silently skipping coverage.
-enum class SolverChannels {
-  kAny,     ///< per-channel clocks handled; accepts duplex requests
-  kSingle,  ///< models one link; rejects multi-channel requests
+/// What a solver accepts, declared at its registration. solve() enforces
+/// both fields centrally, so a declaration can never be silently ignored:
+/// a DAG request to a solver without `dag` is rejected before the factory
+/// runs, and a batch window to one without `batch` right after it.
+struct SolverTraits {
+  bool batch = false;  ///< honors SolveRequest::batch_size
+  bool dag = true;     ///< enforces precedence edges (Task::deps)
 };
-
-/// The listings string for a capability ("any" / "single").
-[[nodiscard]] constexpr std::string_view to_string(
-    SolverChannels channels) noexcept {
-  return channels == SolverChannels::kSingle ? "single" : "any";
-}
-
-/// Dependency capability a solver declares when it registers, mirroring
-/// SolverChannels: whether the strategy honors task DAGs (precedence
-/// edges, Task::deps) or schedules independent task sets only. solve()
-/// centrally rejects a DAG request aimed at a kIndependent solver with a
-/// clear error instead of letting the edges be silently ignored, and the
-/// differential suite derives its per-solver DAG expectations from this
-/// column — a wrong declaration fails CI.
-enum class SolverDeps {
-  kAny,          ///< precedence edges enforced; accepts DAG requests
-  kIndependent,  ///< independent tasks only; solve() rejects DAG requests
-};
-
-/// The listings string for a dependency capability ("any" / "independent").
-[[nodiscard]] constexpr std::string_view to_string(SolverDeps deps) noexcept {
-  return deps == SolverDeps::kIndependent ? "independent" : "any";
-}
 
 /// One row of SolverRegistry::listings().
 struct SolverListing {
   std::string name;         ///< registry key, e.g. "auto-batch"
   std::string params;       ///< accepted arguments, e.g. "[:BATCH]"
   std::string description;
-  /// Channel support the solver declares: "any" (every built-in — the
-  /// engine keeps one clock per copy engine and the exact searches
-  /// enumerate per-channel orders) or "single" for a strategy that models
-  /// one link and rejects duplex requests. `dts solvers` lists this
-  /// column; the differential suite derives its per-solver expectations
-  /// from it.
-  std::string channels = "any";
-  /// Dependency support the solver declares: "any" (precedence edges
-  /// enforced) or "independent" (solve() rejects DAG requests before the
-  /// solver runs). Same contract as `channels`: listed by `dts solvers`,
-  /// consumed by the differential suite.
-  std::string deps = "any";
+  SolverTraits traits;
 };
 
 /// String-keyed factory registry. Factories self-register via the
@@ -388,15 +351,17 @@ class SolverRegistry {
   [[nodiscard]] static SolverRegistry& global();
 
   /// Registers a factory under `key`. Throws std::logic_error when the key
-  /// is already taken or empty. `channels` and `deps` are the capabilities
-  /// the solver declares — required at every site; there is deliberately
-  /// no defaulting overload.
+  /// is already taken or empty. `params` is the usage string of the ':'
+  /// arguments, one ':' per argument the name may carry ("" for none);
+  /// `traits` is what the solver accepts. Both are required at every site.
   void add(std::string key, std::string params, std::string description,
-           SolverChannels channels, SolverDeps deps, Factory factory);
+           SolverTraits traits, Factory factory);
 
   /// Instantiates the solver a (possibly parameterized) name refers to.
   /// Throws std::invalid_argument for an unknown base key — the message
-  /// lists every available name — or factory-rejected arguments.
+  /// lists every available name —, for more arguments than the key's
+  /// `params` declares (before the factory runs) or for factory-rejected
+  /// arguments.
   [[nodiscard]] std::unique_ptr<Solver> make(std::string_view name) const;
 
   [[nodiscard]] bool contains(std::string_view key) const;
@@ -404,11 +369,9 @@ class SolverRegistry {
   /// Every registered solver, in registration order.
   [[nodiscard]] std::vector<SolverListing> listings() const;
 
-  /// The listing of one base key (no ':' arguments), or nullopt for an
-  /// unknown key. solve() consults this for the declared capabilities
-  /// before instantiating the solver.
-  [[nodiscard]] std::optional<SolverListing> listing(
-      std::string_view key) const;
+  /// The declared traits of one base key (no ':' arguments), or nullopt
+  /// for an unknown key.
+  [[nodiscard]] std::optional<SolverTraits> traits(std::string_view key) const;
 
   /// Registered keys, in registration order (error messages, --list-solvers).
   [[nodiscard]] std::vector<std::string> keys() const;
@@ -418,8 +381,7 @@ class SolverRegistry {
     std::string key;
     std::string params;
     std::string description;
-    std::string channels;
-    std::string deps;
+    SolverTraits traits;
     Factory factory;
   };
   std::vector<Entry> entries_;  // small; linear lookup, stable order
@@ -429,10 +391,9 @@ class SolverRegistry {
 /// any linked translation unit adds the factory before main() runs.
 struct RegisterSolver {
   RegisterSolver(std::string key, std::string params, std::string description,
-                 SolverChannels channels, SolverDeps deps,
-                 SolverRegistry::Factory factory) {
+                 SolverTraits traits, SolverRegistry::Factory factory) {
     SolverRegistry::global().add(std::move(key), std::move(params),
-                                 std::move(description), channels, deps,
+                                 std::move(description), traits,
                                  std::move(factory));
   }
 };
@@ -440,7 +401,8 @@ struct RegisterSolver {
 /// The single entry point: resolves `solver` in the global registry, runs
 /// it, and fills in bounds, ratio and wall time. Throws
 /// std::invalid_argument for unknown solvers, capacities below the
-/// instance's minimum, or solver-rejected requests.
+/// instance's minimum, requests outside the solver's declared traits or
+/// arguments, or solver-rejected requests.
 [[nodiscard]] SolveResult solve(const SolveRequest& request,
                                 std::string_view solver = "auto",
                                 const SolveOptions& options = {});

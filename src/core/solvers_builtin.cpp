@@ -29,21 +29,6 @@ namespace dts {
 
 namespace {
 
-void expect_no_args(const SolverSpec& spec) {
-  if (!spec.args.empty()) {
-    throw std::invalid_argument("solver '" + spec.base +
-                                "' takes no ':' arguments (got '" + spec.full +
-                                "')");
-  }
-}
-
-void reject_batch(const SolveRequest& request, std::string_view solver) {
-  if (request.batch_size) {
-    throw std::invalid_argument("solver '" + std::string(solver) +
-                                "' does not support a batch window");
-  }
-}
-
 Time makespan_of(const SolveRequest& request, const Schedule& schedule) {
   return request.instance.empty() ? 0.0 : schedule.makespan(request.instance);
 }
@@ -52,12 +37,7 @@ Time makespan_of(const SolveRequest& request, const Schedule& schedule) {
 /// the batch runtime.
 class HeuristicSolver final : public Solver {
  public:
-  HeuristicSolver(HeuristicId id, std::string name)
-      : id_(id), name_(std::move(name)) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return name_;
-  }
+  explicit HeuristicSolver(HeuristicId id) : id_(id) {}
 
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions& /*options*/) const override {
@@ -75,7 +55,6 @@ class HeuristicSolver final : public Solver {
 
  private:
   HeuristicId id_;
-  std::string name_;
 };
 
 /// Per-batch win counts -> outcomes + overall winner (most wins, ties to
@@ -108,26 +87,12 @@ void fill_batch_outcomes(const std::vector<HeuristicId>& candidates,
 /// run.
 class AutoSolver final : public Solver {
  public:
-  AutoSolver(std::vector<HeuristicId> candidates, std::string name,
+  AutoSolver(std::vector<HeuristicId> candidates,
              std::optional<std::size_t> forced_batch)
-      : candidates_(std::move(candidates)),
-        name_(std::move(name)),
-        forced_batch_(forced_batch) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return name_;
-  }
+      : candidates_(std::move(candidates)), forced_batch_(forced_batch) {}
 
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions& options) const override {
-    if (!request.instance.empty() &&
-        definitely_less(request.capacity, request.instance.min_capacity())) {
-      // Checked up front so the message names the cause, as the legacy
-      // entry points' invalid_argument does, instead of the first
-      // candidate's "never fits" from the engine.
-      throw std::invalid_argument(
-          "auto: a task exceeds the memory capacity");
-    }
     const std::optional<std::size_t> batch =
         forced_batch_ ? forced_batch_ : request.batch_size;
     return batch ? run_batched(request, *batch, options)
@@ -179,7 +144,6 @@ class AutoSolver final : public Solver {
   }
 
   std::vector<HeuristicId> candidates_;
-  std::string name_;
   std::optional<std::size_t> forced_batch_;
 };
 
@@ -202,13 +166,8 @@ std::vector<HeuristicId> candidates_for(const SolverSpec& spec,
 /// Hill climbing on top of the best registry heuristic (local_search.hpp).
 class LocalSearchSolver final : public Solver {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "local-search";
-  }
-
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions& options) const override {
-    reject_batch(request, name());
     LocalSearchOptions search;
     search.max_iterations = options.max_iterations;
     search.max_no_improve = options.max_no_improve;
@@ -244,13 +203,8 @@ class BranchBoundSolver final : public Solver {
  public:
   explicit BranchBoundSolver(std::size_t max_n) : max_n_(max_n) {}
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "branch-bound";
-  }
-
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions& options) const override {
-    reject_batch(request, name());
     PairOrderOptions search;
     search.max_n = max_n_;
     if (!request.instance.empty()) {
@@ -308,13 +262,8 @@ class MilpSolver final : public Solver {
  public:
   explicit MilpSolver(std::size_t grid) : grid_(grid) {}
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "milp";
-  }
-
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions& options) const override {
-    reject_batch(request, name());
     MilpOptions milp;
     milp.grid = grid_;
     milp.max_nodes = options.max_iterations;
@@ -354,13 +303,8 @@ class MilpSolver final : public Solver {
 /// lives entirely behind the registry key.
 class DuplexBalanceSolver final : public Solver {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "duplex-balance";
-  }
-
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions& /*options*/) const override {
-    reject_batch(request, name());
     SolveResult result;
     result.winner = "duplex-balance";
     result.schedule =
@@ -371,28 +315,37 @@ class DuplexBalanceSolver final : public Solver {
   }
 };
 
-/// Exact search over permutation (common-order) schedules.
+/// Exact search over permutation (common-order) schedules. Honors the
+/// deadline/cancellation token like BranchBoundSolver, with the same
+/// submission-order fallback when stopped before the first incumbent.
 class ExhaustiveSolver final : public Solver {
  public:
   explicit ExhaustiveSolver(std::size_t max_n) : max_n_(max_n) {}
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "exhaustive";
-  }
-
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions& options) const override {
-    reject_batch(request, name());
     ExhaustiveOptions search;
     search.max_n = max_n_;
     search.executor = options.executor;
+    const StopCondition stop(options);
+    if (stop.armed()) {
+      search.should_stop = [&stop] { return stop.stop_requested(); };
+    }
     ExhaustiveResult res =
         best_common_order(request.instance, request.capacity, search);
     SolveResult result;
     result.winner = "exhaustive";
-    result.schedule = std::move(res.schedule);
-    result.makespan = request.instance.empty() ? 0.0 : res.makespan;
+    result.cancelled = res.stopped;
     result.evaluations = res.permutations_tried;
+    if (res.makespan == kInfiniteTime) {
+      result.schedule =
+          run_heuristic(HeuristicId::kOS, request.instance, request.capacity);
+      result.makespan = makespan_of(request, result.schedule);
+      result.detail = "stopped before the first incumbent; submission order";
+    } else {
+      result.schedule = std::move(res.schedule);
+      result.makespan = res.makespan;
+    }
     return result;
   }
 
@@ -405,13 +358,8 @@ class WindowedSolver final : public Solver {
  public:
   explicit WindowedSolver(WindowOptions options) : options_(options) {}
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "window";
-  }
-
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions& options) const override {
-    reject_batch(request, name());
     WindowOptions window = options_;
     window.executor = options.executor;
     const StopCondition stop(options);
@@ -454,10 +402,6 @@ WindowOptions parse_window_spec(const SolverSpec& spec) {
                                   "' (use common or pair)");
     }
   }
-  if (spec.args.size() > 2) {
-    throw std::invalid_argument("solver '" + spec.full +
-                                "': expected at most two arguments");
-  }
   return options;
 }
 
@@ -468,58 +412,41 @@ namespace detail {
 void register_builtin_solvers(SolverRegistry& registry) {
   for (const HeuristicInfo& h : all_heuristics()) {
     registry.add(std::string(h.name), "", std::string(h.description),
-                 SolverChannels::kAny, SolverDeps::kAny,
-                 [id = h.id](const SolverSpec& spec) {
-                   expect_no_args(spec);
-                   return std::make_unique<HeuristicSolver>(id, spec.full);
+                 {.batch = true, .dag = true}, [id = h.id](const SolverSpec&) {
+                   return std::make_unique<HeuristicSolver>(id);
                  });
   }
   registry.add(
       "auto", "[:all|baseline|static|dynamic|corrected]",
       "evaluate every candidate heuristic, keep the best schedule",
-      SolverChannels::kAny, SolverDeps::kAny, [](const SolverSpec& spec) {
-        if (spec.args.size() > 1) {
-          throw std::invalid_argument("solver '" + spec.full +
-                                      "': expected at most one argument");
-        }
-        return std::make_unique<AutoSolver>(candidates_for(spec, 0), spec.full,
+      {.batch = true, .dag = true}, [](const SolverSpec& spec) {
+        return std::make_unique<AutoSolver>(candidates_for(spec, 0),
                                             std::nullopt);
       });
   registry.add(
       "auto-batch", "[:BATCH]",
       "auto-selecting batch runtime: per batch, commit the candidate "
       "finishing earliest (default batch 16)",
-      SolverChannels::kAny, SolverDeps::kAny, [](const SolverSpec& spec) {
-        if (spec.args.size() > 1) {
-          throw std::invalid_argument("solver '" + spec.full +
-                                      "': expected at most one argument");
-        }
-        return std::make_unique<AutoSolver>(all_heuristic_ids(), spec.full,
+      {.batch = true, .dag = true}, [](const SolverSpec& spec) {
+        return std::make_unique<AutoSolver>(all_heuristic_ids(),
                                             spec.size_arg(0, 16));
       });
   registry.add("local-search", "",
                "hill climbing over orders, seeded with the best heuristic",
-               SolverChannels::kAny, SolverDeps::kAny, [](const SolverSpec& spec) {
-                 expect_no_args(spec);
+               {.batch = false, .dag = true}, [](const SolverSpec&) {
                  return std::make_unique<LocalSearchSolver>();
                });
   registry.add("duplex-balance", "",
                "per-channel Johnson orders merged by least committed "
                "engine load (duplex-aware static order)",
-               SolverChannels::kAny, SolverDeps::kAny, [](const SolverSpec& spec) {
-                 expect_no_args(spec);
+               {.batch = false, .dag = true}, [](const SolverSpec&) {
                  return std::make_unique<DuplexBalanceSolver>();
                });
   registry.add("branch-bound", "[:MAX_N]",
                "exact search over independent transfer/comp order pairs, "
                "per-channel orders included (the MILP's space; default "
                "max n = 7)",
-               SolverChannels::kAny, SolverDeps::kAny, [](const SolverSpec& spec) {
-                 if (spec.args.size() > 1) {
-                   throw std::invalid_argument(
-                       "solver '" + spec.full +
-                       "': expected at most one argument");
-                 }
+               {.batch = false, .dag = true}, [](const SolverSpec& spec) {
                  return std::make_unique<BranchBoundSolver>(
                      spec.size_arg(0, PairOrderOptions{}.max_n));
                });
@@ -527,30 +454,19 @@ void register_builtin_solvers(SolverRegistry& registry) {
                "self-contained 0-1 MILP: LP-relaxation branch-and-bound "
                "over the paper's order binaries, engine-scored leaves; "
                ":T solves against a T-step grid bound model",
-               SolverChannels::kAny, SolverDeps::kIndependent,
-               [](const SolverSpec& spec) {
-                 if (spec.args.size() > 1) {
-                   throw std::invalid_argument(
-                       "solver '" + spec.full +
-                       "': expected at most one argument");
-                 }
+               {.batch = false, .dag = false}, [](const SolverSpec& spec) {
                  return std::make_unique<MilpSolver>(
                      spec.args.empty() ? 0 : spec.size_arg(0, 0));
                });
   registry.add("exhaustive", "[:MAX_N]",
                "exact search over permutation schedules (default max n = 10)",
-               SolverChannels::kAny, SolverDeps::kAny, [](const SolverSpec& spec) {
-                 if (spec.args.size() > 1) {
-                   throw std::invalid_argument(
-                       "solver '" + spec.full +
-                       "': expected at most one argument");
-                 }
+               {.batch = false, .dag = true}, [](const SolverSpec& spec) {
                  return std::make_unique<ExhaustiveSolver>(
                      spec.size_arg(0, ExhaustiveOptions{}.max_n));
                });
   registry.add("window", "[:K[:common|pair]]",
                "iterative window optimization, the paper's lp.k (default k=4)",
-               SolverChannels::kAny, SolverDeps::kAny, [](const SolverSpec& spec) {
+               {.batch = false, .dag = true}, [](const SolverSpec& spec) {
                  return std::make_unique<WindowedSolver>(
                      parse_window_spec(spec));
                });

@@ -71,6 +71,13 @@ void scan_orders(const Instance& inst, Mem capacity,
   Engine engine;
   do {
     if (dag && !inst.is_topological_order(order)) continue;
+    // Amortized like best_pair_order's poll; polling at 0 makes an
+    // already-fired token return before any work.
+    if (options.should_stop && (result.permutations_tried & 0xFFu) == 0 &&
+        options.should_stop()) {
+      result.stopped = true;
+      break;
+    }
     ++result.permutations_tried;
     const Time ms = evaluator.set_reference(order);
     const Time link_free = evaluator.last_state().comm_available();
@@ -149,18 +156,24 @@ ExhaustiveResult best_common_order(const Instance& inst, Mem capacity,
 
   // Fold branch winners in branch (= serial enumeration) order with the
   // same strict-preference rule as the inner scans.
+  // A branch with no order (no topological one, or stopped first) has
+  // nothing to offer.
   Time best_link_free = kInfiniteTime;
+  std::uint64_t tried = 0;
+  bool stopped = false;
   for (std::size_t b = 0; b < partial.size(); ++b) {
-    result.permutations_tried += partial[b].permutations_tried;
+    tried += partial[b].permutations_tried;
+    stopped = stopped || partial[b].stopped;
+    if (partial[b].order.empty()) continue;
     if (result.order.empty() ||
         better_candidate(partial[b].makespan, partial_link[b], result,
                          best_link_free)) {
-      const std::uint64_t tried = result.permutations_tried;
       result = std::move(partial[b]);
-      result.permutations_tried = tried;
       best_link_free = partial_link[b];
     }
   }
+  result.permutations_tried = tried;
+  result.stopped = stopped;
   return result;
 }
 

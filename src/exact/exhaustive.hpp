@@ -7,6 +7,7 @@
 /// identical (duplicates are enumerated once — std::next_permutation over
 /// task values collapses equal tasks).
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -26,6 +27,10 @@ struct ExhaustiveResult {
   /// into the next window).
   Engine::Snapshot final_state;
   std::uint64_t permutations_tried = 0;
+  /// True when options.should_stop ended the search early; the result is
+  /// then the best order seen so far (makespan kInfiniteTime and an empty
+  /// order if none was).
+  bool stopped = false;
 };
 
 struct ExhaustiveOptions {
@@ -47,6 +52,10 @@ struct ExhaustiveOptions {
   /// optimum (and its tie-breaking) match the serial search. Used for
   /// instances of 6+ tasks; smaller searches stay serial.
   Executor* executor = nullptr;
+  /// Cooperative stop (deadline / cancellation): polled every 256
+  /// evaluated permutations, in each parallel branch too; returning true
+  /// abandons the search, marking the result stopped.
+  std::function<bool()> should_stop;
 };
 
 /// Minimizes makespan over all distinct common orders under `capacity`.

@@ -165,7 +165,8 @@ MilpResult solve_order_milp(const Instance& inst, Mem capacity,
   if (inst.has_dependencies()) {
     // The order-binary model carries no precedence rows, so its LP bounds
     // would be invalid on a DAG; solve() rejects this before reaching
-    // here (SolverDeps::kIndependent), direct callers get the same error.
+    // here (milp registers SolverTraits{.dag = false}), direct callers get
+    // the same error.
     throw std::invalid_argument(
         "milp: the model has no precedence constraints; the instance "
         "declares dependency edges (use branch-bound or exhaustive)");

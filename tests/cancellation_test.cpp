@@ -1,16 +1,18 @@
-/// Deadline/cancellation propagation into the anytime solvers: window:K
-/// and local-search must stop promptly under a short time limit or an
-/// already-fired CancellationToken, and still return a complete feasible
-/// best-so-far schedule.
+/// Deadline/cancellation propagation into the anytime solvers: window:K,
+/// local-search and exhaustive must stop promptly under a short time limit
+/// or an already-fired CancellationToken, and still return a complete
+/// feasible best-so-far schedule.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <limits>
 
+#include "core/pool.hpp"
 #include "core/registry.hpp"
 #include "core/solver.hpp"
 #include "core/validate.hpp"
+#include "exact/exhaustive.hpp"
 #include "exact/window_solver.hpp"
 #include "heuristics/local_search.hpp"
 #include "test_util.hpp"
@@ -159,6 +161,73 @@ TEST(Cancellation, LocalSearchStopCallbackCountsAsStopped) {
   EXPECT_LE(res.iterations, 50u);
   EXPECT_TRUE(validate_schedule(inst, res.schedule, capacity).ok());
   EXPECT_LE(res.makespan, res.initial_makespan + 1e-9);
+}
+
+constexpr std::uint64_t kTenFactorial = 3628800;
+
+TEST(Cancellation, StoppedExhaustiveFallsBackToSubmissionOrder) {
+  // Ten distinct tasks: an unstopped search would simulate all 10!
+  // orders. Both stops fire at the first poll, serially and in every
+  // parallel branch, so no incumbent exists and the submission order is
+  // returned.
+  const Instance inst = wide_instance(10);
+  const Mem capacity = 1.25 * inst.min_capacity();
+  const Time fallback =
+      run_heuristic(HeuristicId::kOS, inst, capacity).makespan(inst);
+  SolverPool pool(SolverPoolOptions{.workers = 2});
+  for (Executor* executor : {static_cast<Executor*>(nullptr),
+                             static_cast<Executor*>(&pool)}) {
+    SolveOptions cancelled;
+    const CancellationToken token = CancellationToken::source();
+    token.cancel();
+    cancelled.cancel = token;
+    SolveOptions zero_limit;
+    zero_limit.time_limit_seconds = 0.0;
+    for (SolveOptions options : {cancelled, zero_limit}) {
+      options.executor = executor;
+      const SolveResult res = solve({.instance = inst, .capacity = capacity},
+                                    "exhaustive", options);
+      EXPECT_TRUE(res.cancelled);
+      EXPECT_TRUE(res.schedule.complete());
+      EXPECT_TRUE(validate_schedule(inst, res.schedule, capacity).ok());
+      EXPECT_LT(res.evaluations, kTenFactorial);
+      EXPECT_DOUBLE_EQ(res.makespan, fallback);
+    }
+  }
+}
+
+TEST(Cancellation, ExhaustivePollsEvery256Permutations) {
+  // The third poll stops the search: 512 orders were simulated and the
+  // best of them is kept.
+  const Instance inst = wide_instance(10);
+  const Mem capacity = 1.25 * inst.min_capacity();
+  int polls = 0;
+  ExhaustiveOptions options;
+  options.should_stop = [&polls] { return ++polls > 2; };
+  const ExhaustiveResult res = best_common_order(inst, capacity, options);
+  EXPECT_TRUE(res.stopped);
+  EXPECT_EQ(polls, 3);
+  EXPECT_EQ(res.permutations_tried, 512u);
+  EXPECT_FALSE(res.order.empty());
+  EXPECT_TRUE(validate_schedule(inst, res.schedule, capacity).ok());
+}
+
+TEST(Cancellation, UnarmedExhaustiveSearchesEveryOrder) {
+  // Pinned from the search before it could stop: the same optimum and
+  // the same 8! evaluations, serially and on a pool.
+  const Instance inst = wide_instance(8);
+  const Mem capacity = 1.25 * inst.min_capacity();
+  SolverPool pool(SolverPoolOptions{.workers = 2});
+  for (Executor* executor : {static_cast<Executor*>(nullptr),
+                             static_cast<Executor*>(&pool)}) {
+    SolveOptions options;
+    options.executor = executor;
+    const SolveResult res = solve({.instance = inst, .capacity = capacity},
+                                  "exhaustive", options);
+    EXPECT_FALSE(res.cancelled);
+    EXPECT_EQ(res.makespan, 43.591043424367214);
+    EXPECT_EQ(res.evaluations, 40320u);
+  }
 }
 
 }  // namespace

@@ -425,20 +425,6 @@ TEST(ChannelSolve, PairOrderSolversAcceptMultiChannelInstances) {
                                 mostly_single.capacity));
 }
 
-TEST(ChannelSolve, ListingsReportChannelSupport) {
-  // The capability field is always populated, and the solvers this PR
-  // taught multi-channel solving declare it. (A future solver may
-  // legitimately declare "single" — the differential suite then expects
-  // it to reject duplex requests.)
-  for (const SolverListing& listing : list_solvers()) {
-    EXPECT_FALSE(listing.channels.empty()) << listing.name;
-    if (listing.name == "branch-bound" || listing.name == "window" ||
-        listing.name == "exhaustive" || listing.name == "duplex-balance") {
-      EXPECT_EQ(listing.channels, "any") << listing.name;
-    }
-  }
-}
-
 TEST(ChannelSolve, TasksRejectOutOfRangeChannels) {
   Task t = channel_task(kMaxChannels, 1, 1, 1);
   EXPECT_FALSE(is_valid(t));

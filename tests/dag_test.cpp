@@ -2,9 +2,9 @@
 /// diagnostics, trace format v4 round-trips, dependency-aware trace
 /// transforms, edge-free bit-parity goldens across every builtin solver,
 /// and a differential corpus of random DAGs where each solver's declared
-/// SolverDeps capability drives the expectation — "any" must produce a
-/// validate_schedule()-clean schedule at or above the critical-path
-/// bound, "independent" must reject with a clear error.
+/// `dag` trait drives the expectation — a solver declaring it must produce
+/// a validate_schedule()-clean schedule at or above the critical-path
+/// bound, any other must reject with a clear error.
 
 #include <gtest/gtest.h>
 
@@ -407,14 +407,13 @@ TEST(DagEdgeFreeParity, ExactSolverGoldensOnTinyDuplexInstance) {
 // ------------------------------------------------ differential (random)
 
 /// Per-solver expectations on DAG instances are derived from the
-/// registry's SolverDeps declaration — never a hand-kept list: "any"
-/// must schedule the edges correctly, "independent" must reject.
+/// registry's declared `dag` trait — never a hand-kept list: a solver
+/// declaring it must schedule the edges correctly, any other must reject.
 TEST(DagDifferential, EverySolverHonorsItsDeclaredCapability) {
   struct Plan {
     std::string name;
     bool exact = false;
     std::size_t max_n = 40;
-    bool single_channel_only = false;
     bool independent_only = false;
     std::size_t max_iterations = 200;
   };
@@ -422,8 +421,7 @@ TEST(DagDifferential, EverySolverHonorsItsDeclaredCapability) {
   for (const SolverListing& listing : list_solvers()) {
     Plan plan;
     plan.name = listing.name;
-    plan.single_channel_only = listing.channels == "single";
-    plan.independent_only = listing.deps == "independent";
+    plan.independent_only = !listing.traits.dag;
     if (listing.name == "exhaustive") {
       plan.exact = true;
       plan.max_n = 7;
@@ -465,12 +463,6 @@ TEST(DagDifferential, EverySolverHonorsItsDeclaredCapability) {
       if (plan.independent_only) {
         // The declared capability is the contract: a clean rejection,
         // never a schedule that silently ignores the edges.
-        EXPECT_THROW((void)solve(request, plan.name, options),
-                     std::invalid_argument)
-            << plan.name;
-        continue;
-      }
-      if (plan.single_channel_only && !inst.single_channel()) {
         EXPECT_THROW((void)solve(request, plan.name, options),
                      std::invalid_argument)
             << plan.name;

@@ -53,7 +53,6 @@ struct SolverPlan {
   std::string name;
   bool exact = false;  ///< participates in the "exact <= heuristic" check
   std::size_t max_n = 40;           ///< beyond this the solver is skipped
-  bool single_channel_only = false; ///< contractually rejects duplex
   /// Per-plan SolveOptions::max_iterations: exact tree searches need a
   /// budget that provably closes on their max_n, anytime heuristics a
   /// small one that bounds per-round work.
@@ -65,10 +64,6 @@ std::vector<SolverPlan> build_plans() {
   for (const SolverListing& listing : list_solvers()) {
     SolverPlan plan;
     plan.name = listing.name;
-    // The listing's declared capability drives the expectation: a
-    // "single" solver must cleanly reject duplex instances, everything
-    // else must schedule them correctly.
-    plan.single_channel_only = listing.channels == "single";
     if (listing.name == "exhaustive") {
       plan.exact = true;
       plan.max_n = 7;  // 7! = 5040 simulations per instance
@@ -109,13 +104,6 @@ TEST(Differential, EverySolverOnRandomCorpus) {
     std::map<std::string, bool> proved;
     for (const SolverPlan& plan : plans) {
       if (n > plan.max_n) continue;
-      if (plan.single_channel_only && !inst.single_channel()) {
-        // Contractual rejection must be a clean invalid_argument.
-        EXPECT_THROW((void)solve(request, plan.name, options),
-                     std::invalid_argument)
-            << plan.name;
-        continue;
-      }
       SolveResult res;
       options.max_iterations = plan.max_iterations;
       ASSERT_NO_THROW(res = solve(request, plan.name, options)) << plan.name;

@@ -299,9 +299,6 @@ WorkerGate& worker_gate() {
 
 class HeldSolver final : public Solver {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "test-held";
-  }
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions&) const override {
     WorkerGate& gate = worker_gate();
@@ -324,7 +321,7 @@ class HeldSolver final : public Solver {
 
 const RegisterSolver kRegisterHeldSolver{
     "test-held", "", "test-only: OS once the worker gate opens",
-    SolverChannels::kAny, SolverDeps::kAny,
+    SolverTraits{.batch = false, .dag = true},
     [](const SolverSpec&) { return std::make_unique<HeldSolver>(); }};
 
 TEST(Service, ShedsWithQueueFullReasonWhenPoolSaturated) {

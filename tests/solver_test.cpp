@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 
 #include "core/batch.hpp"
@@ -66,7 +67,7 @@ TEST(SolverRegistry, UnknownNameThrowsListingAvailableSolvers) {
 
 TEST(SolverRegistry, DuplicateKeyThrows) {
   EXPECT_THROW(SolverRegistry::global().add(
-                   "auto", "", "dup", SolverChannels::kAny, SolverDeps::kAny,
+                   "auto", "", "dup", SolverTraits{},
                    [](const SolverSpec&) -> std::unique_ptr<Solver> {
                      return nullptr;
                    }),
@@ -75,7 +76,7 @@ TEST(SolverRegistry, DuplicateKeyThrows) {
 
 TEST(SolverRegistry, KeysWithColonRejected) {
   EXPECT_THROW(SolverRegistry::global().add(
-                   "bad:key", "", "", SolverChannels::kAny, SolverDeps::kAny,
+                   "bad:key", "", "", SolverTraits{},
                    [](const SolverSpec&) -> std::unique_ptr<Solver> {
                      return nullptr;
                    }),
@@ -110,9 +111,6 @@ TEST(SolverSpecTest, ParsesBaseAndArguments) {
 /// self-registration helper, resolvable by name with no enum edits.
 class SubmissionOrderTwiceSolver final : public Solver {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "test-submission";
-  }
   [[nodiscard]] SolveResult run(const SolveRequest& request,
                                 const SolveOptions&) const override {
     SolveResult result;
@@ -128,7 +126,17 @@ class SubmissionOrderTwiceSolver final : public Solver {
 
 const RegisterSolver kRegisterTestSolver{
     "test-submission", "", "test-only: the submission order",
-    SolverChannels::kAny, SolverDeps::kAny, [](const SolverSpec&) {
+    SolverTraits{.batch = false, .dag = true}, [](const SolverSpec&) {
+      return std::make_unique<SubmissionOrderTwiceSolver>();
+    }};
+
+/// Factory calls of "test-counted", which accepts one ':' argument.
+std::atomic<int> g_counted_factory_calls{0};
+
+const RegisterSolver kRegisterCountedSolver{
+    "test-counted", "[:ARG]", "test-only: the submission order, counted",
+    SolverTraits{.batch = false, .dag = true}, [](const SolverSpec&) {
+      ++g_counted_factory_calls;
       return std::make_unique<SubmissionOrderTwiceSolver>();
     }};
 
@@ -438,14 +446,74 @@ TEST(Solve, HeuristicNamesTakeNoArguments) {
   EXPECT_THROW((void)solve(request, "OS:3"), std::invalid_argument);
 }
 
+/// The invalid_argument message `fn` throws, or "" when it throws none.
+template <typename Fn>
+std::string thrown_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Every listing, given one ':' argument more than its `params` declares,
+/// is rejected with the registry's arity message.
+TEST(Solve, ArgumentsBeyondTheDeclaredParamsAreRejected) {
+  const SolveRequest request =
+      request_for(testing::table3_instance(), testing::kTable3Capacity);
+  for (const SolverListing& listing : list_solvers()) {
+    const auto declared = static_cast<std::size_t>(
+        std::count(listing.params.begin(), listing.params.end(), ':'));
+    std::string name = listing.name;
+    for (std::size_t i = 0; i <= declared; ++i) name += ":1";
+    std::string expected;
+    if (declared == 0) {
+      expected = "solver '" + listing.name +
+                 "' takes no ':' arguments (got '" + name + "')";
+    } else {
+      ASSERT_LE(declared, 2u) << listing.name;
+      expected = "solver '" + name + "': expected at most " +
+                 (declared == 1 ? "one argument" : "two arguments");
+    }
+    EXPECT_EQ(thrown_message([&] { (void)solve(request, name); }), expected)
+        << listing.name;
+  }
+}
+
+TEST(Solve, OverArityNameNeverReachesTheFactory) {
+  const SolveRequest request =
+      request_for(testing::table3_instance(), testing::kTable3Capacity);
+  const int before = g_counted_factory_calls.load();
+  EXPECT_THROW((void)solve(request, "test-counted:1:2"),
+               std::invalid_argument);
+  EXPECT_EQ(g_counted_factory_calls.load(), before);
+  (void)solve(request, "test-counted:1");
+  EXPECT_EQ(g_counted_factory_calls.load(), before + 1);
+}
+
+/// The batch trait, read from the listings: a solver that declares it
+/// solves under a batch window, every other one is rejected by solve().
 TEST(Solve, BatchWindowRejectedByNonBatchSolvers) {
   SolveRequest request = request_for(testing::table3_instance(),
                                      testing::kTable3Capacity);
   request.batch_size = 2;
-  for (const char* name : {"local-search", "branch-bound", "window",
-                           "exhaustive"}) {
-    EXPECT_THROW((void)solve(request, name), std::invalid_argument) << name;
+  std::size_t rejected = 0;
+  for (const SolverListing& listing : list_solvers()) {
+    if (listing.traits.batch) {
+      SolveResult res;
+      ASSERT_NO_THROW(res = solve(request, listing.name)) << listing.name;
+      EXPECT_TRUE(testing::feasible(request.instance, res.schedule,
+                                    request.capacity))
+          << listing.name;
+      continue;
+    }
+    ++rejected;
+    EXPECT_EQ(thrown_message([&] { (void)solve(request, listing.name); }),
+              "solver '" + listing.name + "' does not support a batch window");
   }
+  // local-search, duplex-balance, branch-bound, milp, exhaustive, window.
+  EXPECT_GE(rejected, 6u);
 }
 
 TEST(Solve, EmptyInstanceSolvesToZero) {

@@ -9,11 +9,10 @@ ones that otherwise live only in reviewers' heads:
                            `latency + bytes / bandwidth` expressions
                            elsewhere would break the bit-for-bit parity
                            the golden tests pin.
-  channels-declared        every RegisterSolver / SolverRegistry::add site
-                           names a SolverChannels:: and a SolverDeps::
-                           capability and every RegisterMachine /
-                           MachineRegistry::add site a MachineChannels{...}
-                           declaration.
+  channels-declared        every RegisterMachine / MachineRegistry::add
+                           site names a MachineChannels{...} declaration
+                           (solver registrations need no rule: the
+                           compiler requires their SolverTraits).
   executor-one-home        execute_dynamic / execute_corrected each have
                            exactly one defining home, and pick_candidate
                            is called in src/ only from the indexed
@@ -228,46 +227,31 @@ def check_affine_funnel(path: str, raw: str, code: str):
 
 # The files that *define* the registration helpers; the defining
 # declarations would otherwise match their own usage patterns.
-CHANNELS_RULE_DEFINING_FILES = {"src/core/solver.hpp", "src/model/machine.hpp"}
+CHANNELS_RULE_DEFINING_FILES = {"src/model/machine.hpp"}
 
 
 def check_channels_declared(path: str, raw: str, code: str):
-    """Registration sites must declare their channel capability."""
+    """Machine registration sites must declare their channel labels."""
     if path in CHANNELS_RULE_DEFINING_FILES:
         return
-    sites = []  # (offset, kind, extent)
-    for m in re.finditer(r"\bSolverRegistry::global\(\)\s*\.\s*add\s*\(", code):
-        sites.append((m.start(), "solver",
-                      balanced_extent(code, m.end() - 1, "(", ")")))
+    sites = []  # (offset, extent)
     for m in re.finditer(r"\bMachineRegistry::global\(\)\s*\.\s*add\s*\(",
                          code):
-        sites.append((m.start(), "machine",
+        sites.append((m.start(),
                       balanced_extent(code, m.end() - 1, "(", ")")))
-    bare_kind = None
-    if "register_builtin_solvers" in code:
-        bare_kind = "solver"
-    elif "register_builtin_machines" in code:
-        bare_kind = "machine"
-    if bare_kind:
+    if "register_builtin_machines" in code:
         for m in re.finditer(r"\bregistry\s*\.\s*add\s*\(", code):
-            sites.append((m.start(), bare_kind,
+            sites.append((m.start(),
                           balanced_extent(code, m.end() - 1, "(", ")")))
-    for m in re.finditer(r"\bRegisterSolver\b(?!\s*;)", code):
-        extent = balanced_extent(code, m.end(), "{", "}")
-        sites.append((m.start(), "solver", extent))
     for m in re.finditer(r"\bRegisterMachine\b(?!\s*;)", code):
-        extent = balanced_extent(code, m.end(), "{", "}")
-        sites.append((m.start(), "machine", extent))
-    for offset, kind, extent in sites:
-        tokens = (("SolverChannels::", "SolverDeps::") if kind == "solver"
-                  else ("MachineChannels",))
-        for token in tokens:
-            if token not in extent:
-                yield Finding(
-                    "channels-declared", path, line_of(code, offset),
-                    f"{kind} registration without an explicit {token} "
-                    "capability — declare it at the site (listings and the "
-                    "differential suite derive coverage from it)")
+        sites.append((m.start(), balanced_extent(code, m.end(), "{", "}")))
+    for offset, extent in sites:
+        if "MachineChannels" not in extent:
+            yield Finding(
+                "channels-declared", path, line_of(code, offset),
+                "machine registration without an explicit MachineChannels "
+                "declaration — declare it at the site (MachineRegistry::make "
+                "checks it against the built machine)")
 
 
 def check_unordered_containers(path: str, raw: str, code: str):
