@@ -7,6 +7,7 @@
 
 #include "core/compiled.hpp"
 #include "core/job.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts {
 

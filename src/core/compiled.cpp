@@ -184,9 +184,9 @@ void Engine::load(const Snapshot& snap) {
   s.used = 0.0;
   s.active.clear();
   for (const auto& [comp_end, mem] : snap.active) {
-    // Entries already finished relative to the restored clock carry no
-    // memory; keep the rest in flight.
-    if (approx_leq(comp_end, s.now)) continue;
+    // Entries finished by the restored instant carry no memory; keep the
+    // rest in flight (exactly, like release_until).
+    if (comp_end <= s.now) continue;
     s.used += mem;
     s.active.push_back(Active{comp_end, mem});
   }
@@ -226,10 +226,14 @@ Engine::Snapshot Engine::snapshot() const {
   return snap;
 }
 
+// Memory is released at the exact instant its computation ends, never
+// within a tolerance before it: a transfer admitted on that memory then
+// starts no earlier than the release, so every emitted schedule holds at
+// most the capacity at every exact instant, whatever the time unit.
 // dts-lint: hot-path
 void Engine::release_until(Time t) {
   State& s = state_;
-  while (!s.active.empty() && approx_leq(s.active.front().comp_end, t)) {
+  while (!s.active.empty() && s.active.front().comp_end <= t) {
     s.used -= s.active.front().mem;
     std::pop_heap(s.active.begin(), s.active.end(), std::greater<>{});
     s.active.pop_back();

@@ -21,7 +21,11 @@
 ///  * SCOMP(i) = max(SCOMM(i) + CM_i, processor-free time) — computations
 ///    are served in the order they are issued to the engine;
 ///  * when nothing fits, time advances to the next computation-finish
-///    event (the only instants at which memory is released).
+///    event (the only instants at which memory is released). Memory is
+///    released at its exact computation-end instant, so a transfer
+///    admitted on freed memory never starts before the release; the
+///    footprint check itself compares through support/tolerance.hpp,
+///    the comparisons validate_schedule uses.
 ///
 /// With a single channel these rules reproduce the paper's worked
 /// schedules (Figs. 4-6) exactly; see tests/paper_examples_test.cpp. An
@@ -58,6 +62,7 @@
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts {
 

@@ -133,7 +133,9 @@ void JobHandle::cancel() const {
   checked().cancel("cancelled through the job handle");
 }
 
-const JobOutcome& JobHandle::wait() const { return checked().wait(); }
+const JobOutcome& JobHandle::wait() const& { return checked().wait(); }
+
+JobOutcome JobHandle::wait() && { return checked().wait(); }
 
 bool JobHandle::wait_for(double seconds) const {
   return checked().wait_for(seconds);

@@ -220,7 +220,11 @@ class JobHandle {
 
   /// Blocks until terminal; the reference stays valid for the life of the
   /// handle's shared state.
-  [[nodiscard]] const JobOutcome& wait() const;
+  [[nodiscard]] const JobOutcome& wait() const&;
+  /// On a temporary handle (`pool.submit(job).wait()`) the outcome is
+  /// returned by value: the shared state may die with the handle at the
+  /// end of the full expression, and a reference into it would dangle.
+  [[nodiscard]] JobOutcome wait() &&;
 
   /// Waits up to `seconds`; true when the job is terminal.
   [[nodiscard]] bool wait_for(double seconds) const;

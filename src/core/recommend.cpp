@@ -4,6 +4,7 @@
 
 #include "core/johnson.hpp"
 #include "core/validate.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts {
 

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/tolerance.hpp"
+
 namespace dts {
 
 namespace detail {

@@ -6,8 +6,7 @@
 /// Times and memory requirements are doubles: the paper's own examples use
 /// fractional durations (Table 2 has computation times of 0.5), and traces
 /// measured from real runs are floating point. All comparisons that decide
-/// feasibility go through the epsilon helpers below so that schedules
-/// assembled from sums of doubles validate cleanly.
+/// feasibility go through the relative helpers of support/tolerance.hpp.
 
 #include <cstdint>
 #include <limits>
@@ -65,30 +64,5 @@ inline constexpr Time kUnboundTime = -1.0;
 /// Sentinel for Task::comm_bytes when the transfer size is unknown (the
 /// task only carries a measured time, as in v1/v2 traces).
 inline constexpr double kUnknownBytes = -1.0;
-
-/// Absolute slack used by feasibility checks. Schedules are built from
-/// short chains of additions, so accumulated error is tiny; the validator
-/// additionally scales this by the magnitude of the quantities compared.
-inline constexpr double kEps = 1e-9;
-
-/// a < b beyond floating-point noise. Infinities behave exactly
-/// (definitely_less(x, +inf) is true for any finite x); without the
-/// explicit branch the scaled epsilon would produce inf - inf = NaN.
-[[nodiscard]] constexpr bool definitely_less(double a, double b) noexcept {
-  if (!(a < b)) return false;
-  const double scale = 1.0 + (a < 0 ? -a : a) + (b < 0 ? -b : b);
-  if (scale == std::numeric_limits<double>::infinity()) return true;
-  return a < b - kEps * scale;
-}
-
-/// a <= b up to floating-point noise.
-[[nodiscard]] constexpr bool approx_leq(double a, double b) noexcept {
-  return !definitely_less(b, a);
-}
-
-/// |a - b| within floating-point noise.
-[[nodiscard]] constexpr bool approx_equal(double a, double b) noexcept {
-  return approx_leq(a, b) && approx_leq(b, a);
-}
 
 }  // namespace dts

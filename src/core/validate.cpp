@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "support/tolerance.hpp"
+
 namespace dts {
 
 namespace {
@@ -128,16 +130,16 @@ ValidationReport validate_schedule(const Instance& inst, const Schedule& sched,
 
   // Transfers serialize per copy engine: check each channel's intervals
   // independently so opposite-direction (H2D/D2H) transfers may overlap.
-  const std::vector<TaskId> comm_order = sched.comm_order();
+  std::vector<std::vector<TaskId>> on_channel(inst.num_channels());
+  for (TaskId i = 0; i < inst.size(); ++i) {
+    on_channel[inst[i].channel].push_back(i);
+  }
   for (ChannelId ch = 0; ch < inst.num_channels(); ++ch) {
-    std::vector<TaskId> on_channel;
-    for (TaskId i : comm_order) {
-      if (inst[i].channel == ch) on_channel.push_back(i);
-    }
     const std::string label =
         inst.single_channel() ? "link" : "channel " + std::to_string(ch);
     check_resource_exclusive(
-        std::move(on_channel), [&](TaskId i) { return sched[i].comm_start; },
+        std::move(on_channel[ch]),
+        [&](TaskId i) { return sched[i].comm_start; },
         [&](TaskId i) { return inst[i].comm; }, Violation::Kind::kCommOverlap,
         label.c_str(), out);
   }

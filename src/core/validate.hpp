@@ -17,7 +17,10 @@
 /// Memory intervals are half-open [SCOMM(i), SCOMP(i)+CP(i)): memory
 /// released at a computation-finish instant is immediately available to a
 /// transfer starting at that same instant (required by the tight schedules
-/// of the paper's 3-Partition reduction, Fig. 2).
+/// of the paper's 3-Partition reduction, Fig. 2). Instants are swept
+/// exactly; the comparisons of time and memory amounts are the relative
+/// ones of support/tolerance.hpp, the same the timing engine admits with,
+/// so the check reads the same in any unit of time or memory.
 
 #include <string>
 #include <vector>

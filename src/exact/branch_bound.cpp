@@ -6,6 +6,7 @@
 
 #include "core/compiled.hpp"
 #include "support/contract.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts {
 
@@ -71,7 +72,7 @@ std::optional<Time> simulate_pair_order_impl(
   const auto used_at = [&](Time t) {
     Mem used = indefinite;
     for (const auto& [end, mem] : s.releases) {
-      if (definitely_less(t, end)) used += mem;
+      if (t < end) used += mem;  // released at its exact end, as the engine
     }
     return used;
   };
@@ -163,7 +164,7 @@ std::optional<Time> simulate_pair_order_impl(
       s.candidate_times.push_back(lower);
       for (const auto& [end, mem] : s.releases) {
         (void)mem;
-        if (definitely_less(lower, end)) s.candidate_times.push_back(end);
+        if (lower < end) s.candidate_times.push_back(end);
       }
       std::sort(s.candidate_times.begin(), s.candidate_times.end());
       for (const Time t : s.candidate_times) {
@@ -352,7 +353,7 @@ PairOrderResult best_pair_order(const Instance& inst, Mem capacity,
                                inst[id].mem);
     }
     std::erase_if(snap.active, [&](const std::pair<Time, Mem>& a) {
-      return approx_leq(a.first, snap.now);
+      return a.first <= snap.now;
     });
     // The carried-over state may only move forward relative to what was
     // carried in — the window solver chains these snapshots, and a

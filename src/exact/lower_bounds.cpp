@@ -5,6 +5,7 @@
 
 #include "core/bounds.hpp"
 #include "core/johnson.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts {
 

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "support/tolerance.hpp"
+
 namespace dts {
 
 std::vector<std::vector<TaskId>> first_fit_bins(const Instance& inst,

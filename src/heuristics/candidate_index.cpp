@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "support/contract.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts {
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "heuristics/candidate_index.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts {
 

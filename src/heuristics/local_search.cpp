@@ -7,6 +7,7 @@
 #include "core/registry.hpp"
 #include "core/simulate.hpp"
 #include "support/rng.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts {
 

@@ -13,6 +13,7 @@
 #include "milp/model.hpp"
 #include "milp/simplex.hpp"
 #include "support/contract.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts {
 namespace {

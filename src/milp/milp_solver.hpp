@@ -13,7 +13,7 @@
 /// set `best_pair_order` minimizes over, with the same `definitely_less`
 /// incumbent discipline. A finished search (tree exhausted, or the
 /// incumbent reached a proven lower bound) therefore returns a makespan
-/// within kEps of branch-bound's on the same instance — bitwise equal
+/// approx_equal to branch-bound's on the same instance — bitwise equal
 /// whenever the optimum is uniquely attained (the two searches may keep
 /// different equally-optimal schedules whose start-time sums round
 /// differently in the last bits) — with `proved_optimal` set and

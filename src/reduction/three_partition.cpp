@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/validate.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts {
 

@@ -6,6 +6,7 @@
 
 #include "core/simulate.hpp"
 #include "core/solver.hpp"
+#include "core/validate.hpp"
 #include "model/machine.hpp"
 #include "trace/trace_io.hpp"
 
@@ -354,6 +355,16 @@ bool SolverService::run_solve(const ServiceRequest& request,
   }
   const JobOutcome& outcome = handle.wait();
   if (outcome.status == JobStatus::kDone && outcome.has_result) {
+    // The solver-to-user boundary: a schedule that breaks the instance's
+    // constraints is answered with an error, never cached or served.
+    const ValidationReport report =
+        validate_schedule(bound, outcome.result.schedule, capacity);
+    if (!report.ok()) {
+      response = error_response(
+          request.id, "solver " + solver + " returned an infeasible schedule: " +
+                          report.violations.front().detail);
+      return false;
+    }
     out = outcome.result;
     return true;
   }

@@ -168,7 +168,8 @@ class SolverService {
 
   [[nodiscard]] ServiceResponse serve_admitted(const ServiceRequest& request);
   /// Runs one solve on the pool; fills either `out` (returning true) or
-  /// the shed/draining/error fields of `response` (returning false).
+  /// the shed/draining/error fields of `response` (returning false). A
+  /// result whose schedule fails validate_schedule is an error.
   bool run_solve(const ServiceRequest& request, const Instance& bound,
                  Mem capacity, const std::string& solver, SolveResult& out,
                  ServiceResponse& response);

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/tolerance.hpp"
+
 namespace dts {
 
 ThreeStageInstance::ThreeStageInstance(std::vector<StagedTask> tasks)
@@ -61,19 +63,20 @@ ThreeStageSchedule simulate_three_stage(const ThreeStageInstance& inst,
   Time proc_free = 0.0;
   Time out_free = 0.0;
   // Pending releases: (instant, bytes). Small n per call; linear scans.
+  // Memory is released at its exact instant, as in the timing engine.
   std::vector<std::pair<Time, Mem>> releases;
   Mem used = 0.0;
 
   const auto used_at = [&](Time t) {
     Mem u = used;
     for (const auto& [end, mem] : releases) {
-      if (approx_leq(end, t)) u -= mem;
+      if (end <= t) u -= mem;
     }
     return u;
   };
   const auto commit_until = [&](Time t) {
     std::erase_if(releases, [&](const std::pair<Time, Mem>& r) {
-      if (approx_leq(r.first, t)) {
+      if (r.first <= t) {
         used -= r.second;
         return true;
       }
@@ -94,7 +97,7 @@ ThreeStageSchedule simulate_three_stage(const ThreeStageInstance& inst,
       std::vector<Time> candidates;
       for (const auto& [end, mem] : releases) {
         (void)mem;
-        if (definitely_less(start, end)) candidates.push_back(end);
+        if (start < end) candidates.push_back(end);
       }
       std::sort(candidates.begin(), candidates.end());
       bool placed = false;

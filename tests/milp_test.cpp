@@ -142,7 +142,8 @@ TEST(MilpSolver, MatchesTable2Optimum) {
 TEST(MilpSolver, AgreesWithBranchBoundOnRandomCorpus) {
   // Same engine-scored value set, same definitely_less incumbent
   // discipline: a proved milp incumbent and branch-bound's both sit
-  // within kEps of the true optimum, so they agree to 2*kEps. (They may
+  // within the relative tolerance of the true optimum, so they agree up
+  // to it (support/tolerance.hpp). (They may
   // be *different* equally-optimal schedules whose start-time sums round
   // differently in the last bits; the differential suite separately
   // checks the corpus where the values coincide bitwise.)
@@ -155,7 +156,7 @@ TEST(MilpSolver, AgreesWithBranchBoundOnRandomCorpus) {
     const MilpResult mi = solve_order_milp(inst, capacity, options);
     const PairOrderResult bb = best_pair_order(inst, capacity);
     ASSERT_TRUE(mi.proved_optimal) << "iter " << iter;
-    EXPECT_NEAR(mi.makespan, bb.makespan, 2 * kEps) << "iter " << iter;
+    EXPECT_TRUE(approx_equal(mi.makespan, bb.makespan)) << "iter " << iter;
     EXPECT_TRUE(testing::feasible(inst, mi.schedule, capacity));
     EXPECT_EQ(mi.makespan, mi.schedule.makespan(inst));
   }
@@ -181,7 +182,7 @@ TEST(MilpSolver, AgreesWithBranchBoundOnDuplex) {
     const MilpResult mi = solve_order_milp(inst, capacity, options);
     const PairOrderResult bb = best_pair_order(inst, capacity);
     ASSERT_TRUE(mi.proved_optimal) << "iter " << iter;
-    EXPECT_NEAR(mi.makespan, bb.makespan, 2 * kEps) << "iter " << iter;
+    EXPECT_TRUE(approx_equal(mi.makespan, bb.makespan)) << "iter " << iter;
     EXPECT_TRUE(testing::feasible(inst, mi.schedule, capacity));
   }
 }
@@ -219,7 +220,7 @@ TEST(MilpSolver, GridVariantsProveTheSameOptimum) {
       coarse.grid = grid;
       const MilpResult res = solve_order_milp(inst, capacity, coarse);
       ASSERT_TRUE(res.proved_optimal) << "grid " << grid;
-      EXPECT_NEAR(res.makespan, base.makespan, 2 * kEps) << "grid " << grid;
+      EXPECT_TRUE(approx_equal(res.makespan, base.makespan)) << "grid " << grid;
     }
   }
 }

@@ -1,18 +1,27 @@
 /// Cross-cutting invariants, swept over a parameter grid (TEST_P): every
 /// heuristic x several instance shapes x capacity factors. These are the
 /// library's safety net: feasibility, bound sandwiching, monotonicity
-/// where theory guarantees it, and graceful handling of degenerate tasks.
+/// where theory guarantees it, and graceful handling of degenerate tasks,
+/// plus the time-unit metamorphic properties: a schedule must not depend
+/// on the unit its trace's times are written in.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/bounds.hpp"
 #include "core/johnson.hpp"
 #include "core/registry.hpp"
+#include "core/solver.hpp"
 #include "core/validate.hpp"
 #include "exact/exhaustive.hpp"
+#include "model/machine.hpp"
 #include "test_util.hpp"
+#include "trace/generators.hpp"
+#include "trace/transforms.hpp"
 
 namespace dts {
 namespace {
@@ -210,6 +219,100 @@ TEST(Property, SingleTaskMakespanIsItsTotalTime) {
   const Instance inst = Instance::from_comm_comp({{2.5, 4.25}});
   for (HeuristicId id : all_heuristic_ids()) {
     EXPECT_DOUBLE_EQ(heuristic_makespan(id, inst, 2.5), 6.75) << name_of(id);
+  }
+}
+
+// ------------------------------------------------------- time-unit metamorphs
+
+/// One stock trace of each shape the time-unit properties cover: HF,
+/// CCSD, a CCSD contraction-chain DAG and a CCSD trace on the duplex PCIe
+/// machine (two copy engines), at 150-250 tasks each.
+struct UnitSource {
+  std::string name;
+  Instance inst;
+};
+
+std::vector<UnitSource> time_unit_sources() {
+  const TraceConfig config{.seed = 1, .min_tasks = 150, .max_tasks = 250};
+  TraceConfig duplex = config;
+  duplex.machine = machine_from_name("duplex-pcie");
+  return {
+      {"hf", generate_trace(ChemistryKernel::kHartreeFock, config)},
+      {"ccsd", generate_trace(ChemistryKernel::kCoupledClusterSD, config)},
+      {"ccsd-dag", generate_ccsd_dag_trace(config)},
+      {"ccsd-duplex",
+       generate_trace(ChemistryKernel::kCoupledClusterSD, duplex)},
+  };
+}
+
+/// The 14 paper heuristics plus `auto`, by registry name.
+std::vector<std::string> time_unit_solvers() {
+  std::vector<std::string> names;
+  for (const HeuristicId id : all_heuristic_ids()) {
+    names.emplace_back(name_of(id));
+  }
+  names.emplace_back("auto");
+  return names;
+}
+
+constexpr double kUnitCapacityFactors[] = {1.0, 1.25, 2.0};
+
+Schedule solve_schedule(const Instance& inst, Mem capacity,
+                        const std::string& solver) {
+  SolveOptions options;
+  options.compute_bounds = false;
+  options.parallel_candidates = false;
+  return solve({.instance = inst, .capacity = capacity}, solver, options)
+      .schedule;
+}
+
+TEST(TimeUnit, PowerOfTwoRescalingScalesEveryScheduleExactly) {
+  // Multiplying every duration by 2^k is exact in floating point, and so
+  // is every sum, max and relative comparison built from them: each
+  // schedule must be the unscaled one times 2^k, bit for bit.
+  for (const UnitSource& src : time_unit_sources()) {
+    for (const double factor : kUnitCapacityFactors) {
+      const Mem capacity = factor * src.inst.min_capacity();
+      for (const std::string& solver : time_unit_solvers()) {
+        const Schedule base = solve_schedule(src.inst, capacity, solver);
+        for (int k = -20; k <= 20; ++k) {
+          if (k == 0) continue;
+          const double s = std::ldexp(1.0, k);
+          const Schedule scaled =
+              solve_schedule(scale_times(src.inst, s, s), capacity, solver);
+          std::size_t moved = 0;
+          for (TaskId i = 0; i < src.inst.size(); ++i) {
+            if (scaled[i].comm_start != s * base[i].comm_start ||
+                scaled[i].comp_start != s * base[i].comp_start) {
+              ++moved;
+            }
+          }
+          EXPECT_EQ(moved, 0u) << solver << " on " << src.name << " x"
+                               << factor << " mc, times x2^" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(TimeUnit, DecimalRescalingKeepsEveryScheduleFeasible) {
+  // Times x10^k round, so schedules may move in their last bits, but
+  // every one must stay feasible: microsecond-scale traces are as
+  // trustworthy as second-scale ones.
+  for (const UnitSource& src : time_unit_sources()) {
+    for (const double factor : kUnitCapacityFactors) {
+      const Mem capacity = factor * src.inst.min_capacity();
+      for (int k = -6; k <= 6; ++k) {
+        const double s = std::pow(10.0, k);
+        const Instance inst = scale_times(src.inst, s, s);
+        for (const std::string& solver : time_unit_solvers()) {
+          EXPECT_TRUE(testing::feasible(
+              inst, solve_schedule(inst, capacity, solver), capacity))
+              << solver << " on " << src.name << " x" << factor
+              << " mc, times x1e" << k;
+        }
+      }
+    }
   }
 }
 

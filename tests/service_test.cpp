@@ -406,6 +406,68 @@ TEST(Service, ShedsWithQueueFullReasonWhenPoolSaturated) {
   EXPECT_EQ(c.shed, shed);
 }
 
+/// Armed only inside Service.InfeasibleSolverResultIsAnErrorAndNeverCached.
+/// The registration is process-wide and the differential suite drives
+/// every registered solver, so unarmed the solver answers a feasible OS
+/// schedule.
+std::atomic<bool> g_overlap_armed{false};
+
+class OverlappingSolver final : public Solver {
+ public:
+  [[nodiscard]] SolveResult run(const SolveRequest& request,
+                                const SolveOptions&) const override {
+    SolveResult result;
+    result.schedule = run_heuristic(HeuristicId::kOS, request.instance,
+                                    request.capacity);
+    if (g_overlap_armed) {
+      // Every transfer at time 0: they overlap on the link, while each
+      // computation still starts after its own data arrives.
+      for (TaskId i = 0; i < request.instance.size(); ++i) {
+        result.schedule.set(i, 0.0, result.schedule[i].comp_start);
+      }
+    }
+    result.makespan = request.instance.empty()
+                          ? 0.0
+                          : result.schedule.makespan(request.instance);
+    result.winner = "test-overlapping";
+    return result;
+  }
+};
+
+const RegisterSolver kRegisterOverlappingSolver{
+    "test-overlapping", "",
+    "test-only: OS, or overlapping transfers when armed",
+    SolverTraits{.batch = false, .dag = true},
+    [](const SolverSpec&) { return std::make_unique<OverlappingSolver>(); }};
+
+TEST(Service, InfeasibleSolverResultIsAnErrorAndNeverCached) {
+  struct Arm {
+    Arm() { g_overlap_armed = true; }
+    ~Arm() { g_overlap_armed = false; }
+  } const arm;
+  ServiceOptions options;
+  options.workers = 1;
+  options.default_solver = "test-overlapping";
+  SolverService service(options);
+  Rng rng(87);
+  const ServiceRequest request =
+      basic_request(testing::random_instance(rng, 20));
+  // The same request twice: the broken answer was never cached, so the
+  // second one misses and solves (and fails) again.
+  for (std::uint64_t attempt = 1; attempt <= 2; ++attempt) {
+    const ServiceResponse response = service.handle(request);
+    ASSERT_EQ(response.status, WireResponse::Status::kError);
+    EXPECT_NE(response.error.find("infeasible schedule"), std::string::npos)
+        << response.error;
+    const ServiceCounters c = service.counters();
+    EXPECT_EQ(c.cache.misses, attempt);
+    EXPECT_EQ(c.cache.hits, 0u);
+    EXPECT_EQ(c.cache.inserts, 0u);
+    EXPECT_EQ(c.cache_size, 0u);
+    EXPECT_EQ(c.errors, attempt);
+  }
+}
+
 TEST(Service, DrainCompletesInFlightWorkAndRefusesNewRequests) {
   std::mutex m;
   std::condition_variable cv;

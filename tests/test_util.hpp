@@ -17,6 +17,7 @@
 #include "core/schedule.hpp"
 #include "core/validate.hpp"
 #include "support/rng.hpp"
+#include "support/tolerance.hpp"
 
 namespace dts::testing {
 
@@ -133,7 +134,7 @@ struct ReferenceRun {
 /// Oracle for the timing engine (core/compiled.hpp), written from its
 /// documented rules as a plain per-task loop over `inst` and independent
 /// of the engine's code: memory is held from transfer start to
-/// computation end and released at computation ends (a min-heap on the
+/// computation end and released at exact computation ends (a min-heap on the
 /// end, popped in the same order as the engine's, so the footprint sums
 /// round identically); a transfer waits for memory, its channel, the
 /// decision instant and its predecessors; computations run in issue
@@ -152,7 +153,7 @@ inline ReferenceRun reference_run(const Instance& inst,
                  std::vector<Time>(inst.num_channels(), 0.0)};
   std::vector<Held> held;
   const auto release_until = [&](Time t) {
-    while (!held.empty() && approx_leq(held.front().end, t)) {
+    while (!held.empty() && held.front().end <= t) {
       r.used -= held.front().mem;
       std::pop_heap(held.begin(), held.end(), std::greater<>{});
       held.pop_back();

@@ -71,6 +71,15 @@ ones that otherwise live only in reviewers' heads:
                            .shrink_to_fit) or throw inline — error paths
                            funnel through cold [[noreturn]] helpers so
                            the makespan loop stays allocation-free.
+  tolerance-one-home       src/ declares no epsilon constant and writes
+                           no slack comparison of its own (`a < b - 1e-9`,
+                           `std::abs(a - b) <= 1e-12`,
+                           numeric_limits<T>::epsilon()): time and memory
+                           comparisons go through the relative helpers of
+                           src/support/tolerance.hpp, the one tolerance
+                           policy. The LP's numerical tolerances in
+                           src/milp/ are not time comparisons and are
+                           exempt.
   trailing-whitespace, tabs, final-newline, crlf
                            mechanical hygiene on every scanned file.
 
@@ -527,6 +536,45 @@ def check_fan_out_one_home(path: str, raw: str, code: str):
             "the one home of the library's worker threads")
 
 
+TOLERANCE_HOME = "src/support/tolerance.hpp"
+TOLERANCE_EXEMPT_DIRS = ("src/milp/",)
+# A small literal in exponent form (1e-9, 2.5E-12): the shape of a slack.
+SMALL_LITERAL = r"\d*\.?\d+[eE]-\d+"
+TOLERANCE_PATTERNS = (
+    (re.compile(r"\bnumeric_limits\s*<[^>]*>\s*::\s*epsilon\b"),
+     "numeric_limits<T>::epsilon()"),
+    (re.compile(r"\b\w*(?:eps|epsilon|tol|tolerance|slack)\w*\s*[={]\s*"
+                + SMALL_LITERAL, re.IGNORECASE),
+     "an epsilon constant"),
+    (re.compile(r"(?:<|>)=?[^;{}<>]*?[-+]\s*" + SMALL_LITERAL),
+     "a hand-written slack comparison"),
+    (re.compile(r"[-+]\s*" + SMALL_LITERAL + r"[^;{}<>]*?(?:<|>)=?"),
+     "a hand-written slack comparison"),
+    (re.compile(r"\babs\s*\([^;{}]*\)\s*(?:<|>)=?\s*" + SMALL_LITERAL),
+     "a hand-written slack comparison"),
+)
+
+
+def check_tolerance_one_home(path: str, raw: str, code: str):
+    """Time and memory comparisons use the one relative tolerance policy."""
+    if not path.startswith("src/") or path == TOLERANCE_HOME \
+            or path.startswith(TOLERANCE_EXEMPT_DIRS):
+        return
+    seen = set()
+    for pattern, what in TOLERANCE_PATTERNS:
+        for m in pattern.finditer(code):
+            line = line_of(code, m.start())
+            if line in seen:
+                continue
+            seen.add(line)
+            yield Finding(
+                "tolerance-one-home", path, line,
+                f"{what} outside {TOLERANCE_HOME} — compare through "
+                "definitely_less / approx_leq / approx_equal, the one "
+                "relative tolerance policy (an absolute slack makes a "
+                "schedule's feasibility depend on the unit of time)")
+
+
 def check_whitespace(path: str, raw: str, code: str):
     lines = raw.split("\n")
     for idx, line in enumerate(lines, start=1):
@@ -561,6 +609,7 @@ RULES = {
     "bench-row-one-home": check_bench_row_one_home,
     "number-text-one-home": check_number_text_one_home,
     "fan-out-one-home": check_fan_out_one_home,
+    "tolerance-one-home": check_tolerance_one_home,
     "trailing-whitespace": check_whitespace,  # also emits tabs/crlf/newline
 }
 
