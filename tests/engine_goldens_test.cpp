@@ -196,7 +196,7 @@ const std::map<Key, std::uint64_t> kGoldens = {
     {{"LCMR", "ccsd-paper-3"}, 0x5ea8a0a725957150ULL},
     {{"LCMR", "hf-duplex-1"}, 0x83aa6aae9b3b5bb6ULL},
     {{"LCMR", "hf-duplex-2"}, 0x0ca9941494c05f47ULL},
-    {{"LCMR", "hf-duplex-3"}, 0x26f34b372f7c9e63ULL},
+    {{"LCMR", "hf-duplex-3"}, 0x21a6f96e2c51b73bULL},
     {{"LCMR", "hf-paper-1"}, 0xc54e1a91fe9e169fULL},
     {{"LCMR", "hf-paper-2"}, 0x6a646bb3958ebf36ULL},
     {{"LCMR", "hf-paper-3"}, 0xdcba0320e76ad649ULL},
@@ -222,7 +222,7 @@ const std::map<Key, std::uint64_t> kGoldens = {
     {{"OOLCMR", "ccsd-paper-3"}, 0x32c826d91f01284eULL},
     {{"OOLCMR", "hf-duplex-1"}, 0x1efafc101be50653ULL},
     {{"OOLCMR", "hf-duplex-2"}, 0x22ed50f35f727fe1ULL},
-    {{"OOLCMR", "hf-duplex-3"}, 0x5e23f7e3a353ad33ULL},
+    {{"OOLCMR", "hf-duplex-3"}, 0x0a939f90933fd9d9ULL},
     {{"OOLCMR", "hf-paper-1"}, 0x1f975591296b330eULL},
     {{"OOLCMR", "hf-paper-2"}, 0xd752184c19024f02ULL},
     {{"OOLCMR", "hf-paper-3"}, 0x73151cf90060d63bULL},
@@ -313,7 +313,7 @@ const std::map<Key, std::uint64_t> kGoldens = {
     {{"auto-batch", "ccsd-paper-3"}, 0x10944719d839a3b3ULL},
     {{"auto-batch", "hf-duplex-1"}, 0xa11e488ea0eeb883ULL},
     {{"auto-batch", "hf-duplex-2"}, 0xbf38cb0e186c664bULL},
-    {{"auto-batch", "hf-duplex-3"}, 0xce7e2538ab1ee647ULL},
+    {{"auto-batch", "hf-duplex-3"}, 0x55e33205548a855eULL},
     {{"auto-batch", "hf-paper-1"}, 0x02519b10148128fbULL},
     {{"auto-batch", "hf-paper-2"}, 0xb8f315560b4373bbULL},
     {{"auto-batch", "hf-paper-3"}, 0x2c39be5c52f005cdULL},
@@ -341,7 +341,7 @@ const std::map<Key, std::uint64_t> kGoldens = {
     {{"local-search", "ccsd-paper-3"}, 0xfd4076d3388e786fULL},
     {{"local-search", "hf-duplex-1"}, 0x83a098f3b6f87cc6ULL},
     {{"local-search", "hf-duplex-2"}, 0x58100d70e1eb0452ULL},
-    {{"local-search", "hf-duplex-3"}, 0x199b0df51422ea3fULL},
+    {{"local-search", "hf-duplex-3"}, 0xdc0959c2e34bc725ULL},
     {{"local-search", "hf-paper-1"}, 0x025d639127b6c78dULL},
     {{"local-search", "hf-paper-2"}, 0xf802f2edcc630c6eULL},
     {{"local-search", "hf-paper-3"}, 0xb183d40f7ded46e6ULL},
@@ -355,7 +355,7 @@ const std::map<Key, std::uint64_t> kGoldens = {
     {{"window", "ccsd-paper-3"}, 0xf9502775b8158664ULL},
     {{"window", "hf-duplex-1"}, 0x1e11f504d5984663ULL},
     {{"window", "hf-duplex-2"}, 0x4ac7d554e1fdc4b6ULL},
-    {{"window", "hf-duplex-3"}, 0xe61eab2fe9048a67ULL},
+    {{"window", "hf-duplex-3"}, 0xff1a04a336d33316ULL},
     {{"window", "hf-paper-1"}, 0xcca6a6dfa7d9d3a8ULL},
     {{"window", "hf-paper-2"}, 0x3aadc68307fb3c89ULL},
     {{"window", "hf-paper-3"}, 0xcd034382a0f5c3b4ULL},
@@ -534,7 +534,7 @@ const std::map<Key, std::uint64_t> kBatchedGoldens = {
     {{"LCMR", "ccsd-paper-3"}, 0xe9695408ce9d5350ULL},
     {{"LCMR", "hf-duplex-1"}, 0x882cf2039c6ac279ULL},
     {{"LCMR", "hf-duplex-2"}, 0xf9fc75238be9eb9eULL},
-    {{"LCMR", "hf-duplex-3"}, 0xbe236885453e5ec0ULL},
+    {{"LCMR", "hf-duplex-3"}, 0xd9728acf059e2957ULL},
     {{"LCMR", "hf-paper-1"}, 0x8e62264088691538ULL},
     {{"LCMR", "hf-paper-2"}, 0x04320d838ab59614ULL},
     {{"LCMR", "hf-paper-3"}, 0x57642fca9b29fabeULL},
@@ -625,7 +625,7 @@ const std::map<Key, std::uint64_t> kBatchedGoldens = {
     {{"SCMR", "ccsd-paper-3"}, 0xd6ed1571a65a5435ULL},
     {{"SCMR", "hf-duplex-1"}, 0xce27d865f5fb3376ULL},
     {{"SCMR", "hf-duplex-2"}, 0x157cf11c39bed105ULL},
-    {{"SCMR", "hf-duplex-3"}, 0x3087ffa9e23315d9ULL},
+    {{"SCMR", "hf-duplex-3"}, 0x76b2417c49614cb1ULL},
     {{"SCMR", "hf-paper-1"}, 0xba2123913e338895ULL},
     {{"SCMR", "hf-paper-2"}, 0xc67b2f1626d7ab90ULL},
     {{"SCMR", "hf-paper-3"}, 0xa529fd503d87b069ULL},
